@@ -208,8 +208,7 @@ def cmd_eval(args) -> int:
 
 
 def _sweep_k_row(task):
-    e_bytes, k = task
-    e = e_bytes
+    e, k = task
     trunc = truncate_to_ktop(e, k)
     report = minimax(trunc)
     return k, report.winner, report.per_candidate[report.winner]
@@ -471,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--schema", required=True, help="eurovision | f1 | generic:voter,candidate,score")
     p.add_argument("--scoring", help="also apply a positional rule: eurovision | f1")
-    p.add_argument("--drop", help="comma-separated candidate names to drop (plots only; unused in tables)")
+    p.add_argument("--drop", help="comma-separated candidate names whose rows are removed before the election is built")
     p.add_argument("--out", required=True, help="output basename")
     p.set_defaults(func=cmd_ingest)
 

@@ -1,16 +1,33 @@
 """Worst-case cost-ratio LPs and the instance-optimal Minimax rule.
 
 For candidates a, b the program maximises SC(a) subject to SC(b) = 1 over
-all pseudo-metrics consistent with the stated preferences: variables are
-unordered point pairs (symmetry is folded away structurally, the diagonal
-is implicit), with ordering rows per stated pair and triangle rows.
+all pseudo-metrics consistent with the stated preferences.  Variables are
+unordered point pairs: symmetry is folded away structurally and the
+diagonal is implicit.
 
-Triangle rows touching two or more voters are pruned by default:
-voter-voter distances appear in no objective or ordering row and can
-always be completed by shortest paths afterwards, so those rows are
-redundant.  ``triangle_mode="full"`` re-enables the complete row set over
-all point triples; the equivalence is covered by a brute-force cross-check
-in the test suite.
+The default (``triangle_mode="pruned"``) program has one block of m
+voter-candidate distances per distinct ballot and one distance per
+candidate pair, and emits these rows:
+
+* ``SC(b) = 1`` and the objective ``SC(a)``, each block weighted by the
+  number of voters casting its ballot.  Exact: the feasible set is convex
+  and symmetric under swapping voters with equal ballots, so averaging an
+  optimum over each such group loses nothing.
+* ``d(u,p) <= d(u,q)`` for the covering pairs only: stated pairs p > q with
+  no r such that p > r > q.  Exact: every other stated pair is a chain of
+  covering pairs, so transitivity implies its row.
+* ``y_pq <= d(u,p) + d(u,q)`` for every ballot and candidate pair, and
+  ``d(u,p) <= d(u,q) + y_pq`` in each direction the ballot does not state.
+  Exact: when p > q is stated, ``d(u,p) <= d(u,q)`` and ``y_pq >= 0``
+  already imply the dropped row.
+* the alpha-decisive rows ``d(u,top) <= alpha * d(u,second)``, if asked.
+* the three triangle rows of every candidate triple.
+
+No row touches two voters: voter-voter distances appear in no objective
+or ordering row and can always be completed by shortest paths afterwards.
+``triangle_mode="full"`` is the reference: one variable per point pair and
+every triangle row over all point triples.  The test suite checks the two
+modes agree on status, value and witness soundness.
 """
 
 from __future__ import annotations
@@ -110,11 +127,12 @@ def _pair_index(m: int) -> dict[tuple[int, int], int]:
     return {p: i for i, p in enumerate(itertools.combinations(range(m), 2))}
 
 
-def _alpha_rows(e: Election, alpha) -> list[tuple[int, int]]:
+def _alpha_rows(e: Election, alpha, voters) -> list[tuple[int, int]]:
+    """(top, second) of each listed voter, for the rows d(i, top) <= alpha * d(i, second)."""
     if not 0 <= alpha <= 1:
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
     rows = []
-    for i in range(e.n):
+    for i in voters:
         t, s = e.top(i), e.second(i)
         if t is None or s is None:
             raise ConfigError(f"voter {i} has no identified top and second choice")
@@ -137,76 +155,91 @@ def build_metric_lp(
     if triangle_mode == "full":
         return _build_full(e, a, b, alpha)
     n, m = e.n, e.m
-    nm = n * m
-    cpairs = list(itertools.combinations(range(m), 2))
+
+    # merge identical ballots: one block of m distances per distinct pair set
+    index: dict[frozenset, int] = {}
+    ballot_of = np.fromiter((index.setdefault(s, len(index)) for s in e.prefs), dtype=np.int64, count=n)
+    ballots = list(index)
+    nb = len(ballots)
+    weight = np.bincount(ballot_of, minlength=nb).astype(float)
+    first = np.unique(ballot_of, return_index=True)[1]  # a representative voter per ballot
+
+    sizes = [len(s) for s in ballots]
+    flat = np.fromiter(
+        itertools.chain.from_iterable(itertools.chain.from_iterable(ballots)),
+        dtype=np.int64,
+        count=2 * sum(sizes),
+    ).reshape(-1, 2)
+    stated = np.zeros((nb, m, m), dtype=bool)
+    stated[np.repeat(np.arange(nb), sizes), flat[:, 0], flat[:, 1]] = True
+    covering = stated & ~np.matmul(stated, stated)
+
+    nbm = nb * m
+    cpairs = np.array(list(itertools.combinations(range(m), 2)), dtype=np.int64).reshape(-1, 2)
     ncp = len(cpairs)
-    var_names = [("vc", i, c) for i in range(n) for c in range(m)]
-    var_names += [("cc", p, q) for p, q in cpairs]
-    nvars = nm + ncp
+    nvars = nbm + ncp
+    var_names = [("bc", u, c) for u in range(nb) for c in range(m)]
+    var_names += [("cc", int(p), int(q)) for p, q in cpairs]
 
     obj = np.zeros(nvars)
-    for i in range(n):
-        obj[i * m + a] = 1.0
+    obj[np.arange(nb) * m + a] = weight
 
-    data, rows, cols = [], [], []
+    row_parts, col_parts, val_parts = [], [], []
     nrows = 0
 
-    def add_row(entries):
+    def emit(*terms):
+        """Append one row per index of the column arrays; each term is (cols, coefficient)."""
         nonlocal nrows
-        for col, val in entries:
-            rows.append(nrows)
-            cols.append(col)
-            data.append(val)
-        nrows += 1
+        r = len(terms[0][0])
+        ids = np.arange(nrows, nrows + r)
+        for cols, val in terms:
+            row_parts.append(ids)
+            col_parts.append(cols)
+            val_parts.append(np.broadcast_to(np.asarray(val, dtype=float), (r,)))
+        nrows += r
 
-    for i in range(n):
-        for p, q in e.prefs[i]:
-            add_row(((i * m + p, 1.0), (i * m + q, -1.0)))
+    u, p, q = np.nonzero(covering)
+    emit((u * m + p, 1.0), (u * m + q, -1.0))
     if alpha is not None:
-        for i, (t, s) in enumerate(_alpha_rows(e, alpha)):
-            add_row(((i * m + t, 1.0), (i * m + s, -float(alpha))))
+        ts = np.array(_alpha_rows(e, alpha, first.tolist()), dtype=np.int64).reshape(-1, 2)
+        base = np.arange(nb) * m
+        emit((base + ts[:, 0], 1.0), (base + ts[:, 1], -float(alpha)))
 
-    # vectorised voter/candidate-pair triangle block: 3 rows per (i, {p, q})
-    if n and ncp:
-        pa = np.fromiter((p for p, _ in cpairs), dtype=np.int64)
-        pb = np.fromiter((q for _, q in cpairs), dtype=np.int64)
-        ii = np.repeat(np.arange(n, dtype=np.int64), ncp)
-        va = ii * m + np.tile(pa, n)
-        vb = ii * m + np.tile(pb, n)
-        vy = nm + np.tile(np.arange(ncp, dtype=np.int64), n)
-        blk = n * ncp
-        r = nrows + np.arange(blk, dtype=np.int64)
-        for signs, off in ((( 1.0, -1.0, -1.0), 0), ((-1.0, 1.0, -1.0), blk), ((-1.0, -1.0, 1.0), 2 * blk)):
-            rows.extend((r + off).tolist())
-            cols.extend(va.tolist())
-            data.extend([signs[0]] * blk)
-            rows.extend((r + off).tolist())
-            cols.extend(vb.tolist())
-            data.extend([signs[1]] * blk)
-            rows.extend((r + off).tolist())
-            cols.extend(vy.tolist())
-            data.extend([signs[2]] * blk)
-        nrows += 3 * blk
+    # voter/candidate-pair triangle rows; d(u,p) <= d(u,q) + y_pq is implied when p > q is stated
+    pa, pb = cpairs[:, 0], cpairs[:, 1]
+    triangle = (
+        (~stated[:, pa, pb], (1.0, -1.0, -1.0)),
+        (~stated[:, pb, pa], (-1.0, 1.0, -1.0)),
+        (np.ones((nb, ncp), dtype=bool), (-1.0, -1.0, 1.0)),
+    )
+    for keep, (sp, sq, sy) in triangle:
+        u, k = np.nonzero(keep)
+        emit((u * m + pa[k], sp), (u * m + pb[k], sq), (nbm + k, sy))
 
-    pidx = _pair_index(m)
-    for p, q, r_ in itertools.combinations(range(m), 3):
-        ypq, ypr, yqr = nm + pidx[(p, q)], nm + pidx[(p, r_)], nm + pidx[(q, r_)]
-        add_row(((ypq, 1.0), (ypr, -1.0), (yqr, -1.0)))
-        add_row(((ypr, 1.0), (ypq, -1.0), (yqr, -1.0)))
-        add_row(((yqr, 1.0), (ypq, -1.0), (ypr, -1.0)))
+    # candidate triangle rows over every triple p < q < r
+    pair_col = np.zeros((m, m), dtype=np.int64)
+    pair_col[pa, pb] = nbm + np.arange(ncp)
+    x, y, z = np.array(list(itertools.combinations(range(m), 3)), dtype=np.int64).reshape(-1, 3).T
+    ypq, ypr, yqr = pair_col[x, y], pair_col[x, z], pair_col[y, z]
+    emit((ypq, 1.0), (ypr, -1.0), (yqr, -1.0))
+    emit((ypr, 1.0), (ypq, -1.0), (yqr, -1.0))
+    emit((yqr, 1.0), (ypq, -1.0), (ypr, -1.0))
 
     a_ub = sparse.csr_matrix(
-        (np.asarray(data), (np.asarray(rows), np.asarray(cols))), shape=(nrows, nvars)
+        (np.concatenate(val_parts), (np.concatenate(row_parts), np.concatenate(col_parts))),
+        shape=(nrows, nvars),
     )
     b_ub = np.zeros(nrows)
 
-    eq_cols = [i * m + b for i in range(n)]
     a_eq = sparse.csr_matrix(
-        (np.ones(n), (np.zeros(n, dtype=int), eq_cols)), shape=(1, nvars)
+        (weight, (np.zeros(nb, dtype=np.int64), np.arange(nb) * m + b)), shape=(1, nvars)
     )
     b_eq = np.ones(1)
 
-    meta = {"kind": "metric", "n": n, "m": m, "a": a, "b": b, "mode": "pruned", "alpha": alpha}
+    meta = {
+        "kind": "metric", "n": n, "m": m, "a": a, "b": b, "mode": "pruned", "alpha": alpha,
+        "ballots": nb, "ballot_of": ballot_of,
+    }
     return LinearProgram(var_names, obj, a_ub, b_ub, a_eq, b_eq, meta)
 
 
@@ -228,7 +261,7 @@ def _build_full(e: Election, a: int, b: int, alpha) -> LinearProgram:
         for p, q in e.prefs[i]:
             ub_rows.append(({var_names[vi(i, n + p)]: 1.0, var_names[vi(i, n + q)]: -1.0}, 0.0))
     if alpha is not None:
-        for i, (t, s) in enumerate(_alpha_rows(e, alpha)):
+        for i, (t, s) in enumerate(_alpha_rows(e, alpha, range(n))):
             ub_rows.append(({var_names[vi(i, n + t)]: 1.0, var_names[vi(i, n + s)]: -float(alpha)}, 0.0))
     for p, q, r in itertools.combinations(range(size), 3):
         for x, y, z in ((p, q, r), (p, r, q), (q, r, p)):
@@ -333,9 +366,11 @@ def minimax(e: Election, alpha=None, triangle_mode: str = "pruned") -> Distortio
 def extract_pseudometric(outcome: LpOutcome) -> MetricWitness:
     """Turn an optimal pair-LP solution into a full pseudo-metric witness.
 
-    Distances absent from the variable set (voter-voter pairs in pruned
-    mode) are completed by all-pairs shortest paths, which preserves every
-    solved distance and repairs solver-tolerance triangle slack.
+    A merged ballot's distances are copied to every voter casting it, and
+    those voters are placed at one point.  Distances absent from the
+    variable set (the other voter-voter pairs in pruned mode) are completed
+    by all-pairs shortest paths, which preserves every solved distance and
+    repairs solver-tolerance triangle slack.
     """
     if outcome.status != OPTIMAL:
         raise ConfigError(f"cannot extract a witness from a {outcome.status} outcome")
@@ -347,17 +382,23 @@ def extract_pseudometric(outcome: LpOutcome) -> MetricWitness:
     size = n + m
     d = np.full((size, size), np.inf)
     np.fill_diagonal(d, 0.0)
+    ballot_of = meta.get("ballot_of")
+    block = np.zeros((meta.get("ballots", 0), m))
     for name, val in outcome.witness.items():
-        if name[0] == "vc":
-            _, i, c = name
-            p, q = i, n + c
-        elif name[0] == "cc":
+        v = max(0.0, val)
+        if name[0] == "bc":
+            block[name[1], name[2]] = v
+            continue
+        if name[0] == "cc":
             _, a, b = name
             p, q = n + a, n + b
         else:
             _, p, q = name
-        v = max(0.0, val)
         d[p, q] = d[q, p] = v
+    if ballot_of is not None:
+        d[:n, n:] = block[ballot_of]
+        d[n:, :n] = d[:n, n:].T
+        d[:n, :n][ballot_of[:, None] == ballot_of[None, :]] = 0.0
     for k in range(size):
         np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :], out=d)
     return MetricWitness(n, m, tuple(tuple(float(x) for x in row) for row in d))

@@ -4,9 +4,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from metricvote import instances as inst
-from metricvote.core import Election, check_consistent, social_cost
+from metricvote.core import Election, check_consistent, mask_voters, social_cost, transitive_closure
 from metricvote.errors import ConfigError, SolverFailureError
 from metricvote.lp import (
     INFEASIBLE,
@@ -159,6 +161,19 @@ class TestMinimax:
             assert rep.per_candidate[rep.winner] <= 3 + TAU_LP
 
 
+def _assert_matches_full(e, a, b, alpha=None):
+    out = solve_metric_lp(e, a, b, alpha=alpha)
+    ref = solve_metric_lp(e, a, b, alpha=alpha, triangle_mode="full")
+    assert out.status == ref.status
+    if out.status != OPTIMAL:
+        return
+    assert close(out.value, ref.value, TAU_LP)
+    w = extract_pseudometric(out)
+    w.validate_metric()
+    assert check_consistent(w, e)
+    assert social_cost(w, a) / social_cost(w, b) <= out.value * (1 + 1e-6)
+
+
 class TestSoundnessAgainstBruteForce:
     def test_cross_check_small(self):
         # pruned and full builders agree; witnesses are sound and tight
@@ -166,15 +181,78 @@ class TestSoundnessAgainstBruteForce:
             e = inst.impartial_culture(5, 3, seed=seed).election
             for a in range(3):
                 for b in range(3):
-                    if a == b:
-                        continue
-                    out = solve_metric_lp(e, a, b)
-                    ref = solve_metric_lp(e, a, b, triangle_mode="full")
-                    assert out.status == ref.status
-                    if out.status == OPTIMAL:
-                        assert close(out.value, ref.value)
-                        w = extract_pseudometric(out)
-                        assert check_consistent(w, e)
-                        sb = social_cost(w, b)
-                        assert sb > 0
-                        assert social_cost(w, a) / sb <= out.value * (1 + 1e-6) + 1e-9
+                    if a != b:
+                        _assert_matches_full(e, a, b)
+
+
+class TestReducedLpMatchesFull:
+    """The pruned builder (merged ballots, covering-pair ordering rows, no
+    implied triangle rows) is exact: it agrees with ``triangle_mode="full"``."""
+
+    def test_small_lp_corpus(self, small_lp_corpus):
+        for e in small_lp_corpus:
+            variants = [(e, None), (mask_voters(e, range(1, e.n, 2)), None)]
+            if e.all_total:
+                variants.append((e, 0.4))
+            for elec, alpha in variants:
+                for a in range(e.m):
+                    for b in range(e.m):
+                        if a != b:
+                            _assert_matches_full(elec, a, b, alpha)
+
+    def test_reduced_shape(self):
+        e = Election.from_rankings([(0, 1, 2, 3)] * 5 + [(3, 2, 1, 0)] * 3, 4)
+        lp = build_metric_lp(e, 0, 3)
+        # two ballots of 4 distances, plus 6 candidate pairs
+        assert lp.a_ub.shape[1] == 2 * 4 + 6
+        # per ballot: 3 covering rows + 6 pairs x 2 triangle rows; then 4 triples x 3 rows
+        assert lp.a_ub.shape[0] == 2 * (3 + 12) + 12
+        assert lp.objective[0] == 5.0 and lp.objective[4] == 3.0
+        assert lp.a_eq[0, 3] == 5.0 and lp.a_eq[0, 7] == 3.0
+
+    def test_witness_expands_merged_ballots(self):
+        rankings = [(0, 1, 2), (2, 1, 0), (0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 1, 2)]
+        e = Election.from_rankings(rankings, 3)
+        out = solve_metric_lp(e, 2, 0)
+        assert out.status == OPTIMAL
+        w = extract_pseudometric(out)
+        d = w.as_array()
+        assert d.shape == (e.n + e.m, e.n + e.m)
+        w.validate_metric()
+        assert check_consistent(w, e)
+        for i in range(e.n):
+            for j in range(e.n):
+                if e.prefs[i] == e.prefs[j]:
+                    assert (d[i] == d[j]).all()
+        assert close(social_cost(w, 2) / social_cost(w, 0), out.value)
+
+
+@st.composite
+def partial_order_elections(draw):
+    """Random closed partial orders (empty and non-weak ones included), cast
+    by voters drawn with repetition from a small pool of ballots."""
+    m = draw(st.integers(2, 4))
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        perm = draw(st.permutations(range(m)))
+        allowed = [(perm[i], perm[j]) for i in range(m) for j in range(i + 1, m)]
+        pool.append(transitive_closure(draw(st.lists(st.sampled_from(allowed), unique=True))))
+    voters = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=5))
+    if not draw(st.booleans()):
+        voters.append(voters[0])  # a repeated ballot, so merging applies
+    return Election(len(voters), m, tuple(pool[i] for i in voters))
+
+
+class TestReducedLpProperty:
+    @given(partial_order_elections())
+    @settings(max_examples=60, deadline=None)
+    @example(Election(3, 3, (frozenset({(0, 1)}),) * 2 + (frozenset(),)))
+    def test_reduced_value_equals_full(self, e):
+        for a in range(e.m):
+            for b in range(e.m):
+                if a == b:
+                    continue
+                out = solve_metric_lp(e, a, b)
+                ref = solve_metric_lp(e, a, b, triangle_mode="full")
+                assert out.status == ref.status
+                assert close(out.value, ref.value, TAU_LP)
