@@ -42,7 +42,6 @@ from .mechanisms import (
     DominationGraph,
     MatchingResult,
     ThresholdDigraph,
-    Tournament,
     balanced_rule,
     build_domination_graph,
     conjecture_probe,
@@ -62,5 +61,4 @@ from .sampling import (
     sample_voters,
     sampled_copeland,
     sampled_plurality_matching,
-    scaled_plurality,
 )

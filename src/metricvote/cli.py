@@ -33,8 +33,7 @@ from .errors import ConfigError, DataFormatError, PreferenceCycleError, TheoremF
 from .instances import GeneratedInstance, generate, instance_sidecar, witness_from_jsonable
 from .lp import distortion_of, minimax
 from .mechanisms import balanced_rule, conjecture_probe, copeland, ktop_rule, plurality_matching, run_dr
-from .sampling import child_seed, make_plan, sample_voters, sampled_phi
-from .mechanisms import ThresholdDigraph, comparison_graph, king_vertex
+from .sampling import child_seed, make_plan, sampled_copeland, sampled_pm
 
 MISSING_ENVELOPE_BASE = 3  # full-ranking guarantee used for the envelope column
 
@@ -291,8 +290,6 @@ def cmd_sweep_missing(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    from .sampling import sampled_copeland, sampled_plurality_matching
-
     gi = _load_instance(args)
     e = gi.election
     plan = make_plan(args.epsilon, args.delta, e.m, args.mode, args.seed)
@@ -302,23 +299,10 @@ def cmd_sample(args) -> int:
         t0 = time.perf_counter()
         phi_hat_max = None
         if args.mode == "copeland":
-            sub, _ = sample_voters(e, make_plan(args.epsilon, args.delta, e.m, "copeland", seed))
-            g = comparison_graph(sub)
-            edges = set()
-            for a in range(e.m):
-                for b in range(a + 1, e.m):
-                    if g.counts[a][b] > g.counts[b][a]:
-                        edges.add((a, b))
-                    elif g.counts[b][a] > g.counts[a][b]:
-                        edges.add((b, a))
-                    else:
-                        edges.add((max(a, b), min(a, b)))
-            winner = king_vertex(ThresholdDigraph(e.m, Fraction(1, 2), frozenset(edges)))
+            winner = sampled_copeland(e, args.epsilon, args.delta, seed)
         else:
-            sub, _ = sample_voters(e, make_plan(args.epsilon, args.delta, e.m, "plurality-matching", seed))
-            phis = sampled_phi(e, sub)
+            winner, phis = sampled_pm(e, args.epsilon, args.delta, seed)
             phi_hat_max = float(max(phis))
-            winner = phis.index(max(phis))
         elapsed = (time.perf_counter() - t0) * 1000.0
         if gi.witness is not None:
             rd = _fmt(realized_distortion(gi.witness, winner))
@@ -345,7 +329,6 @@ def cmd_sample(args) -> int:
             "seed": args.seed,
             "instance": args.infile or f"{args.generator}({args.params or ''})",
             "c": plan.size,
-            "jobs": args.jobs,
         },
     )
     _write_csv(
@@ -431,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     instance_flags(p)
     p.add_argument("--alpha", type=float)
     p.add_argument("--format", default="json", choices=["csv", "json"])
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_eval)
 
@@ -462,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--timing", action="store_true", help="fill the elapsed_ms column (breaks byte-identical reruns)")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_sample)
 

@@ -1,17 +1,39 @@
 """Election data model: partial preference orders, metrics, and derived counts.
 
 Candidates and voters are 0-based integers throughout.  A voter's stated
-preferences are kept as the transitive closure of the elicited comparisons,
-i.e. a set of ordered candidate pairs ``(a, b)`` meaning "a is (weakly)
-closer than b".  Total rankings, k-top ballots, and score-derived partial
-orders are all special cases of this representation.
+preferences are the transitive closure of the elicited comparisons, i.e. a
+set of ordered candidate pairs ``(a, b)`` meaning "a is (weakly) closer
+than b".  Total rankings, k-top ballots, and score-derived partial orders
+are all special cases of this representation.
+
+An :class:`Election` stores every distinct pair set once, as three
+read-only arrays:
+
+* ``ballots``, a boolean tensor of shape (u, m, m): ``ballots[j, a, b]``
+  says that ballot j states a > b.  Any closed partial order fits,
+  including non-weak ones such as {(0, 1)} with m = 3;
+* ``multiplicity``, shape (u,): how many voters cast each ballot;
+* ``ballot_of``, shape (n,): the ballot of each voter, so per-voter
+  identities (sampled transcripts, witnesses) stay reproducible.
+
+Ballots are numbered in order of first appearance among the voters.  This
+makes the arrays canonical (equal elections have equal arrays), and it is
+the numbering a pass over the voters that merges repeated pair sets would
+give, so ``lp.build_metric_lp``, which emits one variable block per
+ballot, lays out its variables and rows in voter order whichever
+constructor built the election.  Top, bottom, second choice and totality
+are derived once per ballot from row and column sums.  ``Election.prefs``
+is a derived, cached per-voter view of the pair sets as frozensets;
+mechanisms read the arrays instead.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -69,124 +91,220 @@ def ktop_pairs(order: Sequence[int], m: int) -> frozenset[tuple[int, int]]:
     return frozenset(pairs)
 
 
-@dataclass(frozen=True)
+def _check_pair_sets(n: int, m: int, prefs, ktop) -> None:
+    if n < 0 or m < 1:
+        raise DataFormatError("need n >= 0 and m >= 1")
+    if len(prefs) != n or len(ktop) != n:
+        raise DataFormatError("prefs/ktop length must equal n")
+    for i, p in enumerate(prefs):
+        for a, b in p:
+            if not (0 <= a < m and 0 <= b < m):
+                raise DataFormatError(f"voter {i}: candidate pair ({a}, {b}) out of range")
+        if transitive_closure(p) != p:
+            raise PreferenceCycleError(f"voter {i}: pair set is not transitively closed")
+        if ktop[i] is not None:
+            if not all(0 <= c < m for c in ktop[i]):
+                raise DataFormatError(f"voter {i}: k-top entry out of range")
+            if ktop_pairs(ktop[i], m) != p:
+                raise DataFormatError(f"voter {i}: k-top annotation does not match pair set")
+
+
+def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal rows of ``keys``, numbering the groups by first appearance.
+
+    Returns the index of each group's first row and the group of every row.
+    """
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    # the shape of the inverse differs across NumPy 2.0.x releases
+    return first[order], number[inverse.reshape(-1)]
+
+
+def _ballots_from_lists(lists: Sequence[Sequence[int]], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ballots, ballot_of) of ordered top lists, built without per-pair loops.
+
+    A voter's ballot is fixed by the rank position of each candidate, with
+    every omitted candidate at position m - 1: omitted candidates beat no
+    one, and a list of m - 1 candidates states the same pairs as the full
+    ranking that ends with the omitted one.
+    """
+    if m < 1:
+        raise DataFormatError("need n >= 0 and m >= 1")
+    n = len(lists)
+    lens = np.fromiter(map(len, lists), dtype=np.intp, count=n)
+    flat = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64, count=int(lens.sum()))
+    voter = np.repeat(np.arange(n), lens)
+    bad = (flat < 0) | (flat >= m)
+    if bad.any():
+        raise DataFormatError(f"voter {voter[np.argmax(bad)]}: k-top entry out of range")
+    if (np.bincount(voter * m + flat, minlength=n * m) > 1).any():
+        raise DataFormatError("k-top list contains duplicates")
+    pos = np.full((n, m), m - 1, dtype=np.min_scalar_type(m))
+    pos[voter, flat] = np.arange(len(flat)) - np.repeat(np.cumsum(lens) - lens, lens)
+    first, ballot_of = _first_appearance(pos)
+    rep = pos[first]
+    return rep[:, :, None] < rep[:, None, :], ballot_of
+
+
+def _first_true(mask: np.ndarray) -> np.ndarray:
+    """Per row, the index of the first True entry, or -1 when there is none."""
+    return np.where(mask.any(axis=1), mask.argmax(axis=1), -1)
+
+
 class Election:
-    """An election: ``n`` voters, ``m`` candidates, per-voter closed pair sets.
+    """An election: ``n`` voters and ``m`` candidates with closed pair sets.
+
+    ``Election(n, m, prefs, ktop)`` takes one pair set per voter and checks
+    every set for range and closure.  The ballots are then stored once each
+    (see the module docstring); ``restrict``, ``mask_voters``,
+    ``truncate_to_ktop`` and the ``from_*`` constructors build the arrays
+    directly.
 
     ``ktop[i]`` optionally records that voter i's information arrived as an
-    ordered top list (its pair set must equal the k-top expansion).  Voters
-    whose pair set is a full total order are canonically annotated with
-    their complete ranking, so ``ktop[i]`` is never ``None`` for them.
+    ordered top list (its pair set must equal the k-top expansion).  It is
+    kept per voter because lists of m - 1 and of m candidates give the same
+    pair set.  Voters whose pair set is a full total order are canonically
+    annotated with their complete ranking, so ``ktop[i]`` is never ``None``
+    for them.
     """
 
-    n: int
-    m: int
-    prefs: tuple[frozenset[tuple[int, int]], ...]
-    ktop: tuple[tuple[int, ...] | None, ...] = None  # normalised in __post_init__
-    validate: InitVar[bool] = True
-
-    def __post_init__(self, validate: bool) -> None:
-        prefs = tuple(frozenset(p) for p in self.prefs)
-        object.__setattr__(self, "prefs", prefs)
-        ktop = self.ktop
+    def __init__(self, n: int, m: int, prefs, ktop=None, validate: bool = True) -> None:
+        prefs = tuple(frozenset(p) for p in prefs)
         if ktop is None:
-            ktop = (None,) * self.n
+            ktop = (None,) * n
         ktop = tuple(tuple(t) if t is not None else None for t in ktop)
         if validate:
-            self._check(prefs, ktop)
-        total_size = self.m * (self.m - 1) // 2
-        tops, bottoms = [], []
-        norm_ktop = []
-        for i in range(self.n):
-            outdeg: dict[int, int] = {}
-            indeg: dict[int, int] = {}
-            for a, b in prefs[i]:
-                outdeg[a] = outdeg.get(a, 0) + 1
-                indeg[b] = indeg.get(b, 0) + 1
-            if self.m == 1:
-                tops.append(0)
-                bottoms.append(0)
-            else:
-                tops.append(next((a for a, d in outdeg.items() if d == self.m - 1), None))
-                bottoms.append(next((b for b, d in indeg.items() if d == self.m - 1), None))
-            ann = ktop[i]
-            if ann is None and len(prefs[i]) == total_size:
-                # canonical annotation for total orders
-                ann = tuple(sorted(range(self.m), key=lambda c: -outdeg.get(c, 0)))
-            norm_ktop.append(ann)
-        object.__setattr__(self, "ktop", tuple(norm_ktop))
-        object.__setattr__(self, "_tops", tuple(tops))
-        object.__setattr__(self, "_bottoms", tuple(bottoms))
+            _check_pair_sets(n, m, prefs, ktop)
+        index: dict[frozenset, int] = {}
+        ballot_of = np.fromiter((index.setdefault(p, len(index)) for p in prefs), dtype=np.intp, count=len(prefs))
+        sizes = [len(p) for p in index]
+        flat = np.fromiter(
+            itertools.chain.from_iterable(itertools.chain.from_iterable(index)),
+            dtype=np.intp,
+            count=2 * sum(sizes),
+        ).reshape(-1, 2)
+        ballots = np.zeros((len(index), m, m), dtype=bool)
+        ballots[np.repeat(np.arange(len(index)), sizes), flat[:, 0], flat[:, 1]] = True
+        self._fill(n, m, ballots, ballot_of, ktop)
 
-    def _check(self, prefs, ktop) -> None:
-        if self.n < 0 or self.m < 1:
-            raise DataFormatError("need n >= 0 and m >= 1")
-        if len(prefs) != self.n or len(ktop) != self.n:
-            raise DataFormatError("prefs/ktop length must equal n")
-        for i, p in enumerate(prefs):
-            for a, b in p:
-                if not (0 <= a < self.m and 0 <= b < self.m):
-                    raise DataFormatError(f"voter {i}: candidate pair ({a}, {b}) out of range")
-            if transitive_closure(p) != p:
-                raise PreferenceCycleError(f"voter {i}: pair set is not transitively closed")
-            if ktop[i] is not None:
-                if not all(0 <= c < self.m for c in ktop[i]):
-                    raise DataFormatError(f"voter {i}: k-top entry out of range")
-                if ktop_pairs(ktop[i], self.m) != p:
-                    raise DataFormatError(f"voter {i}: k-top annotation does not match pair set")
+    @classmethod
+    def _of(cls, n: int, m: int, ballots: np.ndarray, ballot_of: np.ndarray, ktop) -> "Election":
+        """Election from distinct, used ballots numbered by first appearance."""
+        e = cls.__new__(cls)
+        e._fill(n, m, ballots, ballot_of, ktop)
+        return e
+
+    def _fill(self, n, m, ballots, ballot_of, ktop) -> None:
+        ballots = np.ascontiguousarray(ballots, dtype=bool)
+        ballot_of = np.ascontiguousarray(ballot_of, dtype=np.intp)
+        multiplicity = np.bincount(ballot_of, minlength=len(ballots))
+        outdeg = ballots.sum(axis=2)
+        total = outdeg.sum(axis=1) == m * (m - 1) // 2
+        if m == 1:
+            top = bottom = np.zeros(len(ballots), dtype=np.intp)
+        else:
+            top = _first_true(outdeg == m - 1)
+            bottom = _first_true(ballots.sum(axis=1) == m - 1)
+        second = np.where(top >= 0, _first_true(outdeg == m - 2), -1)
+        if None in ktop:
+            # canonical annotation for total orders
+            rankings: dict[int, tuple[int, ...]] = {}
+            ktop = list(ktop)
+            for i, j in enumerate(ballot_of.tolist()):
+                if ktop[i] is None and total[j]:
+                    if j not in rankings:
+                        rankings[j] = tuple(np.argsort(-outdeg[j], kind="stable").tolist())
+                    ktop[i] = rankings[j]
+            ktop = tuple(ktop)
+        for arr in (ballots, ballot_of, multiplicity):
+            arr.setflags(write=False)
+        fields = {
+            "n": n, "m": m, "ballots": ballots, "multiplicity": multiplicity, "ballot_of": ballot_of,
+            "ktop": ktop, "_top": top, "_bottom": bottom, "_second": second, "_total": total,
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (Election._of, (self.n, self.m, self.ballots, self.ballot_of, self.ktop))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            (self.n, self.m, self.ktop) == (other.n, other.m, other.ktop)
+            and np.array_equal(self.ballot_of, other.ballot_of)
+            and np.array_equal(self.ballots, other.ballots)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.m, self.ktop, self.ballots.shape, self.ballots.tobytes(), self.ballot_of.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Election(n={self.n}, m={self.m}, ballots={len(self.ballots)})"
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_rankings(cls, rankings: Sequence[Sequence[int]], m: int | None = None) -> "Election":
         """Build an election from total orders (best candidate first)."""
-        rankings = [list(r) for r in rankings]
+        rankings = [tuple(r) for r in rankings]
         if m is None:
             m = max((max(r) for r in rankings if r), default=-1) + 1
-        prefs = [ktop_pairs(r, m) for r in rankings]
         for i, r in enumerate(rankings):
             if len(r) != m:
                 raise DataFormatError(f"voter {i}: ranking must list all {m} candidates")
-        return cls(len(rankings), m, tuple(prefs), tuple(tuple(r) for r in rankings))
+        ballots, ballot_of = _ballots_from_lists(rankings, m)
+        return cls._of(len(rankings), m, ballots, ballot_of, tuple(rankings))
 
     @classmethod
     def from_ktop(cls, lists: Sequence[Sequence[int]], m: int) -> "Election":
         """Build an election from per-voter ordered top lists."""
         lists = [tuple(t) for t in lists]
-        prefs = tuple(ktop_pairs(t, m) for t in lists)
-        return cls(len(lists), m, prefs, tuple(lists))
+        ballots, ballot_of = _ballots_from_lists(lists, m)
+        return cls._of(len(lists), m, ballots, ballot_of, tuple(lists))
 
     # -- accessors ---------------------------------------------------------
 
+    @functools.cached_property
+    def prefs(self) -> tuple[frozenset[tuple[int, int]], ...]:
+        """Per-voter pair sets, derived from the ballots; voters casting one
+        ballot share one frozenset."""
+        sets = [frozenset(map(tuple, np.argwhere(b).tolist())) for b in self.ballots]
+        return tuple(sets[j] for j in self.ballot_of.tolist())
+
     def prefers(self, i: int, a: int, b: int) -> bool:
-        return (a, b) in self.prefs[i]
+        return 0 <= a < self.m and 0 <= b < self.m and bool(self.ballots[self.ballot_of[i], a, b])
+
+    def _per_ballot(self, values: np.ndarray, i: int) -> int | None:
+        v = int(values[self.ballot_of[i]])
+        return None if v < 0 else v
 
     def top(self, i: int) -> int | None:
         """Voter i's unique maximal candidate, or None for partial information."""
-        return self._tops[i]
+        return self._per_ballot(self._top, i)
 
     def bottom(self, i: int) -> int | None:
-        return self._bottoms[i]
+        return self._per_ballot(self._bottom, i)
 
     def second(self, i: int) -> int | None:
         """Voter i's second choice: dominates everyone except the top."""
-        t = self._tops[i]
-        if t is None:
-            return None
-        need = self.m - 2
-        for c in range(self.m):
-            if c == t:
-                continue
-            if sum(1 for d in range(self.m) if d != c and (c, d) in self.prefs[i]) == need:
-                return c
-        return None
+        return self._per_ballot(self._second, i)
 
     def is_total(self, i: int) -> bool:
-        return len(self.prefs[i]) == self.m * (self.m - 1) // 2
+        return bool(self._total[self.ballot_of[i]])
 
     @property
     def all_total(self) -> bool:
-        return all(self.is_total(i) for i in range(self.n))
+        return bool(self._total.all())
 
     def ranking(self, i: int) -> tuple[int, ...] | None:
         """Full ranking of voter i when derivable (total order), else None."""
@@ -197,30 +315,44 @@ class Election:
 
     def restrict(self, voters: Sequence[int]) -> "Election":
         """Sub-election on the given voter multiset (order preserved)."""
-        prefs = tuple(self.prefs[i] for i in voters)
+        cast = self.ballot_of[np.asarray(voters, dtype=np.intp).reshape(-1)]
+        first, ballot_of = _first_appearance(cast)
         ktop = tuple(self.ktop[i] for i in voters)
-        return Election(len(voters), self.m, prefs, ktop, validate=False)
+        return Election._of(len(ballot_of), self.m, self.ballots[cast[first]], ballot_of, ktop)
 
 
 def truncate_to_ktop(e: Election, k: int) -> Election:
-    """Keep only the top ``k`` of every voter's total order."""
+    """Keep only the top ``k`` of every voter's total order.
+
+    On a total order the column sums give each candidate's rank position;
+    the truncated ballot keeps the rows of the k top-ranked candidates.
+    """
     if not 1 <= k <= e.m:
         raise DataFormatError(f"k must be in [1, {e.m}], got {k}")
     lists = []
-    for i in range(e.n):
-        r = e.ranking(i)
-        if r is None:
+    for i, r in enumerate(e.ktop):
+        if r is None or len(r) != e.m:
             raise DataFormatError(f"voter {i} has no total order to truncate")
         lists.append(r[:k])
-    return Election.from_ktop(lists, e.m)
+    pos = e.ballots.sum(axis=1)
+    listed = pos < k
+    first, number = _first_appearance(np.where(listed, pos, e.m))
+    ballots = e.ballots[first] & listed[first][:, :, None]
+    return Election._of(e.n, e.m, ballots, number[e.ballot_of], tuple(lists))
 
 
 def mask_voters(e: Election, voters: Iterable[int]) -> Election:
     """Blank out the given voters (their pair set becomes empty)."""
-    gone = set(voters)
-    prefs = tuple(frozenset() if i in gone else e.prefs[i] for i in range(e.n))
-    ktop = tuple(None if i in gone else e.ktop[i] for i in range(e.n))
-    return Election(e.n, e.m, prefs, ktop, validate=False)
+    gone = np.isin(np.arange(e.n), list(set(voters)))
+    empty = np.flatnonzero(~e.ballots.any(axis=(1, 2)))
+    ballots = e.ballots
+    if len(empty) == 0:
+        empty = [len(ballots)]
+        ballots = np.concatenate([ballots, np.zeros((1, e.m, e.m), dtype=bool)])
+    cast = np.where(gone, empty[0], e.ballot_of)
+    first, ballot_of = _first_appearance(cast)
+    ktop = tuple(None if g else t for g, t in zip(gone.tolist(), e.ktop))
+    return Election._of(e.n, e.m, ballots[cast[first]], ballot_of, ktop)
 
 
 # -- comparison graph and scores ------------------------------------------
@@ -248,11 +380,21 @@ def comparison_graph(e: Election) -> ComparisonGraph:
     """Fraction of voters who certainly prefer a to b, for every ordered pair."""
     if e.n < 1:
         raise DataFormatError("comparison graph needs at least one voter")
-    counts = [[0] * e.m for _ in range(e.m)]
-    for p in e.prefs:
-        for a, b in p:
-            counts[a][b] += 1
-    return ComparisonGraph(e.n, tuple(tuple(row) for row in counts))
+    counts = np.tensordot(e.multiplicity, e.ballots, axes=1)
+    return ComparisonGraph(e.n, tuple(map(tuple, counts.tolist())))
+
+
+def _count_voters(e: Election, per_ballot: np.ndarray) -> tuple[int, ...]:
+    """Voters per candidate, given one candidate (or -1 for none) per ballot."""
+    counts = np.zeros(e.m, dtype=np.int64)
+    keep = per_ballot >= 0
+    np.add.at(counts, per_ballot[keep], e.multiplicity[keep])
+    return tuple(counts.tolist())
+
+
+def plurality_counts(e: Election) -> tuple[int, ...]:
+    """Voters whose unique top is each candidate; voters without one count for none."""
+    return _count_voters(e, e._top)
 
 
 @dataclass(frozen=True)
@@ -269,21 +411,13 @@ def scores(e: Election) -> Scores:
     plurality (resp. veto); the source model defines these counts only for
     total orders, so this zero-contribution rule is a documented choice.
     """
-    plu = [0] * e.m
-    veto = [0] * e.m
     cov = [0] * e.m
-    for i in range(e.n):
-        t = e.top(i)
+    for t in e.ktop:
         if t is not None:
-            plu[t] += 1
-        b = e.bottom(i)
-        if b is not None:
-            veto[b] += 1
-        if e.ktop[i] is not None:
-            for c in e.ktop[i]:
+            for c in t:
                 cov[c] += 1
     coverage = tuple(Fraction(c, e.n) for c in cov) if e.n else tuple(Fraction(0) for _ in range(e.m))
-    return Scores(tuple(plu), tuple(veto), coverage)
+    return Scores(plurality_counts(e), _count_voters(e, e._bottom), coverage)
 
 
 # -- metrics ----------------------------------------------------------------
@@ -351,11 +485,6 @@ class MetricWitness:
         if isinstance(self.dist, np.ndarray):
             return float(self.dist[self.n + a, self.n + b])
         return self.dist[self.n + a][self.n + b]
-
-    def voter_candidate_block(self) -> np.ndarray:
-        """Float view of the n x m voter-to-candidate distances."""
-        a = self.as_array()
-        return a[: self.n, self.n :]
 
     def as_array(self) -> np.ndarray:
         if isinstance(self.dist, np.ndarray):
@@ -431,8 +560,9 @@ def check_consistent(metric: MetricWitness, e: Election, tol: float = TAU_METRIC
     """True iff every stated pair is respected by the metric within ``tol``."""
     if metric.n != e.n or metric.m != e.m:
         raise DataFormatError("metric dimensions do not match the election")
-    for i in range(e.n):
-        for a, b in e.prefs[i]:
+    stated = [np.argwhere(b).tolist() for b in e.ballots]
+    for i, j in enumerate(e.ballot_of.tolist()):
+        for a, b in stated[j]:
             da, db = metric.vc(i, a), metric.vc(i, b)
             if _is_exact(da) and _is_exact(db):
                 if da > db:
@@ -506,32 +636,28 @@ def election_to_text(e: Election) -> str:
     are implicitly ranked below); other voters must form a weak order,
     written with ``=`` between tied candidates.
     """
+    # a weak order states a > b exactly when fewer candidates are stated above a than above b
+    above = e.ballots.sum(axis=1)
+    weak = ((above[:, :, None] < above[:, None, :]) == e.ballots).all(axis=(1, 2))
+    stated = e.ballots.any(axis=(1, 2))
+    texts: dict[int, str] = {}
     lines = [f"{e.n} {e.m}"]
-    for i in range(e.n):
+    for i, j in enumerate(e.ballot_of.tolist()):
         ann = e.ktop[i]
         if ann is not None:
             lines.append(" > ".join(str(c) for c in ann))
             continue
-        if not e.prefs[i]:
+        if not stated[j]:
             lines.append("")
             continue
-        above = [0] * e.m
-        for _, b in e.prefs[i]:
-            above[b] += 1
-        levels: dict[int, list[int]] = {}
-        for c in range(e.m):
-            levels.setdefault(above[c], []).append(c)
-        groups = [sorted(levels[k]) for k in sorted(levels)]
-        rebuilt = frozenset(
-            (a, b)
-            for gi, g in enumerate(groups)
-            for a in g
-            for h in groups[gi + 1 :]
-            for b in h
-        )
-        if rebuilt != e.prefs[i]:
+        if not weak[j]:
             raise DataFormatError(f"voter {i}: preferences are not a weak order; not serialisable")
-        lines.append(" > ".join(" = ".join(str(c) for c in g) for g in groups))
+        if j not in texts:
+            levels: dict[int, list[int]] = {}
+            for c, k in enumerate(above[j].tolist()):
+                levels.setdefault(k, []).append(c)
+            texts[j] = " > ".join(" = ".join(str(c) for c in levels[k]) for k in sorted(levels))
+        lines.append(texts[j])
     return "\n".join(lines) + "\n"
 
 

@@ -172,7 +172,7 @@ def positional_score(e: Election, rule: ScoringRule) -> tuple[tuple[int, ...], i
     for i in range(e.n):
         prefix = e.ktop[i]
         if prefix is None:
-            if e.prefs[i]:
+            if e.ballots[e.ballot_of[i]].any():
                 raise DataFormatError(f"voter {i} has no ranked prefix to score")
             continue
         for weight, cand in zip(rule.weights, prefix):

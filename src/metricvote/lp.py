@@ -6,13 +6,15 @@ unordered point pairs: symmetry is folded away structurally and the
 diagonal is implicit.
 
 The default (``triangle_mode="pruned"``) program has one block of m
-voter-candidate distances per distinct ballot and one distance per
-candidate pair, and emits these rows:
+voter-candidate distances per distinct ballot of ``Election.ballots``, in
+the election's ballot order, and one distance per candidate pair.  It
+emits these rows:
 
-* ``SC(b) = 1`` and the objective ``SC(a)``, each block weighted by the
-  number of voters casting its ballot.  Exact: the feasible set is convex
-  and symmetric under swapping voters with equal ballots, so averaging an
-  optimum over each such group loses nothing.
+* ``SC(b) = 1`` and the objective ``SC(a)``, each block weighted by
+  ``Election.multiplicity``, the number of voters casting its ballot.
+  Exact: the feasible set is convex and symmetric under swapping voters
+  with equal ballots, so averaging an optimum over each such group loses
+  nothing.
 * ``d(u,p) <= d(u,q)`` for the covering pairs only: stated pairs p > q with
   no r such that p > r > q.  Exact: every other stated pair is a chain of
   covering pairs, so transitivity implies its row.
@@ -156,22 +158,10 @@ def build_metric_lp(
         return _build_full(e, a, b, alpha)
     n, m = e.n, e.m
 
-    # merge identical ballots: one block of m distances per distinct pair set
-    index: dict[frozenset, int] = {}
-    ballot_of = np.fromiter((index.setdefault(s, len(index)) for s in e.prefs), dtype=np.int64, count=n)
-    ballots = list(index)
-    nb = len(ballots)
-    weight = np.bincount(ballot_of, minlength=nb).astype(float)
-    first = np.unique(ballot_of, return_index=True)[1]  # a representative voter per ballot
-
-    sizes = [len(s) for s in ballots]
-    flat = np.fromiter(
-        itertools.chain.from_iterable(itertools.chain.from_iterable(ballots)),
-        dtype=np.int64,
-        count=2 * sum(sizes),
-    ).reshape(-1, 2)
-    stated = np.zeros((nb, m, m), dtype=bool)
-    stated[np.repeat(np.arange(nb), sizes), flat[:, 0], flat[:, 1]] = True
+    # one block of m distances per distinct ballot
+    stated = e.ballots
+    nb = len(stated)
+    weight = e.multiplicity.astype(float)
     covering = stated & ~np.matmul(stated, stated)
 
     nbm = nb * m
@@ -201,6 +191,7 @@ def build_metric_lp(
     u, p, q = np.nonzero(covering)
     emit((u * m + p, 1.0), (u * m + q, -1.0))
     if alpha is not None:
+        first = np.unique(e.ballot_of, return_index=True)[1]  # a voter casting each ballot
         ts = np.array(_alpha_rows(e, alpha, first.tolist()), dtype=np.int64).reshape(-1, 2)
         base = np.arange(nb) * m
         emit((base + ts[:, 0], 1.0), (base + ts[:, 1], -float(alpha)))
@@ -238,7 +229,7 @@ def build_metric_lp(
 
     meta = {
         "kind": "metric", "n": n, "m": m, "a": a, "b": b, "mode": "pruned", "alpha": alpha,
-        "ballots": nb, "ballot_of": ballot_of,
+        "ballots": nb, "ballot_of": e.ballot_of,
     }
     return LinearProgram(var_names, obj, a_ub, b_ub, a_eq, b_eq, meta)
 

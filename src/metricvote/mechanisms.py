@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
-from .core import ComparisonGraph, Election, Transcript, comparison_graph, scores
+from .core import ComparisonGraph, Election, Transcript, comparison_graph, plurality_counts, scores
 from .errors import ConfigError, CoverageError, TheoremFalsificationError
 
 #: Majority tie handling: with "high_index_wins" (default) the smaller
@@ -25,29 +25,21 @@ from .errors import ConfigError, CoverageError, TheoremFalsificationError
 TIEBREAKS = ("high_index_wins", "low_index_wins")
 
 
-def majority_oracle(
-    e: Election,
-    a: int,
-    b: int,
-    tiebreak: str = "high_index_wins",
-    transcript: Transcript | None = None,
-) -> int:
+def majority_oracle(e: Election, a: int, b: int, tiebreak: str = "high_index_wins") -> int:
     """Return the pairwise loser between a and b; abstainers count for neither."""
     if a == b:
         raise ConfigError("oracle needs distinct candidates")
+    if not (0 <= a < e.m and 0 <= b < e.m):
+        raise ConfigError(f"candidates ({a}, {b}) out of range")
     if tiebreak not in TIEBREAKS:
         raise ConfigError(f"unknown tiebreak {tiebreak!r}")
-    na = sum(1 for p in e.prefs if (a, b) in p)
-    nb = sum(1 for p in e.prefs if (b, a) in p)
+    na = int(e.multiplicity @ e.ballots[:, a, b])
+    nb = int(e.multiplicity @ e.ballots[:, b, a])
     if na > nb:
-        loser = b
-    elif nb > na:
-        loser = a
-    else:
-        loser = min(a, b) if tiebreak == "high_index_wins" else max(a, b)
-    if transcript is not None:
-        transcript.record_comparison(a, b, loser)
-    return loser
+        return b
+    if nb > na:
+        return a
+    return min(a, b) if tiebreak == "high_index_wins" else max(a, b)
 
 
 def _make_pairs(survivors: list[int], pairing: str, rng) -> list[tuple[int, int]]:
@@ -123,22 +115,6 @@ def run_dr(
 
 
 @dataclass(frozen=True)
-class Tournament:
-    """Complete antisymmetric digraph: exactly one edge per unordered pair."""
-
-    m: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        for a, b in itertools.combinations(range(self.m), 2):
-            if ((a, b) in self.edges) == ((b, a) in self.edges):
-                raise ConfigError(f"pair ({a}, {b}) must carry exactly one edge")
-
-    def out_neighbours(self, v: int) -> set[int]:
-        return {b for a, b in self.edges if a == v}
-
-
-@dataclass(frozen=True)
 class ThresholdDigraph:
     """Support digraph: edge (a, b) iff the fraction preferring a to b meets tau."""
 
@@ -170,11 +146,6 @@ def two_hop_reach(adj: Sequence[set[int]], v: int) -> set[int]:
     for u in list(adj[v]):
         reach |= adj[u]
     return reach
-
-
-def is_king(graph, v: int) -> bool:
-    adj = _adjacency(graph)
-    return len(two_hop_reach(adj, v)) == graph.m
 
 
 def king_vertex(graph) -> int:
@@ -218,18 +189,6 @@ def copeland(e: Election, tiebreak_pair: str = "half") -> int:
             score[b] += Fraction(1, 2)
     best = max(score)
     return score.index(best)
-
-
-def majority_digraph(e: Election) -> ThresholdDigraph:
-    """Edges for strict pairwise wins; drawn pairs carry both directions."""
-    g = comparison_graph(e)
-    edges = set()
-    for a, b in itertools.combinations(range(g.m), 2):
-        if g.counts[a][b] >= g.counts[b][a]:
-            edges.add((a, b))
-        if g.counts[b][a] >= g.counts[a][b]:
-            edges.add((b, a))
-    return ThresholdDigraph(g.m, Fraction(0), frozenset(edges))
 
 
 def balanced_rule(e: Election, alpha) -> int:
@@ -307,25 +266,33 @@ class MatchingResult:
         return {k: tuple(v) for k, v in sorted(out.items())}
 
 
+def plurality_capacities(e: Election) -> tuple[int, ...]:
+    """Plurality counts as right-side capacities; every voter needs a unique top."""
+    caps = plurality_counts(e)
+    if sum(caps) != e.n:
+        i = next(i for i in range(e.n) if e.top(i) is None)
+        raise ConfigError(f"voter {i} has no unique top; supply capacities explicitly")
+    return caps
+
+
 def build_domination_graph(
     e: Election, focal: int, capacities: Sequence[int] | None = None
 ) -> DominationGraph:
-    """Domination graph of ``focal``; edges use only certain comparisons."""
+    """Domination graph of ``focal``; edges use only certain comparisons.
+
+    Neighbourhoods are built once per ballot and shared by its voters.
+    """
+    if not 0 <= focal < e.m:
+        raise ConfigError(f"focal candidate {focal} out of range")
     if capacities is None:
-        caps = [0] * e.m
-        for i in range(e.n):
-            t = e.top(i)
-            if t is None:
-                raise ConfigError(f"voter {i} has no unique top; supply capacities explicitly")
-            caps[t] += 1
-        capacities = caps
+        capacities = plurality_capacities(e)
     if len(capacities) != e.m:
         raise ConfigError("capacity vector must have one entry per candidate")
-    adj = []
-    for i in range(e.n):
-        p = e.prefs[i]
-        adj.append(frozenset(k for k in range(e.m) if k == focal or (focal, k) in p))
-    return DominationGraph(focal, e.n, tuple(int(c) for c in capacities), tuple(adj))
+    beaten = e.ballots[:, focal, :].copy()
+    beaten[:, focal] = True
+    per_ballot = [frozenset(itertools.compress(range(e.m), row)) for row in beaten.tolist()]
+    adj = tuple(per_ballot[j] for j in e.ballot_of.tolist())
+    return DominationGraph(focal, e.n, tuple(int(c) for c in capacities), adj)
 
 
 def max_matching(g: DominationGraph) -> MatchingResult:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .mechanisms import (
     comparison_graph,
     king_vertex,
     max_matching,
+    plurality_capacities,
 )
 
 MODES = ("copeland", "plurality-matching")
@@ -87,56 +87,26 @@ def sample_voters(e: Election, plan: SamplePlan) -> tuple[Election, Transcript]:
         raise ConfigError(f"cannot draw {plan.size} voters from {e.n} without replacement")
     rng = _generator(plan.seed)
     idx = rng.choice(e.n, size=plan.size, replace=plan.with_replacement)
+    voters = idx.tolist()
     transcript = Transcript()
-    for i in idx:
-        transcript.record_sample(int(i))
-    return e.restrict([int(i) for i in idx]), transcript
+    for i in voters:
+        transcript.record_sample(i)
+    return e.restrict(voters), transcript
 
 
 def sampled_copeland(e: Election, epsilon: float, delta: float, seed: int, transcript: Transcript | None = None) -> int:
-    """King of the tournament thresholded at 1/2 on sampled pairwise weights."""
+    """King of the majority tournament of a sampled voter multiset.
+
+    The sample size is odd and every ballot is a total order, so the
+    digraph thresholded at 1/2 has exactly one edge per candidate pair.
+    """
     if not e.all_total:
         raise ConfigError("sampled copeland needs total orders")
     plan = make_plan(epsilon, delta, e.m, "copeland", seed)
     sub, log = sample_voters(e, plan)
     if transcript is not None:
         transcript.events.extend(log.events)
-    g = comparison_graph(sub)
-    edges = set()
-    for a in range(e.m):
-        for b in range(a + 1, e.m):
-            if g.counts[a][b] > g.counts[b][a]:
-                edges.add((a, b))
-            elif g.counts[b][a] > g.counts[a][b]:
-                edges.add((b, a))
-            else:
-                # unreachable for odd c over total orders; keep one edge
-                edges.add((max(a, b), min(a, b)))
-    return king_vertex(ThresholdDigraph(e.m, Fraction(1, 2), frozenset(edges)))
-
-
-def scaled_plurality(pi: Sequence[int], c: int) -> tuple[int, ...]:
-    """Largest-remainder rounding of c * pi / sum(pi); sums to c exactly."""
-    pi = [int(x) for x in pi]
-    total = sum(pi)
-    if total <= 0 or c < 1:
-        raise ConfigError("need positive counts and c >= 1")
-    base = [c * p // total for p in pi]
-    rem = [(c * p) % total for p in pi]
-    short = c - sum(base)
-    for k in sorted(range(len(pi)), key=lambda k: (-rem[k], k))[:short]:
-        base[k] += 1
-    return tuple(base)
-
-
-def empirical_plurality(e: Election) -> tuple[int, ...]:
-    caps = [0] * e.m
-    for i in range(e.n):
-        t = e.top(i)
-        if t is None:
-            raise ConfigError(f"voter {i} has no unique top")
-        caps[t] += 1
-    return tuple(caps)
+    return king_vertex(ThresholdDigraph.from_graph(comparison_graph(sub), Fraction(1, 2)))
 
 
 def sampled_phi(e: Election, sub: Election) -> tuple[Fraction, ...]:
@@ -145,14 +115,17 @@ def sampled_phi(e: Election, sub: Election) -> tuple[Fraction, ...]:
     Right-side capacities are the sample's own plurality counts, which sum
     to the sample size by construction.
     """
-    caps = empirical_plurality(sub)
+    caps = plurality_capacities(sub)
     return tuple(max_matching(build_domination_graph(sub, j, caps)).phi for j in range(e.m))
 
 
-def sampled_plurality_matching(
+def sampled_pm(
     e: Election, epsilon: float, delta: float, seed: int, transcript: Transcript | None = None
-) -> int:
-    """Argmax of the sampled matching fractions; ties break by index."""
+) -> tuple[int, tuple[Fraction, ...]]:
+    """Sampled PluralityMatching: the winner and the sampled matching fractions.
+
+    The winner is the argmax of the fractions; ties break by index.
+    """
     if not e.all_total:
         raise ConfigError("sampled plurality-matching needs total orders")
     plan = make_plan(epsilon, delta, e.m, "plurality-matching", seed)
@@ -160,5 +133,11 @@ def sampled_plurality_matching(
     if transcript is not None:
         transcript.events.extend(log.events)
     phis = sampled_phi(e, sub)
-    best = max(phis)
-    return phis.index(best)
+    return phis.index(max(phis)), phis
+
+
+def sampled_plurality_matching(
+    e: Election, epsilon: float, delta: float, seed: int, transcript: Transcript | None = None
+) -> int:
+    """Winner of :func:`sampled_pm`."""
+    return sampled_pm(e, epsilon, delta, seed, transcript)[0]

@@ -1,12 +1,13 @@
-"""Shared corpora for the unit and acceptance suites."""
+"""Shared corpora and hypothesis strategies for the unit and acceptance suites."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from metricvote import instances as inst
-from metricvote.core import truncate_to_ktop
+from metricvote.core import Election, transitive_closure, truncate_to_ktop
 
 
 def _size_plan(rng: np.random.Generator) -> list[tuple[int, int, int]]:
@@ -54,3 +55,19 @@ def small_lp_corpus():
         dim = int(rng.integers(1, 3))
         corpus.append(inst.euclidean(n, m, dim, seed=700 + i).election)
     return corpus
+
+
+@st.composite
+def partial_order_elections(draw):
+    """Random closed partial orders (empty and non-weak ones included), cast
+    by voters drawn with repetition from a small pool of ballots."""
+    m = draw(st.integers(2, 4))
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        perm = draw(st.permutations(range(m)))
+        allowed = [(perm[i], perm[j]) for i in range(m) for j in range(i + 1, m)]
+        pool.append(transitive_closure(draw(st.lists(st.sampled_from(allowed), unique=True))))
+    voters = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=5))
+    if not draw(st.booleans()):
+        voters.append(voters[0])  # a repeated ballot, so merging applies
+    return Election(len(voters), m, tuple(pool[i] for i in voters))

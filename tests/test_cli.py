@@ -82,6 +82,11 @@ class TestEval:
         assert text[0].startswith("# metricvote")
         assert text[-4] == "candidate,distortion,worst_opponent,winner"
 
+    def test_jobs_flag_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["eval", "--generator", "veto", "--params", "m=3", "--jobs", 2, "--out", tmp_path / "x.json"])
+        assert exc.value.code == 2
+
 
 class TestSweeps:
     def test_sweep_k_rows_and_reproducibility(self, tmp_path):
@@ -134,6 +139,12 @@ class TestSample:
         run(["sample", "--mode", "copeland", "--in", base.with_suffix(".elec"), "--trials", 0, "--out", out])
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert rows == ["trial,seed,c,winner,realized_distortion,phi_hat_max,elapsed_ms"]
+
+    def test_partial_orders_are_config_error(self, tmp_path):
+        elec = tmp_path / "top1.elec"
+        elec.write_text("3 3\n0\n1\n2\n")
+        for mode in ("copeland", "plurality-matching"):
+            assert run(["sample", "--mode", mode, "--in", elec, "--trials", 1, "--out", tmp_path / "s.csv"]) == 2
 
 
 class TestIngest:

@@ -1,9 +1,13 @@
 """Election model: closure, consistency, counts, and the text format."""
 
+import itertools
+import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from conftest import partial_order_elections
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metricvote import instances as inst
@@ -16,12 +20,14 @@ from metricvote.core import (
     election_to_text,
     induce_election,
     ktop_pairs,
+    mask_voters,
     scores,
     social_cost,
     transitive_closure,
     truncate_to_ktop,
 )
 from metricvote.errors import DataFormatError, PreferenceCycleError
+from metricvote.mechanisms import build_domination_graph, majority_oracle
 
 
 def pairs_strategy(m=5):
@@ -106,6 +112,108 @@ class TestElection:
         t = truncate_to_ktop(e, 1)
         assert t.ktop[0] == (2,)
         assert t.prefs[0] == {(2, 0), (2, 1)}
+
+
+class TestBallotTensor:
+    """Ballot-derived quantities against per-voter loops over the pair sets."""
+
+    @given(partial_order_elections(), st.data())
+    @settings(max_examples=80, deadline=None)
+    @example(Election(3, 3, (frozenset({(0, 1)}),) * 2 + (frozenset(),)), None)
+    def test_matches_per_voter_reference(self, e, data):
+        n, m, prefs = e.n, e.m, e.prefs
+        assert Election(n, m, prefs, e.ktop) == e
+        tops, bottoms = [], []
+        for i, p in enumerate(prefs):
+            outdeg = [sum(1 for d in range(m) if (c, d) in p) for c in range(m)]
+            indeg = [sum(1 for d in range(m) if (d, c) in p) for c in range(m)]
+            top = next((c for c in range(m) if outdeg[c] == m - 1), None)
+            bottom = next((c for c in range(m) if indeg[c] == m - 1), None)
+            second = None if top is None else next((c for c in range(m) if c != top and outdeg[c] == m - 2), None)
+            assert (e.top(i), e.bottom(i), e.second(i)) == (top, bottom, second)
+            assert e.is_total(i) == (len(p) == m * (m - 1) // 2)
+            tops.append(top)
+            bottoms.append(bottom)
+        assert e.all_total == all(len(p) == m * (m - 1) // 2 for p in prefs)
+
+        counts = [[sum(1 for p in prefs if (a, b) in p) for b in range(m)] for a in range(m)]
+        assert comparison_graph(e).counts == tuple(tuple(row) for row in counts)
+        s = scores(e)
+        assert s.plurality == tuple(tops.count(c) for c in range(m))
+        assert s.veto == tuple(bottoms.count(c) for c in range(m))
+        listed = [c for t in e.ktop if t is not None for c in t]
+        assert s.topk_coverage == tuple(Fraction(listed.count(c), n) for c in range(m))
+        for a, b in itertools.permutations(range(m), 2):
+            na, nb = counts[a][b], counts[b][a]
+            assert majority_oracle(e, a, b) == (b if na > nb else a if nb > na else min(a, b))
+
+        for focal in range(m):
+            g = build_domination_graph(e, focal, (1,) * m)
+            assert g.adjacency == tuple(frozenset(k for k in range(m) if k == focal or (focal, k) in p) for p in prefs)
+
+        voters = [0, n - 1, 0] if data is None else data.draw(st.lists(st.integers(0, n - 1), max_size=7))
+        sub = Election(len(voters), m, tuple(prefs[i] for i in voters), tuple(e.ktop[i] for i in voters))
+        assert e.restrict(voters) == sub
+        gone = set(range(0, n, 2))
+        blank = Election(
+            n, m,
+            tuple(frozenset() if i in gone else p for i, p in enumerate(prefs)),
+            tuple(None if i in gone else t for i, t in enumerate(e.ktop)),
+        )
+        assert mask_voters(e, gone) == blank
+
+
+class TestBallotConstruction:
+    def test_from_rankings_equals_pair_sets(self):
+        rankings = [(2, 0, 1, 3), (0, 1, 2, 3), (2, 0, 1, 3), (3, 2, 1, 0)]
+        e = Election.from_rankings(rankings, 4)
+        assert e == Election(4, 4, tuple(ktop_pairs(r, 4) for r in rankings), rankings)
+
+    def test_from_ktop_equals_pair_sets(self):
+        # the 3-top and the 4-top list (0, 1, 2[, 3]) state the same pairs
+        lists = [(2, 0), (1,), (2, 0), (), (0, 1, 2), (0, 1, 2, 3), (3,)]
+        e = Election.from_ktop(lists, 4)
+        assert e == Election(len(lists), 4, tuple(ktop_pairs(t, 4) for t in lists), lists)
+        assert e.ballot_of.tolist() == [0, 1, 0, 2, 3, 3, 4]
+        assert e.multiplicity.tolist() == [2, 1, 1, 2, 1]
+
+    def test_truncate_equals_pair_sets(self):
+        e = inst.impartial_culture(30, 5, seed=2).election
+        for k in range(1, 6):
+            lists = [e.ranking(i)[:k] for i in range(e.n)]
+            ref = Election(e.n, e.m, tuple(ktop_pairs(t, e.m) for t in lists), lists)
+            assert truncate_to_ktop(e, k) == ref
+
+    def test_first_appearance_order(self):
+        p, q = frozenset({(1, 0)}), frozenset({(0, 2)})
+        e = Election(5, 3, (p, frozenset(), p, q, frozenset()))
+        assert e.ballot_of.tolist() == [0, 1, 0, 2, 1]
+        assert e.multiplicity.tolist() == [2, 2, 1]
+        assert [sorted(map(tuple, np.argwhere(b).tolist())) for b in e.ballots] == [[(1, 0)], [], [(0, 2)]]
+        assert e.restrict([3, 0, 3]).ballot_of.tolist() == [0, 1, 0]
+        assert mask_voters(e, [0, 2]).ballot_of.tolist() == [0, 0, 0, 1, 0]
+        with pytest.raises(ValueError):
+            e.ballots[0, 0, 1] = True
+
+    def test_pickle_round_trip(self):
+        e = truncate_to_ktop(inst.impartial_culture(12, 4, seed=5).election, 2)
+        back = pickle.loads(pickle.dumps(e))
+        assert back == e and hash(back) == hash(e)
+        assert not back.ballots.flags.writeable
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Election(1, 2, (frozenset({(0, -1)}),)),
+            lambda: Election(1, 3, (ktop_pairs((0,), 3),), ((0, -1),)),
+            lambda: Election.from_rankings([(0, -1, 1)], 3),
+            lambda: Election.from_ktop([(0,), (2, -1)], 3),
+            lambda: election_from_text("1 3\n0 > -1\n"),
+        ],
+    )
+    def test_negative_candidate_rejected(self, build):
+        with pytest.raises(DataFormatError):
+            build()
 
 
 class TestConsistencyAndCost:

@@ -4,11 +4,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from conftest import partial_order_elections
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from metricvote import instances as inst
-from metricvote.core import Election, check_consistent, mask_voters, social_cost, transitive_closure
+from metricvote.core import Election, check_consistent, mask_voters, social_cost
 from metricvote.errors import ConfigError, SolverFailureError
 from metricvote.lp import (
     INFEASIBLE,
@@ -225,22 +225,6 @@ class TestReducedLpMatchesFull:
                 if e.prefs[i] == e.prefs[j]:
                     assert (d[i] == d[j]).all()
         assert close(social_cost(w, 2) / social_cost(w, 0), out.value)
-
-
-@st.composite
-def partial_order_elections(draw):
-    """Random closed partial orders (empty and non-weak ones included), cast
-    by voters drawn with repetition from a small pool of ballots."""
-    m = draw(st.integers(2, 4))
-    pool = []
-    for _ in range(draw(st.integers(1, 3))):
-        perm = draw(st.permutations(range(m)))
-        allowed = [(perm[i], perm[j]) for i in range(m) for j in range(i + 1, m)]
-        pool.append(transitive_closure(draw(st.lists(st.sampled_from(allowed), unique=True))))
-    voters = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=5))
-    if not draw(st.booleans()):
-        voters.append(voters[0])  # a repeated ballot, so merging applies
-    return Election(len(voters), m, tuple(pool[i] for i in voters))
 
 
 class TestReducedLpProperty:

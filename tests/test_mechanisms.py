@@ -14,21 +14,35 @@ from metricvote.errors import ConfigError, CoverageError, TheoremFalsificationEr
 from metricvote.mechanisms import (
     DominationGraph,
     ThresholdDigraph,
-    Tournament,
     balanced_rule,
     build_domination_graph,
     conjecture_probe,
     copeland,
     domination_root,
-    is_king,
     king_vertex,
     ktop_rule,
-    majority_digraph,
     majority_oracle,
     max_matching,
     plurality_matching,
     run_dr,
 )
+
+
+def is_two_hop_king(m, edges, v):
+    """True when v reaches every vertex of the digraph in at most two hops."""
+    adj = [set() for _ in range(m)]
+    for a, b in edges:
+        adj[a].add(b)
+    reach = {v} | adj[v]
+    for u in adj[v]:
+        reach |= adj[u]
+    return len(reach) == m
+
+
+def majority_edges(e):
+    """Majority digraph: strict pairwise wins, both directions on a drawn pair."""
+    g = comparison_graph(e)
+    return {(a, b) for a in range(e.m) for b in range(e.m) if a != b and g.counts[a][b] >= g.counts[b][a]}
 
 
 class TestMajorityOracle:
@@ -49,6 +63,12 @@ class TestMajorityOracle:
     def test_abstainers_count_for_neither(self):
         e = Election(3, 3, (frozenset({(0, 1)}), frozenset(), frozenset()))
         assert majority_oracle(e, 0, 1) == 1
+
+    def test_candidate_out_of_range(self):
+        e = Election.from_rankings([(0, 1, 2)], 3)
+        for a, b in ((0, -1), (3, 0)):
+            with pytest.raises(ConfigError):
+                majority_oracle(e, a, b)
 
 
 class TestDominationRoot:
@@ -96,9 +116,8 @@ class TestDominationRoot:
             gi = inst.euclidean(20, 11, 2, seed=seed)
             e = gi.election
             winner, _ = run_dr(e, pairing="shuffle", seed=seed)
-            dig = majority_digraph(e)
             adj = [set() for _ in range(e.m)]
-            for a, b in dig.edges:
+            for a, b in majority_edges(e):
                 adj[a].add(b)
             depth = {winner: 0}
             frontier = [winner]
@@ -117,12 +136,13 @@ class TestDominationRoot:
 class TestKingVertex:
     def test_transitive_tournament_source(self):
         edges = frozenset((a, b) for a in range(5) for b in range(5) if a < b)
-        t = Tournament(5, edges)
+        t = ThresholdDigraph(5, Fraction(1, 2), edges)
         assert king_vertex(t) == 0
 
     def test_three_cycle_all_kings(self):
-        t = Tournament(3, frozenset({(0, 1), (1, 2), (2, 0)}))
-        assert all(is_king(t, v) for v in range(3))
+        edges = frozenset({(0, 1), (1, 2), (2, 0)})
+        assert king_vertex(ThresholdDigraph(3, Fraction(1, 2), edges)) == 0
+        assert all(is_two_hop_king(3, edges, v) for v in range(3))
 
     def test_random_tournaments_verified(self):
         rng = np.random.default_rng(4)
@@ -131,8 +151,8 @@ class TestKingVertex:
             edges = set()
             for a, b in itertools.combinations(range(m), 2):
                 edges.add((a, b) if rng.random() < 0.5 else (b, a))
-            v = king_vertex(Tournament(m, frozenset(edges)))
-            assert is_king(Tournament(m, frozenset(edges)), v)
+            v = king_vertex(ThresholdDigraph(m, Fraction(1, 2), frozenset(edges)))
+            assert is_two_hop_king(m, edges, v)
 
     def test_falsification_on_non_tournament(self):
         g = ThresholdDigraph(3, Fraction(1), frozenset({(0, 1)}))
@@ -175,7 +195,7 @@ class TestCopeland:
         for seed in range(8):
             e = inst.impartial_culture(11, 6, seed=seed).election
             w = copeland(e)
-            assert is_king(majority_digraph(e), w)
+            assert is_two_hop_king(e.m, majority_edges(e), w)
 
 
 class TestBalancedRule:
@@ -185,7 +205,7 @@ class TestBalancedRule:
             w = balanced_rule(e, 1)
             g = comparison_graph(e)
             dig = ThresholdDigraph.from_graph(g, Fraction(1, 2))
-            assert is_king(dig, w)
+            assert is_two_hop_king(dig.m, dig.edges, w)
 
     def test_coverage_error_names_pair(self):
         e = Election(2, 3, (frozenset({(0, 1)}), frozenset({(1, 0)})))
@@ -246,6 +266,12 @@ class TestMatching:
         g = build_domination_graph(e, 0)
         r = max_matching(g)
         assert r.size == 6 and r.phi == 1
+
+    def test_focal_out_of_range(self):
+        e = Election.from_rankings([(0, 1, 2)] * 2, 3)
+        for focal in (-1, 3):
+            with pytest.raises(ConfigError):
+                build_domination_graph(e, focal)
 
     def test_empty_edges(self):
         g = DominationGraph(0, 3, (1, 1, 1), (frozenset(), frozenset(), frozenset()))

@@ -1,11 +1,9 @@
-"""Sample-size formulas, seeded draws, scaling, and sampled mechanisms."""
+"""Sample-size formulas, seeded draws, and sampled mechanisms."""
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from metricvote import instances as inst
 from metricvote.core import Election
@@ -13,14 +11,12 @@ from metricvote.errors import ConfigError
 from metricvote.mechanisms import build_domination_graph, copeland, max_matching, phi_scores
 from metricvote.sampling import (
     SamplePlan,
-    empirical_plurality,
     make_plan,
     sample_size,
     sample_voters,
     sampled_copeland,
     sampled_phi,
     sampled_plurality_matching,
-    scaled_plurality,
 )
 
 
@@ -100,26 +96,6 @@ class TestSampleVoters:
         assert good >= 0.95 * trials
 
 
-class TestScaledPlurality:
-    def test_single_candidate(self):
-        assert scaled_plurality((6,), 4) == (4,)
-
-    def test_divisible_uniform(self):
-        assert scaled_plurality((2, 2, 2), 3) == (1, 1, 1)
-
-    def test_largest_remainder_example(self):
-        assert scaled_plurality((3, 2, 1), 4) == (2, 1, 1)
-
-    @given(st.lists(st.integers(0, 20), min_size=1, max_size=6).filter(lambda p: sum(p) > 0), st.integers(1, 40))
-    @settings(max_examples=80)
-    def test_sum_and_deviation(self, pi, c):
-        out = scaled_plurality(pi, c)
-        total = sum(pi)
-        assert sum(out) == c
-        for k, p in enumerate(pi):
-            assert abs(out[k] - Fraction(c * p, total)) <= 1
-
-
 class TestSampledCopeland:
     def test_unanimous_every_seed(self):
         e = Election.from_rankings([(2, 0, 1)] * 40, 3)
@@ -167,7 +143,7 @@ class TestSampledPluralityMatching:
             for k, voters in blocks.items():
                 picks.extend(voters[: len(voters) // 2])  # exact halves per block
             sub = e.restrict(sorted(picks))
-            caps = scaled_plurality(empirical_plurality(e), len(picks))
+            caps = (2, 2)  # half of each candidate's plurality count
             scaled = max_matching(build_domination_graph(sub, j, caps))
             assert Fraction(scaled.size, len(picks)) == full.phi
 
