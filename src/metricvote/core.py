@@ -170,13 +170,12 @@ class Election:
     for them.
     """
 
-    def __init__(self, n: int, m: int, prefs, ktop=None, validate: bool = True) -> None:
+    def __init__(self, n: int, m: int, prefs, ktop=None) -> None:
         prefs = tuple(frozenset(p) for p in prefs)
         if ktop is None:
             ktop = (None,) * n
         ktop = tuple(tuple(t) if t is not None else None for t in ktop)
-        if validate:
-            _check_pair_sets(n, m, prefs, ktop)
+        _check_pair_sets(n, m, prefs, ktop)
         index: dict[frozenset, int] = {}
         ballot_of = np.fromiter((index.setdefault(p, len(index)) for p in prefs), dtype=np.intp, count=len(prefs))
         sizes = [len(p) for p in index]
