@@ -143,8 +143,18 @@ def _ballots_from_lists(lists: Sequence[Sequence[int]], m: int) -> tuple[np.ndar
         raise DataFormatError("k-top list contains duplicates")
     pos = np.full((n, m), m - 1, dtype=np.min_scalar_type(m))
     pos[voter, flat] = np.arange(len(flat)) - np.repeat(np.cumsum(lens) - lens, lens)
-    first, ballot_of = _first_appearance(pos)
-    rep = pos[first]
+    return _ballots_from_levels(pos)
+
+
+def _ballots_from_levels(level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ballots, ballot_of) of per-voter level vectors, shape (n, m).
+
+    A voter states a > b exactly when ``level[a] < level[b]``, so every
+    ballot is closed.  Voters with equal pair sets must have equal level
+    vectors: the ballots are the distinct rows in first-appearance order.
+    """
+    first, ballot_of = _first_appearance(level)
+    rep = level[first]
     return rep[:, :, None] < rep[:, None, :], ballot_of
 
 
@@ -661,6 +671,14 @@ def election_to_text(e: Election) -> str:
 
 
 def election_from_text(text: str) -> Election:
+    """Parse the line format written by :func:`election_to_text`.
+
+    Each ballot line becomes a level vector: a listed candidate gets the
+    index of its ``=`` group, and every omitted candidate one shared level
+    below the last group (an empty line puts all candidates on one level).
+    These levels are dense, so equal pair sets give equal vectors, and the
+    relation they state is closed by construction.
+    """
     lines = text.splitlines()
     if not lines:
         raise DataFormatError("empty election file")
@@ -674,35 +692,34 @@ def election_from_text(text: str) -> Election:
     body = lines[1 : 1 + n]
     if len(body) < n:
         raise DataFormatError(f"expected {n} ballot lines, found {len(body)}")
-    prefs, ktop = [], []
+    listed_all, marks, counts, depth, ktop = [], [], [], [], []
     for i, line in enumerate(body):
-        line = line.strip()
-        if not line:
-            prefs.append(frozenset())
-            ktop.append(None)
-            continue
-        groups = []
-        for part in line.split(">"):
-            try:
-                group = [int(tok) for tok in part.split("=")]
-            except ValueError as exc:
-                raise DataFormatError(f"voter {i}: bad token in {line!r}") from exc
-            groups.append(group)
-        listed = [c for g in groups for c in g]
+        # candidates at even positions, separators at odd ones
+        tokens = line.replace(">", " > ").replace("=", " = ").split()
+        between = tokens[1::2]
+        gt = between.count(">")
+        try:
+            listed = list(map(int, tokens[::2]))
+        except ValueError as exc:
+            raise DataFormatError(f"voter {i}: bad token in {line.strip()!r}") from exc
+        if len(between) != max(len(listed) - 1, 0) or gt + between.count("=") != len(between):
+            raise DataFormatError(f"voter {i}: bad token in {line.strip()!r}")
         if len(set(listed)) != len(listed):
             raise DataFormatError(f"voter {i}: candidate listed twice")
-        if any(not 0 <= c < m for c in listed):
+        if listed and (min(listed) < 0 or max(listed) >= m):
             raise DataFormatError(f"voter {i}: candidate id out of range")
-        omitted = [c for c in range(m) if c not in set(listed)]
-        pairs = set()
-        for gi, g in enumerate(groups):
-            for a in g:
-                for h in groups[gi + 1 :]:
-                    pairs.update((a, b) for b in h)
-                pairs.update((a, c) for c in omitted)
-        prefs.append(frozenset(pairs))
-        if all(len(g) == 1 for g in groups):
-            ktop.append(tuple(listed))
-        else:
-            ktop.append(None)
-    return Election(n, m, tuple(prefs), tuple(ktop))
+        listed_all += listed
+        # one mark per listed candidate: ">" where a new group starts
+        marks += [">", *between] if listed else []
+        counts.append(len(listed))
+        depth.append(gt + 1 if listed else 0)
+        ktop.append(tuple(listed) if listed and gt == len(between) else None)
+    if n < 0 or m < 1:
+        raise DataFormatError("need n >= 0 and m >= 1")
+    counts = np.array(counts, dtype=np.intp)
+    started = np.cumsum(np.array(marks, dtype="U1") == ">")
+    group = started - started[np.repeat(np.cumsum(counts) - counts, counts)]
+    level = np.repeat(np.array(depth, dtype=np.min_scalar_type(m)), m).reshape(n, m)
+    level[np.repeat(np.arange(n), counts), np.array(listed_all, dtype=np.intp)] = group
+    ballots, ballot_of = _ballots_from_levels(level)
+    return Election._of(n, m, ballots, ballot_of, tuple(ktop))

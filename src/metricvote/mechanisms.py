@@ -16,7 +16,15 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
-from .core import ComparisonGraph, Election, Transcript, comparison_graph, plurality_counts, scores
+from .core import (
+    ComparisonGraph,
+    Election,
+    Transcript,
+    _first_appearance,
+    comparison_graph,
+    plurality_counts,
+    scores,
+)
 from .errors import ConfigError, CoverageError, TheoremFalsificationError
 
 #: Majority tie handling: with "high_index_wins" (default) the smaller
@@ -234,7 +242,7 @@ def ktop_rule(e: Election, k: int) -> int:
 # -- plurality matching -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DominationGraph:
     """Bipartite graph certifying a focal candidate's quality.
 
@@ -243,12 +251,27 @@ class DominationGraph:
     when the focal candidate is (certainly) at least as good for i as k.
     This folding is equivalent to the voter-vs-voter form because a right
     voter j matters only through top(j).
+
+    The edges are stored per ballot, as in :class:`~metricvote.core.Election`:
+    ``neighbourhoods`` is a read-only bool array of shape (u, m) whose row j
+    marks the candidates adjacent to every voter casting ballot j, and
+    ``ballot_of`` (shape (n,)) gives each voter's row.
     """
 
     focal: int
-    n: int
     capacities: tuple[int, ...]
-    adjacency: tuple[frozenset[int], ...]
+    neighbourhoods: np.ndarray
+    ballot_of: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in (("neighbourhoods", bool), ("ballot_of", np.intp)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def n(self) -> int:
+        return len(self.ballot_of)
 
 
 @dataclass(frozen=True)
@@ -280,7 +303,8 @@ def build_domination_graph(
 ) -> DominationGraph:
     """Domination graph of ``focal``; edges use only certain comparisons.
 
-    Neighbourhoods are built once per ballot and shared by its voters.
+    Row j is ``e.ballots[j, focal, :]`` with the focal column set, shared by
+    the voters casting ballot j.
     """
     if not 0 <= focal < e.m:
         raise ConfigError(f"focal candidate {focal} out of range")
@@ -290,63 +314,66 @@ def build_domination_graph(
         raise ConfigError("capacity vector must have one entry per candidate")
     beaten = e.ballots[:, focal, :].copy()
     beaten[:, focal] = True
-    per_ballot = [frozenset(itertools.compress(range(e.m), row)) for row in beaten.tolist()]
-    adj = tuple(per_ballot[j] for j in e.ballot_of.tolist())
-    return DominationGraph(focal, e.n, tuple(int(c) for c in capacities), adj)
+    return DominationGraph(focal, tuple(int(c) for c in capacities), beaten, e.ballot_of)
+
+
+def _row_labels(rows: np.ndarray) -> np.ndarray:
+    """Integer labels of the rows of a bool matrix, equal exactly for equal rows.
+
+    Each block of 32 columns is packed into a bitmask and combined with the
+    label so far; a 1-D ``np.unique`` per block is much faster than one over
+    whole rows.
+    """
+    label = np.zeros(len(rows), dtype=np.int64)
+    for lo in range(0, rows.shape[1], 32):
+        block = rows[:, lo : lo + 32]
+        mask = block @ (np.int64(1) << np.arange(block.shape[1], dtype=np.int64))
+        _, label = np.unique((label << 32) | mask, return_inverse=True)
+        label = label.reshape(-1)
+    return label
 
 
 def max_matching(g: DominationGraph) -> MatchingResult:
     """Maximum capacitated bipartite matching via max-flow.
 
-    Voters with identical neighbourhoods are aggregated into classes
-    before the flow computation; the class flows are expanded back to a
-    deterministic per-voter assignment (ascending voter, ascending
-    candidate).
+    Voters whose neighbourhood rows are equal (zero-capacity candidates
+    included) form one class, numbered by its first voter, whatever the
+    ballot numbering; a class's size is its voter count.  The network is
+    source -> class (capacity: class size) -> open candidate (class size)
+    -> sink (candidate capacity), with candidates of capacity <= 0 closed.
+    The class flows are expanded to voters class by class: ascending voters
+    take the flow to ascending candidates, and the rest get -1.
+
+    The assignment depends on which maximum flow the solver returns, so the
+    method is named rather than left to SciPy's default.
     """
-    classes: dict[frozenset[int], list[int]] = {}
-    for i, nb in enumerate(g.adjacency):
-        classes.setdefault(nb, []).append(i)
-    keys = sorted(classes, key=lambda nb: classes[nb][0])
-    kn = len(keys)
     m = len(g.capacities)
+    if g.n == 0:
+        return MatchingResult(0, (0,) * m, Fraction(0), ())
+    first, voter_class = _first_appearance(_row_labels(g.neighbourhoods)[g.ballot_of])
+    kn = len(first)
+    size = np.bincount(voter_class, minlength=kn)
+    caps = np.asarray(g.capacities, dtype=np.int64)
+    is_open = caps > 0
+    open_k = np.flatnonzero(is_open)
+    ci, k = np.nonzero(g.neighbourhoods[g.ballot_of[first]] & is_open)
     # nodes: 0 source, 1..kn classes, kn+1..kn+m candidates, kn+m+1 sink
-    src, snk = 0, kn + m + 1
-    rows, cols, caps = [], [], []
-    for ci, nb in enumerate(keys):
-        rows.append(src)
-        cols.append(1 + ci)
-        caps.append(len(classes[nb]))
-        for k in nb:
-            if g.capacities[k] > 0:
-                rows.append(1 + ci)
-                cols.append(1 + kn + k)
-                caps.append(len(classes[nb]))
-    for k in range(m):
-        if g.capacities[k] > 0:
-            rows.append(1 + kn + k)
-            cols.append(snk)
-            caps.append(g.capacities[k])
-    if not rows:
-        return MatchingResult(0, (0,) * m, Fraction(0, 1) if g.n == 0 else Fraction(0, g.n), (-1,) * g.n)
-    mat = csr_matrix((caps, (rows, cols)), shape=(snk + 1, snk + 1), dtype=np.int64)
-    res = maximum_flow(mat, src, snk)
-    flow = res.flow
-    assignment = [-1] * g.n
-    usage = [0] * m
-    for ci, nb in enumerate(keys):
-        voters = classes[nb]
-        pos = 0
-        for k in sorted(nb):
-            if g.capacities[k] <= 0:
-                continue
-            f = int(flow[1 + ci, 1 + kn + k])
-            for _ in range(f):
-                assignment[voters[pos]] = k
-                usage[k] += 1
-                pos += 1
-    size = int(res.flow_value)
-    phi = Fraction(size, g.n) if g.n else Fraction(0)
-    return MatchingResult(size, tuple(usage), phi, tuple(assignment))
+    snk = kn + m + 1
+    tails = np.concatenate([np.zeros(kn, dtype=np.intp), 1 + ci, 1 + kn + open_k])
+    heads = np.concatenate([1 + np.arange(kn), 1 + kn + k, np.full(len(open_k), snk)])
+    net = csr_matrix((np.concatenate([size, size[ci], caps[open_k]]), (tails, heads)), shape=(snk + 1, snk + 1))
+    res = maximum_flow(net, 0, snk, method="dinic")
+    flow = res.flow[1 : 1 + kn, 1 + kn : snk].toarray()
+    matched = flow.sum(axis=1)
+    # one entry per matched voter, class by class, candidates ascending
+    cand = np.repeat(np.tile(np.arange(m), kn), flow.reshape(-1))
+    rank = np.arange(len(cand)) - np.repeat(np.cumsum(matched) - matched, matched)
+    # voters class by class, ascending within each class
+    voters = np.argsort(voter_class, kind="stable")
+    assignment = np.full(g.n, -1)
+    assignment[voters[np.repeat(np.cumsum(size) - size, matched) + rank]] = cand
+    total = int(res.flow_value)
+    return MatchingResult(total, tuple(flow.sum(axis=0).tolist()), Fraction(total, g.n), tuple(assignment.tolist()))
 
 
 def phi_scores(e: Election, capacities: Sequence[int] | None = None) -> tuple[Fraction, ...]:

@@ -2,6 +2,7 @@
 
 import itertools
 import pickle
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -44,6 +45,33 @@ def small_election():
         return Election.from_rankings([tuple(r) for r in rankings], m)
 
     return build()
+
+
+@st.composite
+def weak_order_text(draw):
+    """(text, reference election): ballot lines that are empty, k-top lists or
+    weak orders with ``=`` ties; the reference is built from pair sets."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(0, 6))
+    lines, prefs, ktop = [f"{n} {m}"], [], []
+    for _ in range(n):
+        listed = draw(st.permutations(range(m)))[: draw(st.integers(0, m))]
+        cuts = draw(st.lists(st.booleans(), min_size=len(listed), max_size=len(listed)))
+        groups = []
+        for c, new_group in zip(listed, cuts):
+            if new_group or not groups:
+                groups.append([])
+            groups[-1].append(c)
+        omitted = [c for c in range(m) if c not in listed]
+        pairs = set()
+        for gi, g in enumerate(groups):
+            for a in g:
+                pairs.update((a, b) for h in groups[gi + 1 :] for b in h)
+                pairs.update((a, c) for c in omitted)
+        lines.append(draw(st.sampled_from([" > ", ">"])).join(" = ".join(map(str, g)) for g in groups))
+        prefs.append(frozenset(pairs))
+        ktop.append(tuple(listed) if groups and all(len(g) == 1 for g in groups) else None)
+    return "\n".join(lines) + "\n", Election(n, m, tuple(prefs), tuple(ktop))
 
 
 class TestTransitiveClosure:
@@ -149,7 +177,9 @@ class TestBallotTensor:
 
         for focal in range(m):
             g = build_domination_graph(e, focal, (1,) * m)
-            assert g.adjacency == tuple(frozenset(k for k in range(m) if k == focal or (focal, k) in p) for p in prefs)
+            for i, p in enumerate(prefs):
+                row = g.neighbourhoods[g.ballot_of[i]]
+                assert set(np.flatnonzero(row).tolist()) == {k for k in range(m) if k == focal or (focal, k) in p}
 
         voters = [0, n - 1, 0] if data is None else data.draw(st.lists(st.integers(0, n - 1), max_size=7))
         sub = Election(len(voters), m, tuple(prefs[i] for i in voters), tuple(e.ktop[i] for i in voters))
@@ -327,6 +357,38 @@ class TestTextFormat:
     @settings(max_examples=60)
     def test_roundtrip_total_orders(self, e):
         assert election_from_text(election_to_text(e)) == e
+
+    @given(weak_order_text())
+    @settings(max_examples=100, deadline=None)
+    def test_parse_matches_pair_sets_and_round_trips(self, case):
+        text, ref = case
+        e = election_from_text(text)
+        assert e == ref
+        assert election_from_text(election_to_text(e)) == e
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty election file"),
+            ("3\n", "header must be 'n m'"),
+            ("a b\n", "bad header: 'a b'"),
+            ("3 2\n0 > 1\n", "expected 3 ballot lines, found 1"),
+            ("1 3\n0 > x\n", "voter 0: bad token in '0 > x'"),
+            ("1 3\n0 >> 1\n", "voter 0: bad token in '0 >> 1'"),
+            ("1 3\n0 1\n", "voter 0: bad token in '0 1'"),
+            ("1 3\n0 1 2\n", "voter 0: bad token in '0 1 2'"),
+            ("1 3\n0 = \n", "voter 0: bad token in '0 ='"),
+            ("2 3\n0 > 1\n2 = 1 > 2\n", "voter 1: candidate listed twice"),
+            ("2 3\n\n0 > 3\n", "voter 1: candidate id out of range"),
+            ("2 3\n1 = 1\nx\n", "voter 0: candidate listed twice"),
+            ("1 3\n5 = 5\n", "voter 0: candidate listed twice"),
+            ("-1 3\n", "need n >= 0 and m >= 1"),
+            ("1 0\n\n", "need n >= 0 and m >= 1"),
+        ],
+    )
+    def test_malformed_input(self, text, message):
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            election_from_text(text)
 
     def test_roundtrip_truncated(self):
         e = truncate_to_ktop(inst.impartial_culture(6, 5, seed=1).election, 2)

@@ -5,14 +5,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import partial_order_elections
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow
 
 from metricvote import instances as inst
-from metricvote.core import Election, comparison_graph, realized_distortion, truncate_to_ktop
+from metricvote.core import Election, comparison_graph, mask_voters, realized_distortion, truncate_to_ktop
 from metricvote.errors import ConfigError, CoverageError, TheoremFalsificationError
 from metricvote.mechanisms import (
     DominationGraph,
+    MatchingResult,
     ThresholdDigraph,
     balanced_rule,
     build_domination_graph,
@@ -252,7 +256,7 @@ class TestMatching:
             if i == g.n or size + (g.n - i) <= best:
                 return
             rec(i + 1, used, size)
-            for k in g.adjacency[i]:
+            for k in np.flatnonzero(g.neighbourhoods[g.ballot_of[i]]).tolist():
                 if used[k] < caps[k]:
                     used[k] += 1
                     rec(i + 1, used, size + 1)
@@ -274,7 +278,7 @@ class TestMatching:
                 build_domination_graph(e, focal)
 
     def test_empty_edges(self):
-        g = DominationGraph(0, 3, (1, 1, 1), (frozenset(), frozenset(), frozenset()))
+        g = DominationGraph(0, (1, 1, 1), np.zeros((3, 3), dtype=bool), np.arange(3))
         r = max_matching(g)
         assert r.size == 0 and r.assignment == (-1, -1, -1)
 
@@ -284,8 +288,7 @@ class TestMatching:
         rng = np.random.default_rng(seed)
         n, m = 8, 4
         caps = [int(c) for c in rng.integers(0, 4, size=m)]
-        adj = tuple(frozenset(int(k) for k in np.flatnonzero(rng.random(m) < 0.5)) for _ in range(n))
-        g = DominationGraph(0, n, tuple(caps), adj)
+        g = DominationGraph(0, tuple(caps), rng.random((n, m)) < 0.5, np.arange(n))
         r = max_matching(g)
         assert r.size == self.brute_force(g)
         assert all(u <= c for u, c in zip(r.usage, caps))
@@ -296,6 +299,113 @@ class TestMatching:
         r = max_matching(build_domination_graph(e, 1))
         blocks = r.blocks()
         assert sum(len(v) for k, v in blocks.items() if k >= 0) == r.size
+
+
+def per_voter_matching(g: DominationGraph) -> MatchingResult:
+    """Reference matching: voters grouped by neighbourhood frozenset, the flow
+    read one entry at a time."""
+    adjacency = [frozenset(np.flatnonzero(g.neighbourhoods[j]).tolist()) for j in g.ballot_of.tolist()]
+    classes: dict[frozenset[int], list[int]] = {}
+    for i, nb in enumerate(adjacency):
+        classes.setdefault(nb, []).append(i)
+    keys = sorted(classes, key=lambda nb: classes[nb][0])
+    kn, m = len(keys), len(g.capacities)
+    src, snk = 0, kn + m + 1
+    rows, cols, caps = [], [], []
+    for ci, nb in enumerate(keys):
+        rows.append(src)
+        cols.append(1 + ci)
+        caps.append(len(classes[nb]))
+        for k in nb:
+            if g.capacities[k] > 0:
+                rows.append(1 + ci)
+                cols.append(1 + kn + k)
+                caps.append(len(classes[nb]))
+    for k in range(m):
+        if g.capacities[k] > 0:
+            rows.append(1 + kn + k)
+            cols.append(snk)
+            caps.append(g.capacities[k])
+    if g.n == 0:
+        return MatchingResult(0, (0,) * m, Fraction(0), ())
+    res = maximum_flow(csr_matrix((caps, (rows, cols)), shape=(snk + 1, snk + 1), dtype=np.int64), src, snk, method="dinic")
+    assignment, usage = [-1] * g.n, [0] * m
+    for ci, nb in enumerate(keys):
+        voters, pos = classes[nb], 0
+        for k in sorted(nb):
+            if g.capacities[k] <= 0:
+                continue
+            for _ in range(int(res.flow[1 + ci, 1 + kn + k])):
+                assignment[voters[pos]] = k
+                usage[k] += 1
+                pos += 1
+    size = int(res.flow_value)
+    return MatchingResult(size, tuple(usage), Fraction(size, g.n), tuple(assignment))
+
+
+@st.composite
+def matching_elections(draw):
+    """Partial orders, k-top truncations of total orders, and masked voters."""
+    kind = draw(st.sampled_from(["partial", "ktop", "masked"]))
+    if kind == "ktop":
+        m = draw(st.integers(2, 5))
+        rankings = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=8))
+        return truncate_to_ktop(Election.from_rankings(rankings, m), draw(st.integers(1, m)))
+    e = draw(partial_order_elections())
+    if kind == "masked":
+        e = mask_voters(e, draw(st.sets(st.integers(0, e.n - 1))))
+    return e
+
+
+class TestMatchingMatchesPerVoterReference:
+    @given(matching_elections(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_elections(self, e, data):
+        caps = data.draw(st.lists(st.integers(0, 3), min_size=e.m, max_size=e.m))
+        for focal in range(e.m):
+            g = build_domination_graph(e, focal, caps)
+            assert max_matching(g) == per_voter_matching(g)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_graphs(self, seed):
+        # rows drawn from a pool in which two rows differ in one column (past
+        # the first 32 for wide graphs), so distinct rows may be equal; voters
+        # pick rows in arbitrary order and some rows go unused
+        rng = np.random.default_rng(seed)
+        n, u = int(rng.integers(1, 12)), int(rng.integers(1, 6))
+        m = int(rng.choice([int(rng.integers(1, 6)), 40]))
+        pool = rng.random((3, m)) < 0.5
+        pool = np.vstack([pool, pool[0] ^ (np.arange(m) == rng.integers(max(m - 8, 0), m))])
+        rows = pool[rng.integers(0, len(pool), size=u)]
+        g = DominationGraph(0, tuple(rng.integers(0, 4, size=m).tolist()), rows, rng.integers(0, u, size=n))
+        assert max_matching(g) == per_voter_matching(g)
+
+    def test_distinct_ballots_share_a_neighbourhood(self):
+        # both ballots give focal 0 the row {0, 1}, so their three voters form one class
+        p, q = frozenset({(0, 1)}), frozenset({(0, 1), (2, 1)})
+        e = Election(4, 3, (p, q, frozenset({(1, 0)}), q))
+        g = build_domination_graph(e, 0, (0, 2, 1))
+        assert np.array_equal(g.neighbourhoods[0], g.neighbourhoods[1])
+        r = max_matching(g)
+        assert r == per_voter_matching(g)
+        assert r.assignment == (1, 1, -1, -1) and r.usage == (0, 2, 0)
+
+    def test_rows_differing_past_32_columns(self):
+        rows = np.zeros((2, 40), dtype=bool)
+        rows[:, 0] = True
+        rows[1, 35] = True
+        caps = tuple(1 if k in (0, 35) else 0 for k in range(40))
+        r = max_matching(DominationGraph(0, caps, rows, [0, 1]))
+        assert r.assignment == (0, 35)
+
+    def test_ballots_out_of_first_appearance_order(self):
+        rows = np.array([[0, 1, 1], [1, 1, 0], [0, 1, 1], [1, 0, 0]], dtype=bool)
+        g = DominationGraph(0, (2, 1, 2), rows, [2, 1, 0, 1, 2])
+        r = max_matching(g)
+        assert r == per_voter_matching(g)
+        # voters 0, 2 and 4 share row {1, 2} and come first; voters 1 and 3 take what is left
+        assert r.size == 5 and r.usage == (2, 1, 2)
 
 
 class TestPluralityMatching:
