@@ -21,7 +21,6 @@ from pathlib import Path
 
 from . import __version__
 from .core import (
-    Election,
     election_from_text,
     election_to_text,
     mask_voters,

@@ -22,9 +22,14 @@ the numbering a pass over the voters that merges repeated pair sets would
 give, so ``lp.build_metric_lp``, which emits one variable block per
 ballot, lays out its variables and rows in voter order whichever
 constructor built the election.  Top, bottom, second choice and totality
-are derived once per ballot from row and column sums.  ``Election.prefs``
-is a derived, cached per-voter view of the pair sets as frozensets;
-mechanisms read the arrays instead.
+are derived once per ballot from row and column sums.  ``listed`` (shape
+(n,)) is the length of each voter's ordered top list, 0 when the voter's
+information did not arrive as a list (an empty list states nothing).  The
+list is read from the ballot: the ``listed[i]`` candidates of lowest rank
+position (column sum, the number of candidates stated above).  The length
+is kept per voter because lists of m - 1 and m candidates state the same
+pairs.  ``Election.prefs`` and ``Election.ktop`` are derived, cached
+per-voter views; mechanisms read the arrays instead.
 """
 
 from __future__ import annotations
@@ -109,12 +114,31 @@ def _check_pair_sets(n: int, m: int, prefs, ktop) -> None:
                 raise DataFormatError(f"voter {i}: k-top annotation does not match pair set")
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Int64 keys, equal exactly for equal rows of a 2-D array of small
+    non-negative integers: each block of columns is packed into the bits of
+    one integer, so a 1-D ``np.unique`` (much faster than one over rows) groups them."""
+    bits = max(int(rows.max(initial=0)).bit_length(), 1)
+    # compacted keys stay below len(rows), so a shifted key plus a block fits in 63 bits
+    width = max((63 - len(rows).bit_length()) // bits, 1)
+    weights = np.int64(1) << (bits * np.arange(width, dtype=np.int64))
+    key = np.zeros(len(rows), dtype=np.int64)
+    for lo in range(0, rows.shape[1], width):
+        block = rows[:, lo : lo + width]
+        if lo:
+            key = np.unique(key, return_inverse=True)[1].reshape(-1)
+        key = (key << (bits * block.shape[1])) | (block @ weights[: block.shape[1]])
+    return key
+
+
 def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group equal rows of ``keys``, numbering the groups by first appearance.
+    """Group equal entries, or equal rows via :func:`_row_keys`, by first appearance.
 
     Returns the index of each group's first row and the group of every row.
     """
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    if keys.ndim == 2:
+        keys = _row_keys(keys)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     number = np.empty_like(order)
     number[order] = np.arange(len(order))
@@ -173,11 +197,9 @@ class Election:
     directly.
 
     ``ktop[i]`` optionally records that voter i's information arrived as an
-    ordered top list (its pair set must equal the k-top expansion).  It is
-    kept per voter because lists of m - 1 and of m candidates give the same
-    pair set.  Voters whose pair set is a full total order are canonically
-    annotated with their complete ranking, so ``ktop[i]`` is never ``None``
-    for them.
+    ordered top list (its pair set must equal the k-top expansion); only its
+    length is stored, in ``listed``.  Voters with a total order and no list
+    are canonically annotated with their complete ranking (``listed[i] == m``).
     """
 
     def __init__(self, n: int, m: int, prefs, ktop=None) -> None:
@@ -196,16 +218,16 @@ class Election:
         ).reshape(-1, 2)
         ballots = np.zeros((len(index), m, m), dtype=bool)
         ballots[np.repeat(np.arange(len(index)), sizes), flat[:, 0], flat[:, 1]] = True
-        self._fill(n, m, ballots, ballot_of, ktop)
+        self._fill(n, m, ballots, ballot_of, [0 if t is None else len(t) for t in ktop])
 
     @classmethod
-    def _of(cls, n: int, m: int, ballots: np.ndarray, ballot_of: np.ndarray, ktop) -> "Election":
+    def _of(cls, n: int, m: int, ballots: np.ndarray, ballot_of: np.ndarray, listed) -> "Election":
         """Election from distinct, used ballots numbered by first appearance."""
         e = cls.__new__(cls)
-        e._fill(n, m, ballots, ballot_of, ktop)
+        e._fill(n, m, ballots, ballot_of, listed)
         return e
 
-    def _fill(self, n, m, ballots, ballot_of, ktop) -> None:
+    def _fill(self, n, m, ballots, ballot_of, listed) -> None:
         ballots = np.ascontiguousarray(ballots, dtype=bool)
         ballot_of = np.ascontiguousarray(ballot_of, dtype=np.intp)
         multiplicity = np.bincount(ballot_of, minlength=len(ballots))
@@ -217,21 +239,13 @@ class Election:
             top = _first_true(outdeg == m - 1)
             bottom = _first_true(ballots.sum(axis=1) == m - 1)
         second = np.where(top >= 0, _first_true(outdeg == m - 2), -1)
-        if None in ktop:
-            # canonical annotation for total orders
-            rankings: dict[int, tuple[int, ...]] = {}
-            ktop = list(ktop)
-            for i, j in enumerate(ballot_of.tolist()):
-                if ktop[i] is None and total[j]:
-                    if j not in rankings:
-                        rankings[j] = tuple(np.argsort(-outdeg[j], kind="stable").tolist())
-                    ktop[i] = rankings[j]
-            ktop = tuple(ktop)
-        for arr in (ballots, ballot_of, multiplicity):
+        # canonical annotation for total orders
+        listed = np.where(np.equal(listed, 0) & total[ballot_of], m, listed).astype(np.intp)
+        for arr in (ballots, ballot_of, multiplicity, listed):
             arr.setflags(write=False)
         fields = {
             "n": n, "m": m, "ballots": ballots, "multiplicity": multiplicity, "ballot_of": ballot_of,
-            "ktop": ktop, "_top": top, "_bottom": bottom, "_second": second, "_total": total,
+            "listed": listed, "_top": top, "_bottom": bottom, "_second": second, "_total": total,
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -243,19 +257,21 @@ class Election:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return (Election._of, (self.n, self.m, self.ballots, self.ballot_of, self.ktop))
+        return (Election._of, (self.n, self.m, self.ballots, self.ballot_of, self.listed))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (
-            (self.n, self.m, self.ktop) == (other.n, other.m, other.ktop)
+            (self.n, self.m) == (other.n, other.m)
             and np.array_equal(self.ballot_of, other.ballot_of)
+            and np.array_equal(self.listed, other.listed)
             and np.array_equal(self.ballots, other.ballots)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.m, self.ktop, self.ballots.shape, self.ballots.tobytes(), self.ballot_of.tobytes()))
+        arrays = (self.ballots, self.ballot_of, self.listed)
+        return hash((self.n, self.m, self.ballots.shape, *(a.tobytes() for a in arrays)))
 
     def __repr__(self) -> str:
         return f"Election(n={self.n}, m={self.m}, ballots={len(self.ballots)})"
@@ -272,14 +288,14 @@ class Election:
             if len(r) != m:
                 raise DataFormatError(f"voter {i}: ranking must list all {m} candidates")
         ballots, ballot_of = _ballots_from_lists(rankings, m)
-        return cls._of(len(rankings), m, ballots, ballot_of, tuple(rankings))
+        return cls._of(len(rankings), m, ballots, ballot_of, np.full(len(rankings), m))
 
     @classmethod
     def from_ktop(cls, lists: Sequence[Sequence[int]], m: int) -> "Election":
         """Build an election from per-voter ordered top lists."""
         lists = [tuple(t) for t in lists]
         ballots, ballot_of = _ballots_from_lists(lists, m)
-        return cls._of(len(lists), m, ballots, ballot_of, tuple(lists))
+        return cls._of(len(lists), m, ballots, ballot_of, [len(t) for t in lists])
 
     # -- accessors ---------------------------------------------------------
 
@@ -289,6 +305,17 @@ class Election:
         ballot share one frozenset."""
         sets = [frozenset(map(tuple, np.argwhere(b).tolist())) for b in self.ballots]
         return tuple(sets[j] for j in self.ballot_of.tolist())
+
+    @functools.cached_property
+    def _order(self) -> np.ndarray:
+        """Per ballot, the candidates by rank position (column sum), ties by index."""
+        return np.argsort(self.ballots.sum(axis=1), axis=1, kind="stable")
+
+    @functools.cached_property
+    def ktop(self) -> tuple[tuple[int, ...] | None, ...]:
+        """Per-voter top lists read from the ballots; None for voters without one."""
+        order = self._order.tolist()
+        return tuple(tuple(order[j][:k]) if k else None for j, k in zip(self.ballot_of.tolist(), self.listed.tolist()))
 
     def prefers(self, i: int, a: int, b: int) -> bool:
         return 0 <= a < self.m and 0 <= b < self.m and bool(self.ballots[self.ballot_of[i], a, b])
@@ -317,17 +344,14 @@ class Election:
 
     def ranking(self, i: int) -> tuple[int, ...] | None:
         """Full ranking of voter i when derivable (total order), else None."""
-        ann = self.ktop[i]
-        if ann is not None and len(ann) == self.m:
-            return ann
-        return None
+        return tuple(self._order[self.ballot_of[i]].tolist()) if self.listed[i] == self.m else None
 
     def restrict(self, voters: Sequence[int]) -> "Election":
         """Sub-election on the given voter multiset (order preserved)."""
-        cast = self.ballot_of[np.asarray(voters, dtype=np.intp).reshape(-1)]
+        voters = np.asarray(voters, dtype=np.intp).reshape(-1)
+        cast = self.ballot_of[voters]
         first, ballot_of = _first_appearance(cast)
-        ktop = tuple(self.ktop[i] for i in voters)
-        return Election._of(len(ballot_of), self.m, self.ballots[cast[first]], ballot_of, ktop)
+        return Election._of(len(ballot_of), self.m, self.ballots[cast[first]], ballot_of, self.listed[voters])
 
 
 def truncate_to_ktop(e: Election, k: int) -> Election:
@@ -338,16 +362,14 @@ def truncate_to_ktop(e: Election, k: int) -> Election:
     """
     if not 1 <= k <= e.m:
         raise DataFormatError(f"k must be in [1, {e.m}], got {k}")
-    lists = []
-    for i, r in enumerate(e.ktop):
-        if r is None or len(r) != e.m:
-            raise DataFormatError(f"voter {i} has no total order to truncate")
-        lists.append(r[:k])
+    short = np.flatnonzero(e.listed != e.m)
+    if len(short):
+        raise DataFormatError(f"voter {short[0]} has no total order to truncate")
     pos = e.ballots.sum(axis=1)
     listed = pos < k
     first, number = _first_appearance(np.where(listed, pos, e.m))
     ballots = e.ballots[first] & listed[first][:, :, None]
-    return Election._of(e.n, e.m, ballots, number[e.ballot_of], tuple(lists))
+    return Election._of(e.n, e.m, ballots, number[e.ballot_of], np.full(e.n, k))
 
 
 def mask_voters(e: Election, voters: Iterable[int]) -> Election:
@@ -360,8 +382,7 @@ def mask_voters(e: Election, voters: Iterable[int]) -> Election:
         ballots = np.concatenate([ballots, np.zeros((1, e.m, e.m), dtype=bool)])
     cast = np.where(gone, empty[0], e.ballot_of)
     first, ballot_of = _first_appearance(cast)
-    ktop = tuple(None if g else t for g, t in zip(gone.tolist(), e.ktop))
-    return Election._of(e.n, e.m, ballots[cast[first]], ballot_of, ktop)
+    return Election._of(e.n, e.m, ballots[cast[first]], ballot_of, np.where(gone, 0, e.listed))
 
 
 # -- comparison graph and scores ------------------------------------------
@@ -413,6 +434,15 @@ class Scores:
     topk_coverage: tuple[Fraction, ...]
 
 
+def _listed_ranks(e: Election) -> tuple[np.ndarray, np.ndarray]:
+    """Voters per distinct (ballot, list length) pair, ``count`` (g,), and each
+    candidate's position in the pair's top list, ``rank`` (g, m), -1 if unlisted."""
+    keys, count = np.unique(e.ballot_of * (e.m + 1) + e.listed, return_counts=True)
+    ballot, length = np.divmod(keys, e.m + 1)
+    rank = e.ballots[ballot].sum(axis=1)
+    return count, np.where(rank < length[:, None], rank, -1)
+
+
 def scores(e: Election) -> Scores:
     """Plurality and veto counts plus per-candidate k-top coverage.
 
@@ -420,12 +450,8 @@ def scores(e: Election) -> Scores:
     plurality (resp. veto); the source model defines these counts only for
     total orders, so this zero-contribution rule is a documented choice.
     """
-    cov = [0] * e.m
-    for t in e.ktop:
-        if t is not None:
-            for c in t:
-                cov[c] += 1
-    coverage = tuple(Fraction(c, e.n) for c in cov) if e.n else tuple(Fraction(0) for _ in range(e.m))
+    count, rank = _listed_ranks(e)
+    coverage = tuple(Fraction(c, max(e.n, 1)) for c in (count @ (rank >= 0)).tolist())
     return Scores(plurality_counts(e), _count_voters(e, e._bottom), coverage)
 
 
@@ -649,24 +675,23 @@ def election_to_text(e: Election) -> str:
     above = e.ballots.sum(axis=1)
     weak = ((above[:, :, None] < above[:, None, :]) == e.ballots).all(axis=(1, 2))
     stated = e.ballots.any(axis=(1, 2))
-    texts: dict[int, str] = {}
+    order = e._order.tolist()
+    texts: dict[tuple[int, int], str] = {}
     lines = [f"{e.n} {e.m}"]
-    for i, j in enumerate(e.ballot_of.tolist()):
-        ann = e.ktop[i]
-        if ann is not None:
-            lines.append(" > ".join(str(c) for c in ann))
-            continue
-        if not stated[j]:
-            lines.append("")
-            continue
-        if not weak[j]:
-            raise DataFormatError(f"voter {i}: preferences are not a weak order; not serialisable")
-        if j not in texts:
-            levels: dict[int, list[int]] = {}
-            for c, k in enumerate(above[j].tolist()):
-                levels.setdefault(k, []).append(c)
-            texts[j] = " > ".join(" = ".join(str(c) for c in levels[k]) for k in sorted(levels))
-        lines.append(texts[j])
+    for i, (j, k) in enumerate(zip(e.ballot_of.tolist(), e.listed.tolist())):
+        if (j, k) not in texts:
+            if k:
+                texts[j, k] = " > ".join(str(c) for c in order[j][:k])
+            elif not stated[j]:
+                texts[j, k] = ""
+            elif not weak[j]:
+                raise DataFormatError(f"voter {i}: preferences are not a weak order; not serialisable")
+            else:
+                levels: dict[int, list[int]] = {}
+                for c, h in enumerate(above[j].tolist()):
+                    levels.setdefault(h, []).append(c)
+                texts[j, k] = " > ".join(" = ".join(str(c) for c in levels[h]) for h in sorted(levels))
+        lines.append(texts[j, k])
     return "\n".join(lines) + "\n"
 
 
@@ -692,7 +717,7 @@ def election_from_text(text: str) -> Election:
     body = lines[1 : 1 + n]
     if len(body) < n:
         raise DataFormatError(f"expected {n} ballot lines, found {len(body)}")
-    listed_all, marks, counts, depth, ktop = [], [], [], [], []
+    listed_all, marks, counts, depth, lengths = [], [], [], [], []
     for i, line in enumerate(body):
         # candidates at even positions, separators at odd ones
         tokens = line.replace(">", " > ").replace("=", " = ").split()
@@ -713,7 +738,7 @@ def election_from_text(text: str) -> Election:
         marks += [">", *between] if listed else []
         counts.append(len(listed))
         depth.append(gt + 1 if listed else 0)
-        ktop.append(tuple(listed) if listed and gt == len(between) else None)
+        lengths.append(len(listed) if gt == len(between) else 0)
     if n < 0 or m < 1:
         raise DataFormatError("need n >= 0 and m >= 1")
     counts = np.array(counts, dtype=np.intp)
@@ -722,4 +747,4 @@ def election_from_text(text: str) -> Election:
     level = np.repeat(np.array(depth, dtype=np.min_scalar_type(m)), m).reshape(n, m)
     level[np.repeat(np.arange(n), counts), np.array(listed_all, dtype=np.intp)] = group
     ballots, ballot_of = _ballots_from_levels(level)
-    return Election._of(n, m, ballots, ballot_of, tuple(ktop))
+    return Election._of(n, m, ballots, ballot_of, lengths)

@@ -13,9 +13,10 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
-from .core import Election
+import numpy as np
+
+from .core import Election, _listed_ranks
 from .errors import ConfigError, DataFormatError
 
 #: Contest scoring weights: 12 points to the top choice, down to 1 for the
@@ -168,14 +169,12 @@ def positional_score(e: Election, rule: ScoringRule) -> tuple[tuple[int, ...], i
     smaller index).  Prefixes shorter than the weight vector are scored as
     far as they reach.
     """
-    totals = [0] * e.m
-    for i in range(e.n):
-        prefix = e.ktop[i]
-        if prefix is None:
-            if e.ballots[e.ballot_of[i]].any():
-                raise DataFormatError(f"voter {i} has no ranked prefix to score")
-            continue
-        for weight, cand in zip(rule.weights, prefix):
-            totals[cand] += weight
-    best = max(totals)
-    return tuple(totals), totals.index(best)
+    unlisted = np.flatnonzero((e.listed == 0) & e.ballots.any(axis=(1, 2))[e.ballot_of])
+    if len(unlisted):
+        raise DataFormatError(f"voter {unlisted[0]} has no ranked prefix to score")
+    # one weight per rank position, and 0 past the weights (and at rank -1, unlisted)
+    weight = np.zeros(e.m + 1, dtype=np.int64)
+    weight[: min(len(rule.weights), e.m)] = rule.weights[: e.m]
+    count, rank = _listed_ranks(e)
+    totals = (count @ weight[rank]).tolist()
+    return tuple(totals), totals.index(max(totals))

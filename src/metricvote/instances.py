@@ -19,7 +19,6 @@ from .core import (
     MetricWitness,
     check_consistent,
     induce_election,
-    ktop_pairs,
 )
 from .errors import ConfigError
 

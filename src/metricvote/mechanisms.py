@@ -21,6 +21,7 @@ from .core import (
     Election,
     Transcript,
     _first_appearance,
+    _row_keys,
     comparison_graph,
     plurality_counts,
     scores,
@@ -218,6 +219,15 @@ def balanced_rule(e: Election, alpha) -> int:
     return king_vertex(ThresholdDigraph.from_graph(g, alpha / 2))
 
 
+def _check_exactly_k(e: Election, k: int) -> None:
+    """Require k in [1, m] and a top list of exactly k candidates from every voter."""
+    if not 1 <= k <= e.m:
+        raise ConfigError(f"k must be in [1, {e.m}], got {k}")
+    other = np.flatnonzero(e.listed != k)
+    if len(other):
+        raise ConfigError(f"voter {other[0]} does not carry an exactly-{k}-top annotation")
+
+
 def ktop_rule(e: Election, k: int) -> int:
     """Winner under k-top ballots: a 2-hop king at support threshold k/(3m).
 
@@ -225,9 +235,7 @@ def ktop_rule(e: Election, k: int) -> int:
     guarantee says a king always exists, so exhausting the scan raises a
     falsification error.
     """
-    for i in range(e.n):
-        if e.ktop[i] is None or len(e.ktop[i]) != k:
-            raise ConfigError(f"voter {i} does not carry an exactly-{k}-top annotation")
+    _check_exactly_k(e, k)
     g = comparison_graph(e)
     digraph = ThresholdDigraph.from_graph(g, Fraction(k, 3 * e.m))
     adj = _adjacency(digraph)
@@ -317,22 +325,6 @@ def build_domination_graph(
     return DominationGraph(focal, tuple(int(c) for c in capacities), beaten, e.ballot_of)
 
 
-def _row_labels(rows: np.ndarray) -> np.ndarray:
-    """Integer labels of the rows of a bool matrix, equal exactly for equal rows.
-
-    Each block of 32 columns is packed into a bitmask and combined with the
-    label so far; a 1-D ``np.unique`` per block is much faster than one over
-    whole rows.
-    """
-    label = np.zeros(len(rows), dtype=np.int64)
-    for lo in range(0, rows.shape[1], 32):
-        block = rows[:, lo : lo + 32]
-        mask = block @ (np.int64(1) << np.arange(block.shape[1], dtype=np.int64))
-        _, label = np.unique((label << 32) | mask, return_inverse=True)
-        label = label.reshape(-1)
-    return label
-
-
 def max_matching(g: DominationGraph) -> MatchingResult:
     """Maximum capacitated bipartite matching via max-flow.
 
@@ -350,7 +342,7 @@ def max_matching(g: DominationGraph) -> MatchingResult:
     m = len(g.capacities)
     if g.n == 0:
         return MatchingResult(0, (0,) * m, Fraction(0), ())
-    first, voter_class = _first_appearance(_row_labels(g.neighbourhoods)[g.ballot_of])
+    first, voter_class = _first_appearance(_row_keys(g.neighbourhoods)[g.ballot_of])
     kn = len(first)
     size = np.bincount(voter_class, minlength=kn)
     caps = np.asarray(g.capacities, dtype=np.int64)
@@ -378,6 +370,8 @@ def max_matching(g: DominationGraph) -> MatchingResult:
 
 def phi_scores(e: Election, capacities: Sequence[int] | None = None) -> tuple[Fraction, ...]:
     """Matching fraction of every candidate's domination graph."""
+    if capacities is None:
+        capacities = plurality_capacities(e)
     return tuple(max_matching(build_domination_graph(e, j, capacities)).phi for j in range(e.m))
 
 
@@ -404,9 +398,7 @@ def conjecture_probe(e: Election, k: int) -> ProbeResult:
     and reports whether it reaches k/m.  The outcome is logged evidence,
     not a proof.
     """
-    for i in range(e.n):
-        if e.ktop[i] is None or len(e.ktop[i]) != k:
-            raise ConfigError(f"voter {i} does not carry an exactly-{k}-top annotation")
+    _check_exactly_k(e, k)
     phis = phi_scores(e)
     best = max(phis)
     threshold = Fraction(k, e.m)

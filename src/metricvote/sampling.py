@@ -26,14 +26,7 @@ import numpy as np
 
 from .core import Election, Transcript
 from .errors import ConfigError
-from .mechanisms import (
-    ThresholdDigraph,
-    build_domination_graph,
-    comparison_graph,
-    king_vertex,
-    max_matching,
-    plurality_capacities,
-)
+from .mechanisms import ThresholdDigraph, comparison_graph, king_vertex, phi_scores
 
 MODES = ("copeland", "plurality-matching")
 
@@ -109,16 +102,6 @@ def sampled_copeland(e: Election, epsilon: float, delta: float, seed: int, trans
     return king_vertex(ThresholdDigraph.from_graph(comparison_graph(sub), Fraction(1, 2)))
 
 
-def sampled_phi(e: Election, sub: Election) -> tuple[Fraction, ...]:
-    """Matching fractions on the sampled domination graphs G^S(j).
-
-    Right-side capacities are the sample's own plurality counts, which sum
-    to the sample size by construction.
-    """
-    caps = plurality_capacities(sub)
-    return tuple(max_matching(build_domination_graph(sub, j, caps)).phi for j in range(e.m))
-
-
 def sampled_pm(
     e: Election, epsilon: float, delta: float, seed: int, transcript: Transcript | None = None
 ) -> tuple[int, tuple[Fraction, ...]]:
@@ -132,7 +115,8 @@ def sampled_pm(
     sub, log = sample_voters(e, plan)
     if transcript is not None:
         transcript.events.extend(log.events)
-    phis = sampled_phi(e, sub)
+    # right-side capacities are the sample's own plurality counts
+    phis = phi_scores(sub)
     return phis.index(max(phis)), phis
 
 

@@ -15,6 +15,7 @@ from metricvote import instances as inst
 from metricvote.core import (
     Election,
     MetricWitness,
+    _first_appearance,
     check_consistent,
     comparison_graph,
     election_from_text,
@@ -27,8 +28,9 @@ from metricvote.core import (
     transitive_closure,
     truncate_to_ktop,
 )
-from metricvote.errors import DataFormatError, PreferenceCycleError
-from metricvote.mechanisms import build_domination_graph, majority_oracle
+from metricvote.dataio import ScoringRule, positional_score
+from metricvote.errors import ConfigError, DataFormatError, PreferenceCycleError
+from metricvote.mechanisms import build_domination_graph, conjecture_probe, ktop_rule, majority_oracle
 
 
 def pairs_strategy(m=5):
@@ -72,6 +74,41 @@ def weak_order_text(draw):
         prefs.append(frozenset(pairs))
         ktop.append(tuple(listed) if groups and all(len(g) == 1 for g in groups) else None)
     return "\n".join(lines) + "\n", Election(n, m, tuple(prefs), tuple(ktop))
+
+
+@st.composite
+def listed_elections(draw):
+    """(election, pair sets, annotations): top lists of lengths 0, k, m - 1
+    and m, built with ``from_ktop``, the pair-set constructor or the text
+    parser.  The pair-set constructor may also get unannotated voters with
+    one stated pair."""
+    m = draw(st.integers(1, 5))
+    k = draw(st.integers(1, m))
+    n = draw(st.integers(0, 6))
+    lists = [tuple(draw(st.permutations(range(m)))[: draw(st.sampled_from((0, k, m - 1, m)))]) for _ in range(n)]
+    prefs, ann = [ktop_pairs(t, m) for t in lists], list(lists)
+    how = draw(st.sampled_from(("from_ktop", "pair_sets", "text")))
+    if how == "from_ktop":
+        e = Election.from_ktop(lists, m)
+    elif how == "text":
+        e = election_from_text(f"{n} {m}\n" + "".join(" > ".join(map(str, t)) + "\n" for t in lists))
+    else:
+        for i in range(n):
+            if m > 1 and draw(st.booleans()):
+                a, b = draw(st.permutations(range(m)))[:2]
+                prefs[i], ann[i] = frozenset({(a, b)}), None
+        e = Election(n, m, tuple(prefs), tuple(ann))
+    return e, prefs, ann
+
+
+def canonical_annotation(ann, p, m):
+    """The annotation a voter should carry: its list, none for an empty
+    list, and the full ranking for an unannotated total order."""
+    if ann:
+        return tuple(ann)
+    if len(p) == m * (m - 1) // 2:
+        return tuple(sorted(range(m), key=lambda c: sum((d, c) in p for d in range(m))))
+    return None
 
 
 class TestTransitiveClosure:
@@ -193,6 +230,85 @@ class TestBallotTensor:
         assert mask_voters(e, gone) == blank
 
 
+class TestListedAnnotation:
+    """``listed`` and everything read from it against per-voter reference lists."""
+
+    @given(listed_elections(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_voter_reference(self, case, data):
+        e, prefs, ann = case
+        self.check(e, prefs, ann)
+        n, m = e.n, e.m
+        voters = data.draw(st.lists(st.integers(0, n - 1), max_size=7)) if n else []
+        self.check(e.restrict(voters), [prefs[i] for i in voters], [ann[i] for i in voters])
+        gone = data.draw(st.sets(st.integers(0, n - 1))) if n else set()
+        self.check(
+            mask_voters(e, gone),
+            [frozenset() if i in gone else p for i, p in enumerate(prefs)],
+            [None if i in gone else a for i, a in enumerate(ann)],
+        )
+        ref = [canonical_annotation(a, p, m) for a, p in zip(ann, prefs)]
+        short = [i for i, a in enumerate(ref) if a is None or len(a) != m]
+        for k in range(m + 2):
+            if not 1 <= k <= m:
+                with pytest.raises(DataFormatError, match=re.escape(f"k must be in [1, {m}], got {k}")):
+                    truncate_to_ktop(e, k)
+            elif short:
+                with pytest.raises(DataFormatError, match=f"^voter {short[0]} has no total order to truncate$"):
+                    truncate_to_ktop(e, k)
+            else:
+                self.check(truncate_to_ktop(e, k), [ktop_pairs(a[:k], m) for a in ref], [a[:k] for a in ref])
+
+    @staticmethod
+    def check(e, prefs, ann):
+        n, m = e.n, e.m
+        ref = [canonical_annotation(a, p, m) for a, p in zip(ann, prefs)]
+        assert e.prefs == tuple(prefs)
+        assert e.ktop == tuple(ref)
+        assert e.listed.tolist() == [len(a) if a else 0 for a in ref]
+        assert [e.ranking(i) for i in range(n)] == [a if a and len(a) == m else None for a in ref]
+
+        listed = [c for a in ref if a for c in a]
+        assert scores(e).topk_coverage == tuple(Fraction(listed.count(c), max(n, 1)) for c in range(m))
+        weights = (5, 3, 2)
+        unlisted = [i for i, (a, p) in enumerate(zip(ref, prefs)) if a is None and p]
+        if unlisted:
+            with pytest.raises(DataFormatError, match=f"^voter {unlisted[0]} has no ranked prefix to score$"):
+                positional_score(e, ScoringRule(weights))
+        else:
+            totals = [0] * m
+            for a in ref:
+                for w, c in zip(weights, a or ()):
+                    totals[c] += w
+            assert positional_score(e, ScoringRule(weights)) == (tuple(totals), totals.index(max(totals)))
+
+        for k in range(m + 2):
+            other = [i for i, a in enumerate(ref) if len(a or ()) != k]
+            for rule in (ktop_rule, conjecture_probe):
+                if not 1 <= k <= m:
+                    with pytest.raises(ConfigError, match=re.escape(f"k must be in [1, {m}], got {k}")):
+                        rule(e, k)
+                elif other:
+                    with pytest.raises(ConfigError, match=f"^voter {other[0]} does not carry an exactly-{k}-top"):
+                        rule(e, k)
+                elif n:
+                    rule(e, k)
+
+        back = pickle.loads(pickle.dumps(e))
+        rebuilt = Election(n, m, tuple(prefs), tuple(ref))
+        assert back == e == rebuilt and hash(back) == hash(e) == hash(rebuilt)
+        assert not back.listed.flags.writeable
+        if all(a is not None or not p for a, p in zip(ref, prefs)):
+            assert election_from_text(election_to_text(e)) == e
+
+    def test_list_length_is_part_of_the_election(self):
+        # lists of m - 1 and m candidates state the same pairs
+        short, full = Election.from_ktop([(0, 1)], 3), Election.from_ktop([(0, 1, 2)], 3)
+        assert np.array_equal(short.ballots, full.ballots)
+        assert short != full and short.ktop == ((0, 1),) and full.ktop == ((0, 1, 2),)
+        assert short.ranking(0) is None and full.ranking(0) == (0, 1, 2)
+
+
 class TestBallotConstruction:
     def test_from_rankings_equals_pair_sets(self):
         rankings = [(2, 0, 1, 3), (0, 1, 2, 3), (2, 0, 1, 3), (3, 2, 1, 0)]
@@ -224,6 +340,31 @@ class TestBallotConstruction:
         assert mask_voters(e, [0, 2]).ballot_of.tolist() == [0, 0, 0, 1, 0]
         with pytest.raises(ValueError):
             e.ballots[0, 0, 1] = True
+
+    @given(st.integers(1, 3), st.integers(0, 12), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_first_appearance_groups_rows(self, pool, n, data):
+        # up to 70 columns of values up to 15: several packed blocks per row
+        width = data.draw(st.integers(0, 70))
+        high = data.draw(st.sampled_from((1, 3, 15)))
+        rows = st.lists(st.integers(0, high), min_size=width, max_size=width)
+        distinct = data.draw(st.lists(rows, min_size=pool, max_size=pool))
+        keys = np.array([distinct[data.draw(st.integers(0, pool - 1))] for _ in range(n)], dtype=np.int64)
+        keys = keys.reshape(n, width).astype(bool if high == 1 else np.uint8)
+        number: dict[tuple, int] = {}
+        group = [number.setdefault(tuple(r), len(number)) for r in keys.tolist()]
+        first, got = _first_appearance(keys)
+        assert got.tolist() == group
+        assert first.tolist() == [group.index(g) for g in range(len(number))]
+
+    @pytest.mark.parametrize("dtype, high", [(bool, 1), (np.uint8, 15)])
+    def test_first_appearance_wide_rows(self, dtype, high):
+        # rows differing in one column each, every column in turn, across many packed blocks
+        width = 130
+        rows = np.vstack([np.zeros((1, width)), high * np.eye(width)]).astype(dtype)
+        first, group = _first_appearance(np.vstack([rows, rows[::-1]]))
+        assert first.tolist() == list(range(width + 1))
+        assert group.tolist() == list(range(width + 1)) + list(range(width, -1, -1))
 
     def test_pickle_round_trip(self):
         e = truncate_to_ktop(inst.impartial_culture(12, 4, seed=5).election, 2)
@@ -389,6 +530,14 @@ class TestTextFormat:
     def test_malformed_input(self, text, message):
         with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
             election_from_text(text)
+
+    def test_empty_list_is_no_list(self):
+        # an empty list states nothing: it is written as an empty line and read back as no list
+        e = Election.from_ktop([[], [0, 1]], 3)
+        assert e.ktop == (None, (0, 1)) and e.listed.tolist() == [0, 2]
+        assert election_to_text(e) == "2 3\n\n0 > 1\n"
+        assert election_from_text(election_to_text(e)) == e
+        assert Election(2, 3, (frozenset(), ktop_pairs((0, 1), 3)), ((), (0, 1))) == e
 
     def test_roundtrip_truncated(self):
         e = truncate_to_ktop(inst.impartial_culture(6, 5, seed=1).election, 2)

@@ -233,6 +233,13 @@ class TestKtopRule:
         with pytest.raises(ConfigError):
             ktop_rule(e, 1)
 
+    @pytest.mark.parametrize("k", [0, -1, 4])
+    def test_k_out_of_range(self, k):
+        # an all-unannotated election must not pass as exactly-0-top
+        for e in (Election.from_ktop([[], []], 3), Election.from_rankings([(0, 1, 2)], 3)):
+            with pytest.raises(ConfigError, match=r"^k must be in \[1, 3\]"):
+                ktop_rule(e, k)
+
     def test_k_equals_m_total(self):
         e = inst.impartial_culture(20, 5, seed=0).election
         w = ktop_rule(e, 5)
@@ -438,6 +445,12 @@ class TestConjectureProbe:
         e = inst.impartial_culture(10, 4, seed=2).election
         probe = conjecture_probe(e, 4)
         assert probe.best_fraction == 1 and probe.holds
+
+    @pytest.mark.parametrize("k", [0, -1, 4])
+    def test_k_out_of_range(self, k):
+        for e in (Election.from_ktop([[], []], 3), Election.from_rankings([(0, 1, 2)], 3)):
+            with pytest.raises(ConfigError, match=r"^k must be in \[1, 3\]"):
+                conjecture_probe(e, k)
 
     def test_k1_plurality_floor(self):
         e = truncate_to_ktop(inst.impartial_culture(12, 4, seed=3).election, 1)

@@ -15,7 +15,6 @@ from metricvote.sampling import (
     sample_size,
     sample_voters,
     sampled_copeland,
-    sampled_phi,
     sampled_plurality_matching,
 )
 
@@ -151,7 +150,7 @@ class TestSampledPluralityMatching:
         e = inst.impartial_culture(90, 4, seed=3).election
         plan = make_plan(4, 0.2, 4, "plurality-matching", seed=1)
         sub, _ = sample_voters(e, plan)
-        phis = sampled_phi(e, sub)
+        phis = phi_scores(sub)
         assert max(phis) == 1  # corollary holds inside the sample too
         assert len(phis) == 4
 
