@@ -41,7 +41,6 @@ from .lp import (
 from .mechanisms import (
     DominationGraph,
     MatchingResult,
-    ThresholdDigraph,
     balanced_rule,
     build_domination_graph,
     conjecture_probe,
@@ -53,6 +52,7 @@ from .mechanisms import (
     max_matching,
     plurality_matching,
     run_dr,
+    support_matrix,
 )
 from .sampling import (
     SamplePlan,

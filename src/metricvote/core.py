@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
@@ -348,10 +347,19 @@ class Election:
 
     def restrict(self, voters: Sequence[int]) -> "Election":
         """Sub-election on the given voter multiset (order preserved)."""
-        voters = np.asarray(voters, dtype=np.intp).reshape(-1)
+        voters = _voter_ids(voters, self.n)
         cast = self.ballot_of[voters]
         first, ballot_of = _first_appearance(cast)
         return Election._of(len(ballot_of), self.m, self.ballots[cast[first]], ballot_of, self.listed[voters])
+
+
+def _voter_ids(voters, n: int) -> np.ndarray:
+    """Voter ids as an index array; every id must lie in [0, n)."""
+    ids = np.asarray(voters, dtype=np.intp).reshape(-1)
+    bad = ids[(ids < 0) | (ids >= n)]
+    if len(bad):
+        raise DataFormatError(f"voter id {bad[0]} out of range [0, {n})")
+    return ids
 
 
 def truncate_to_ktop(e: Election, k: int) -> Election:
@@ -374,7 +382,8 @@ def truncate_to_ktop(e: Election, k: int) -> Election:
 
 def mask_voters(e: Election, voters: Iterable[int]) -> Election:
     """Blank out the given voters (their pair set becomes empty)."""
-    gone = np.isin(np.arange(e.n), list(set(voters)))
+    gone = np.zeros(e.n, dtype=bool)
+    gone[_voter_ids(list(voters), e.n)] = True
     empty = np.flatnonzero(~e.ballots.any(axis=(1, 2)))
     ballots = e.ballots
     if len(empty) == 0:
@@ -656,9 +665,6 @@ class Transcript:
     @property
     def samples(self) -> int:
         return sum(1 for ev in self.events if ev["type"] == "sample")
-
-    def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(ev, sort_keys=True) for ev in self.events)
 
 
 # -- line-based text format ---------------------------------------------------

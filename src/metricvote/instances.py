@@ -413,6 +413,9 @@ def generate(name: str, params: dict[str, Any], seed: int | None = None) -> Gene
     unknown = set(kwargs) - set(sig.parameters)
     if unknown:
         raise ConfigError(f"generator {name!r} does not take parameters {sorted(unknown)}")
+    missing = [p.name for p in sig.parameters.values() if p.default is p.empty and p.name not in kwargs]
+    if missing:
+        raise ConfigError(f"generator {name!r} needs parameters {missing}")
     return fn(**kwargs)
 
 

@@ -5,10 +5,9 @@ all pseudo-metrics consistent with the stated preferences.  Variables are
 unordered point pairs: symmetry is folded away structurally and the
 diagonal is implicit.
 
-The default (``triangle_mode="pruned"``) program has one block of m
-voter-candidate distances per distinct ballot of ``Election.ballots``, in
-the election's ballot order, and one distance per candidate pair.  It
-emits these rows:
+The program has one block of m voter-candidate distances per distinct
+ballot of ``Election.ballots``, in the election's ballot order, and one
+distance per candidate pair.  It emits these rows:
 
 * ``SC(b) = 1`` and the objective ``SC(a)``, each block weighted by
   ``Election.multiplicity``, the number of voters casting its ballot.
@@ -27,9 +26,10 @@ emits these rows:
 
 No row touches two voters: voter-voter distances appear in no objective
 or ordering row and can always be completed by shortest paths afterwards.
-``triangle_mode="full"`` is the reference: one variable per point pair and
-every triangle row over all point triples.  The test suite checks the two
-modes agree on status, value and witness soundness.
+The reference program, with one variable per point pair and every
+triangle row over all point triples, lives in the test suite
+(``tests/reference_lp.py``), which checks that both programs agree on
+status, value and witness soundness.
 """
 
 from __future__ import annotations
@@ -66,31 +66,6 @@ class LinearProgram:
     b_eq: np.ndarray | None
     meta: dict[str, Any] = field(default_factory=dict)
 
-    @classmethod
-    def from_rows(cls, var_names, objective: dict, ub_rows=(), eq_rows=(), meta=None):
-        """Convenience constructor from dict-keyed rows (small programs)."""
-        index = {v: i for i, v in enumerate(var_names)}
-        obj = np.zeros(len(var_names))
-        for v, coef in objective.items():
-            obj[index[v]] = coef
-
-        def pack(rows):
-            if not rows:
-                return None, None
-            data, ri, ci, rhs = [], [], [], []
-            for r, (row, b) in enumerate(rows):
-                rhs.append(b)
-                for v, coef in row.items():
-                    ri.append(r)
-                    ci.append(index[v])
-                    data.append(coef)
-            mat = sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), len(var_names)))
-            return mat, np.array(rhs, dtype=float)
-
-        a_ub, b_ub = pack(list(ub_rows))
-        a_eq, b_eq = pack(list(eq_rows))
-        return cls(list(var_names), obj, a_ub, b_ub, a_eq, b_eq, meta or {})
-
 
 @dataclass
 class LpOutcome:
@@ -124,10 +99,6 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
 # -- metric LP construction --------------------------------------------------
 
 
-def _pair_index(m: int) -> dict[tuple[int, int], int]:
-    return {p: i for i, p in enumerate(itertools.combinations(range(m), 2))}
-
-
 def _alpha_rows(e: Election, alpha, voters) -> list[tuple[int, int]]:
     """(top, second) of each listed voter, for the rows d(i, top) <= alpha * d(i, second)."""
     if not 0 <= alpha <= 1:
@@ -141,20 +112,10 @@ def _alpha_rows(e: Election, alpha, voters) -> list[tuple[int, int]]:
     return rows
 
 
-def build_metric_lp(
-    e: Election,
-    a: int,
-    b: int,
-    alpha=None,
-    triangle_mode: str = "pruned",
-) -> LinearProgram:
+def build_metric_lp(e: Election, a: int, b: int, alpha=None) -> LinearProgram:
     """LP whose value is the worst consistent cost ratio of a against b."""
     if a == b:
         raise ConfigError("build_metric_lp needs distinct candidates")
-    if triangle_mode not in ("pruned", "full"):
-        raise ConfigError(f"unknown triangle_mode {triangle_mode!r}")
-    if triangle_mode == "full":
-        return _build_full(e, a, b, alpha)
     n, m = e.n, e.m
 
     # one block of m distances per distinct ballot
@@ -227,61 +188,34 @@ def build_metric_lp(
     b_eq = np.ones(1)
 
     meta = {
-        "kind": "metric", "n": n, "m": m, "a": a, "b": b, "mode": "pruned", "alpha": alpha,
+        "kind": "metric", "n": n, "m": m, "a": a, "b": b, "alpha": alpha,
         "ballots": nb, "ballot_of": e.ballot_of,
     }
     return LinearProgram(var_names, obj, a_ub, b_ub, a_eq, b_eq, meta)
 
 
-def _build_full(e: Election, a: int, b: int, alpha) -> LinearProgram:
-    """Reference builder with every pair variable and every triangle row."""
-    n, m = e.n, e.m
-    size = n + m
-    pidx = _pair_index(size)  # points: voters 0..n-1, candidates n..n+m-1
-    var_names = [("pp", p, q) for p, q in itertools.combinations(range(size), 2)]
-
-    def vi(p: int, q: int) -> int:
-        return pidx[(p, q) if p < q else (q, p)]
-
-    objective = {}
-    for i in range(n):
-        objective[var_names[vi(i, n + a)]] = 1.0
-    ub_rows = []
-    for i in range(n):
-        for p, q in e.prefs[i]:
-            ub_rows.append(({var_names[vi(i, n + p)]: 1.0, var_names[vi(i, n + q)]: -1.0}, 0.0))
-    if alpha is not None:
-        for i, (t, s) in enumerate(_alpha_rows(e, alpha, range(n))):
-            ub_rows.append(({var_names[vi(i, n + t)]: 1.0, var_names[vi(i, n + s)]: -float(alpha)}, 0.0))
-    for p, q, r in itertools.combinations(range(size), 3):
-        for x, y, z in ((p, q, r), (p, r, q), (q, r, p)):
-            row = {var_names[vi(x, y)]: 1.0}
-            row[var_names[vi(x, z)]] = row.get(var_names[vi(x, z)], 0.0) - 1.0
-            row[var_names[vi(z, y)]] = row.get(var_names[vi(z, y)], 0.0) - 1.0
-            ub_rows.append((row, 0.0))
-    eq_rows = [({var_names[vi(i, n + b)]: 1.0 for i in range(n)}, 1.0)]
-    meta = {"kind": "metric", "n": n, "m": m, "a": a, "b": b, "mode": "full", "alpha": alpha}
-    return LinearProgram.from_rows(var_names, objective, ub_rows, eq_rows, meta)
-
-
-def solve_metric_lp(e: Election, a: int, b: int, alpha=None, triangle_mode="pruned") -> LpOutcome:
-    """Solve the pair LP; a reported infeasibility is re-checked and mapped
-    to unbounded, since consistent metrics always exist."""
-    lp = build_metric_lp(e, a, b, alpha=alpha, triangle_mode=triangle_mode)
+def _solve_metric(lp: LinearProgram) -> LpOutcome:
+    """Solve a built pair LP; a reported infeasibility is re-checked and
+    mapped to unbounded, since consistent metrics always exist."""
     out = solve_lp(lp)
     if out.status == INFEASIBLE:
         probe = LinearProgram(lp.var_names, np.zeros_like(lp.objective), lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq, lp.meta)
         if solve_lp(probe).status == OPTIMAL:
             return LpOutcome(UNBOUNDED, math.inf, None, lp)
-        raise SolverFailureError(f"metric LP reported infeasible for pair ({a}, {b})")
+        raise SolverFailureError(f"metric LP reported infeasible for pair ({lp.meta['a']}, {lp.meta['b']})")
     return out
 
 
-def distortion_pair(e: Election, a: int, b: int, alpha=None, triangle_mode="pruned") -> float:
+def solve_metric_lp(e: Election, a: int, b: int, alpha=None) -> LpOutcome:
+    """Build and solve the pair LP of a against b."""
+    return _solve_metric(build_metric_lp(e, a, b, alpha=alpha))
+
+
+def distortion_pair(e: Election, a: int, b: int, alpha=None) -> float:
     """Worst-case SC(a)/SC(b) over consistent metrics; +inf when unbounded."""
     if a == b:
         return 1.0
-    return solve_metric_lp(e, a, b, alpha=alpha, triangle_mode=triangle_mode).value
+    return solve_metric_lp(e, a, b, alpha=alpha).value
 
 
 @dataclass
@@ -311,19 +245,19 @@ def _strictly_less(x: float, y: float) -> bool:
     return x < y - TAU_LP * max(1.0, abs(x), abs(y))
 
 
-def distortion_of(e: Election, a: int, alpha=None, triangle_mode="pruned") -> tuple[float, int]:
+def distortion_of(e: Election, a: int, alpha=None) -> tuple[float, int]:
     """Max over opponents of the pair LP value, with the attaining opponent."""
     best, who = 1.0, a
     for b in range(e.m):
         if b == a:
             continue
-        v = distortion_pair(e, a, b, alpha=alpha, triangle_mode=triangle_mode)
+        v = distortion_pair(e, a, b, alpha=alpha)
         if _strictly_less(best, v):
             best, who = v, b
     return best, who
 
 
-def minimax(e: Election, alpha=None, triangle_mode: str = "pruned") -> DistortionReport:
+def minimax(e: Election, alpha=None) -> DistortionReport:
     """Instance-optimal rule: evaluate every pair LP and return the argmin-max.
 
     Ties (within the objective tolerance) break towards the smaller
@@ -337,7 +271,7 @@ def minimax(e: Election, alpha=None, triangle_mode: str = "pruned") -> Distortio
     for a in range(m):
         for b in range(m):
             if a != b:
-                values[a][b] = distortion_pair(e, a, b, alpha=alpha, triangle_mode=triangle_mode)
+                values[a][b] = distortion_pair(e, a, b, alpha=alpha)
     per_candidate, worst = [], []
     for a in range(m):
         best, who = 1.0, a
@@ -357,38 +291,29 @@ def extract_pseudometric(outcome: LpOutcome) -> MetricWitness:
     """Turn an optimal pair-LP solution into a full pseudo-metric witness.
 
     A merged ballot's distances are copied to every voter casting it, and
-    those voters are placed at one point.  Distances absent from the
-    variable set (the other voter-voter pairs in pruned mode) are completed
-    by all-pairs shortest paths, which preserves every solved distance and
-    repairs solver-tolerance triangle slack.
+    those voters are placed at one point.  The other voter-voter distances
+    are completed by all-pairs shortest paths, which preserves every solved
+    distance and repairs solver-tolerance triangle slack.
     """
     if outcome.status != OPTIMAL:
         raise ConfigError(f"cannot extract a witness from a {outcome.status} outcome")
-    lp = outcome.program
-    meta = lp.meta
+    meta = outcome.program.meta
     if meta.get("kind") != "metric":
         raise ConfigError("outcome does not come from a metric LP")
-    n, m = meta["n"], meta["m"]
+    n, m, ballot_of = meta["n"], meta["m"], meta["ballot_of"]
     size = n + m
     d = np.full((size, size), np.inf)
     np.fill_diagonal(d, 0.0)
-    ballot_of = meta.get("ballot_of")
-    block = np.zeros((meta.get("ballots", 0), m))
-    for name, val in outcome.witness.items():
+    block = np.zeros((meta["ballots"], m))
+    for (kind, p, q), val in outcome.witness.items():
         v = max(0.0, val)
-        if name[0] == "bc":
-            block[name[1], name[2]] = v
-            continue
-        if name[0] == "cc":
-            _, a, b = name
-            p, q = n + a, n + b
+        if kind == "bc":
+            block[p, q] = v
         else:
-            _, p, q = name
-        d[p, q] = d[q, p] = v
-    if ballot_of is not None:
-        d[:n, n:] = block[ballot_of]
-        d[n:, :n] = d[:n, n:].T
-        d[:n, :n][ballot_of[:, None] == ballot_of[None, :]] = 0.0
+            d[n + p, n + q] = d[n + q, n + p] = v
+    d[:n, n:] = block[ballot_of]
+    d[n:, :n] = d[:n, n:].T
+    d[:n, :n][ballot_of[:, None] == ballot_of[None, :]] = 0.0
     for k in range(size):
         np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :], out=d)
     return MetricWitness(n, m, tuple(tuple(float(x) for x in row) for row in d))

@@ -7,7 +7,7 @@ concurrently, while the knockout oracle is inherently sequential.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -120,53 +120,34 @@ def run_dr(
     return domination_root(range(e.m), oracle, pairing=pairing, seed=seed, schedule=schedule)
 
 
-# -- tournaments and threshold digraphs --------------------------------------
+# -- tournaments and support matrices ----------------------------------------
 
 
-@dataclass(frozen=True)
-class ThresholdDigraph:
-    """Support digraph: edge (a, b) iff the fraction preferring a to b meets tau."""
+def support_matrix(g: ComparisonGraph, tau) -> np.ndarray:
+    """(m, m) bool matrix: entry (a, b) iff a tau fraction of the voters prefer a to b.
 
-    m: int
-    tau: Fraction
-    edges: frozenset[tuple[int, int]]
-
-    @classmethod
-    def from_graph(cls, g: ComparisonGraph, tau) -> "ThresholdDigraph":
-        tau = Fraction(tau)
-        edges = frozenset(
-            (a, b)
-            for a in range(g.m)
-            for b in range(g.m)
-            if a != b and g.weight(a, b) >= tau
-        )
-        return cls(g.m, tau, edges)
+    Exact for any rational (or float) tau > 0: counts are integers, so
+    count >= tau * n holds iff count >= ceil(tau * n).
+    """
+    return np.array(g.counts, dtype=np.int64) >= math.ceil(Fraction(tau) * g.n)
 
 
-def _adjacency(graph) -> list[set[int]]:
-    adj = [set() for _ in range(graph.m)]
-    for a, b in graph.edges:
-        adj[a].add(b)
-    return adj
+def _two_hop(adj: np.ndarray) -> np.ndarray:
+    """Entry (a, b) iff b is a itself or lies at most two edges away from a."""
+    return adj | adj @ adj | np.eye(len(adj), dtype=bool)
 
 
-def two_hop_reach(adj: Sequence[set[int]], v: int) -> set[int]:
-    reach = {v} | adj[v]
-    for u in list(adj[v]):
-        reach |= adj[u]
-    return reach
-
-
-def king_vertex(graph) -> int:
+def king_vertex(adj: np.ndarray) -> int:
     """A vertex reaching every other in at most two hops.
 
-    Takes the maximum out-degree vertex (a king in any digraph containing
-    a tournament) and verifies reachability; failure would falsify the
-    king theorem and raises accordingly.
+    ``adj`` is an (m, m) bool adjacency matrix, such as :func:`support_matrix`
+    returns.  Takes the maximum out-degree vertex, the lowest index among
+    equals (a king in any digraph containing a tournament), and verifies
+    reachability; failure would falsify the king theorem and raises
+    accordingly.
     """
-    adj = _adjacency(graph)
-    v = max(range(graph.m), key=lambda c: (len(adj[c]), -c))
-    if len(two_hop_reach(adj, v)) != graph.m:
+    v = int(np.argmax(adj.sum(axis=1)))
+    if not _two_hop(adj)[v].all():
         raise TheoremFalsificationError(
             f"max out-degree vertex {v} is not a 2-hop king; input lacks a tournament?"
         )
@@ -176,28 +157,27 @@ def king_vertex(graph) -> int:
 # -- tournament rules ---------------------------------------------------------
 
 
-def copeland(e: Election, tiebreak_pair: str = "half") -> int:
+def _uncovered_pair(counts: np.ndarray, need: int) -> tuple[int, int] | None:
+    """First pair a < b, in ``combinations`` order, compared by fewer than ``need`` voters."""
+    short = np.argwhere(np.triu(counts + counts.T < need, 1))
+    return (int(short[0, 0]), int(short[0, 1])) if len(short) else None
+
+
+def copeland(e: Election) -> int:
     """Copeland winner; a drawn pair contributes half a win to both sides.
 
     Requires full pairwise information: every candidate pair must be
-    compared by at least one voter.
+    compared by at least one voter.  Scores are doubled to stay integral;
+    ties break towards the smaller index.
     """
-    g = comparison_graph(e)
-    m = g.m
-    for a, b in itertools.combinations(range(m), 2):
-        if g.counts[a][b] + g.counts[b][a] == 0:
-            raise CoverageError((a, b), f"no voter compares candidates {a} and {b}")
-    score = [Fraction(0)] * m
-    for a, b in itertools.combinations(range(m), 2):
-        if g.counts[a][b] > g.counts[b][a]:
-            score[a] += 1
-        elif g.counts[b][a] > g.counts[a][b]:
-            score[b] += 1
-        else:
-            score[a] += Fraction(1, 2)
-            score[b] += Fraction(1, 2)
-    best = max(score)
-    return score.index(best)
+    counts = np.array(comparison_graph(e).counts, dtype=np.int64)
+    pair = _uncovered_pair(counts, 1)
+    if pair is not None:
+        a, b = pair
+        raise CoverageError(pair, f"no voter compares candidates {a} and {b}")
+    off = ~np.eye(e.m, dtype=bool)
+    score = 2 * (counts > counts.T).sum(axis=1) + ((counts == counts.T) & off).sum(axis=1)
+    return int(np.argmax(score))
 
 
 def balanced_rule(e: Election, alpha) -> int:
@@ -210,13 +190,11 @@ def balanced_rule(e: Election, alpha) -> int:
     if not 0 < alpha <= 1:
         raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
     g = comparison_graph(e)
-    for a, b in itertools.combinations(range(g.m), 2):
-        if g.coverage(a, b) < alpha:
-            raise CoverageError(
-                (a, b),
-                f"pair ({a}, {b}) covered by {g.coverage(a, b)} < alpha = {alpha}",
-            )
-    return king_vertex(ThresholdDigraph.from_graph(g, alpha / 2))
+    pair = _uncovered_pair(np.array(g.counts, dtype=np.int64), math.ceil(alpha * g.n))
+    if pair is not None:
+        a, b = pair
+        raise CoverageError(pair, f"pair ({a}, {b}) covered by {g.coverage(a, b)} < alpha = {alpha}")
+    return king_vertex(support_matrix(g, alpha / 2))
 
 
 def _check_exactly_k(e: Election, k: int) -> None:
@@ -236,13 +214,10 @@ def ktop_rule(e: Election, k: int) -> int:
     falsification error.
     """
     _check_exactly_k(e, k)
-    g = comparison_graph(e)
-    digraph = ThresholdDigraph.from_graph(g, Fraction(k, 3 * e.m))
-    adj = _adjacency(digraph)
+    kings = _two_hop(support_matrix(comparison_graph(e), Fraction(k, 3 * e.m))).all(axis=1)
     coverage = scores(e).topk_coverage
-    order = sorted(range(e.m), key=lambda c: (-coverage[c], c))
-    for c in order:
-        if len(two_hop_reach(adj, c)) == e.m:
+    for c in sorted(range(e.m), key=lambda c: (-coverage[c], c)):
+        if kings[c]:
             return c
     raise TheoremFalsificationError(f"no 2-hop king at threshold {k}/(3*{e.m})")
 

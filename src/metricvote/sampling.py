@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import Election, Transcript
 from .errors import ConfigError
-from .mechanisms import ThresholdDigraph, comparison_graph, king_vertex, phi_scores
+from .mechanisms import comparison_graph, king_vertex, phi_scores, support_matrix
 
 MODES = ("copeland", "plurality-matching")
 
@@ -91,7 +91,7 @@ def sampled_copeland(e: Election, epsilon: float, delta: float, seed: int, trans
     """King of the majority tournament of a sampled voter multiset.
 
     The sample size is odd and every ballot is a total order, so the
-    digraph thresholded at 1/2 has exactly one edge per candidate pair.
+    support matrix at 1/2 has exactly one edge per candidate pair.
     """
     if not e.all_total:
         raise ConfigError("sampled copeland needs total orders")
@@ -99,7 +99,7 @@ def sampled_copeland(e: Election, epsilon: float, delta: float, seed: int, trans
     sub, log = sample_voters(e, plan)
     if transcript is not None:
         transcript.events.extend(log.events)
-    return king_vertex(ThresholdDigraph.from_graph(comparison_graph(sub), Fraction(1, 2)))
+    return king_vertex(support_matrix(comparison_graph(sub), Fraction(1, 2)))
 
 
 def sampled_pm(

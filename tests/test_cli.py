@@ -51,6 +51,11 @@ class TestRun:
     def test_unreadable_file_is_data_error(self, tmp_path):
         assert run(["run", "--mechanism", "copeland", "--in", tmp_path / "absent.elec"]) == 3
 
+    def test_missing_generator_parameter_is_config_error(self, tmp_path, capsys):
+        args = ["run", "--mechanism", "ktop", "--k", 2, "--generator", "ktop-lower-bound", "--params", "m=7,k=2"]
+        assert run(args + ["--out", tmp_path / "x.json"]) == 2
+        assert "needs parameters ['ratio']" in capsys.readouterr().err
+
     def test_plurality_matching_payload(self, tmp_path):
         base = tmp_path / "veto"
         run(["gen", "--generator", "veto", "--params", "m=4", "--out", base])

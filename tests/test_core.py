@@ -341,6 +341,15 @@ class TestBallotConstruction:
         with pytest.raises(ValueError):
             e.ballots[0, 0, 1] = True
 
+    @pytest.mark.parametrize("voters", [[5], [-1], [0, 2], [1, -3]])
+    def test_voter_ids_out_of_range(self, voters):
+        e = Election.from_rankings([(0, 1), (1, 0)], 2)
+        with pytest.raises(DataFormatError, match="out of range"):
+            mask_voters(e, voters)
+        with pytest.raises(DataFormatError, match="out of range"):
+            e.restrict(voters)
+        assert mask_voters(e, [1]) != e and e.restrict([1, 0, 1]).n == 3
+
     @given(st.integers(1, 3), st.integers(0, 12), st.data())
     @settings(max_examples=60, deadline=None)
     def test_first_appearance_groups_rows(self, pool, n, data):

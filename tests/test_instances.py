@@ -176,3 +176,5 @@ def test_generate_dispatch_and_sidecar_roundtrip():
         inst.generate("euclidean", {"n": 5, "m": 3, "dim": 2})  # seed required
     with pytest.raises(ConfigError):
         inst.generate("nope", {})
+    with pytest.raises(ConfigError, match=r"needs parameters \['k', 'ratio'\]"):
+        inst.generate("ktop-lower-bound", {"m": 7})

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from conftest import partial_order_elections
 from hypothesis import example, given, settings
+from reference_lp import build_full, from_rows, solve_full
 
 from metricvote import instances as inst
 from metricvote.core import Election, check_consistent, mask_voters, social_cost
@@ -15,7 +16,7 @@ from metricvote.lp import (
     OPTIMAL,
     TAU_LP,
     UNBOUNDED,
-    LinearProgram,
+    _solve_metric,
     build_metric_lp,
     distortion_of,
     distortion_pair,
@@ -34,23 +35,29 @@ def close(x, y, tol=1e-6):
 
 class TestSolver:
     def test_bounded(self):
-        lp = LinearProgram.from_rows(["x"], {"x": 1.0}, ub_rows=[({"x": 1.0}, 1.0)])
+        lp = from_rows(["x"], {"x": 1.0}, ub_rows=[({"x": 1.0}, 1.0)])
         out = solve_lp(lp)
         assert out.status == OPTIMAL and close(out.value, 1.0)
 
     def test_unbounded(self):
-        out = solve_lp(LinearProgram.from_rows(["x"], {"x": 1.0}))
+        out = solve_lp(from_rows(["x"], {"x": 1.0}))
         assert out.status == UNBOUNDED and out.value == math.inf
 
     def test_infeasible(self):
-        lp = LinearProgram.from_rows(["x"], {}, ub_rows=[({"x": 1.0}, -1.0)])
+        lp = from_rows(["x"], {}, ub_rows=[({"x": 1.0}, -1.0)])
         assert solve_lp(lp).status == INFEASIBLE
+
+    def test_infeasible_metric_lp_is_solver_failure(self):
+        # the re-check finds no feasible point either, so this is no unbounded pair LP
+        lp = from_rows(["x"], {"x": 1.0}, ub_rows=[({"x": 1.0}, -1.0)], meta={"a": 0, "b": 1})
+        with pytest.raises(SolverFailureError, match=r"pair \(0, 1\)"):
+            _solve_metric(lp)
 
 
 class TestMetricLpConstruction:
     def test_single_voter_shape(self):
         e = Election(1, 2, (frozenset({(0, 1)}),))
-        lp = build_metric_lp(e, 0, 1, triangle_mode="full")
+        lp = build_full(e, 0, 1)
         # one voter, two candidates: three distinct pair variables
         assert len(lp.var_names) == 3
         out = solve_lp(lp)
@@ -163,7 +170,7 @@ class TestMinimax:
 
 def _assert_matches_full(e, a, b, alpha=None):
     out = solve_metric_lp(e, a, b, alpha=alpha)
-    ref = solve_metric_lp(e, a, b, alpha=alpha, triangle_mode="full")
+    ref = solve_full(e, a, b, alpha=alpha)
     assert out.status == ref.status
     if out.status != OPTIMAL:
         return
@@ -187,7 +194,8 @@ class TestSoundnessAgainstBruteForce:
 
 class TestReducedLpMatchesFull:
     """The pruned builder (merged ballots, covering-pair ordering rows, no
-    implied triangle rows) is exact: it agrees with ``triangle_mode="full"``."""
+    implied triangle rows) is exact: it agrees with the reference program of
+    ``reference_lp``."""
 
     def test_small_lp_corpus(self, small_lp_corpus):
         for e in small_lp_corpus:
@@ -237,6 +245,6 @@ class TestReducedLpProperty:
                 if a == b:
                     continue
                 out = solve_metric_lp(e, a, b)
-                ref = solve_metric_lp(e, a, b, triangle_mode="full")
+                ref = solve_full(e, a, b)
                 assert out.status == ref.status
                 assert close(out.value, ref.value, TAU_LP)

@@ -12,12 +12,11 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
 from metricvote import instances as inst
-from metricvote.core import Election, comparison_graph, mask_voters, realized_distortion, truncate_to_ktop
+from metricvote.core import Election, comparison_graph, mask_voters, realized_distortion, scores, truncate_to_ktop
 from metricvote.errors import ConfigError, CoverageError, TheoremFalsificationError
 from metricvote.mechanisms import (
     DominationGraph,
     MatchingResult,
-    ThresholdDigraph,
     balanced_rule,
     build_domination_graph,
     conjecture_probe,
@@ -29,7 +28,9 @@ from metricvote.mechanisms import (
     max_matching,
     plurality_matching,
     run_dr,
+    support_matrix,
 )
+from metricvote.sampling import make_plan, sample_voters, sampled_copeland
 
 
 def is_two_hop_king(m, edges, v):
@@ -47,6 +48,69 @@ def majority_edges(e):
     """Majority digraph: strict pairwise wins, both directions on a drawn pair."""
     g = comparison_graph(e)
     return {(a, b) for a in range(e.m) for b in range(e.m) if a != b and g.counts[a][b] >= g.counts[b][a]}
+
+
+def reference_edges(g, tau):
+    """Support edges by per-pair Fraction tests: (a, b) iff weight(a, b) >= tau."""
+    tau = Fraction(tau)
+    return frozenset((a, b) for a in range(g.m) for b in range(g.m) if a != b and g.weight(a, b) >= tau)
+
+
+def reference_king(m, edges):
+    """Maximum out-degree vertex (lowest index among equals), checked to be a 2-hop king."""
+    degree = [sum(1 for a, _ in edges if a == c) for c in range(m)]
+    v = degree.index(max(degree))
+    if not is_two_hop_king(m, edges, v):
+        raise TheoremFalsificationError(f"max out-degree vertex {v} is not a 2-hop king; input lacks a tournament?")
+    return v
+
+
+def reference_copeland(e):
+    g = comparison_graph(e)
+    for a, b in itertools.combinations(range(e.m), 2):
+        if g.counts[a][b] + g.counts[b][a] == 0:
+            raise CoverageError((a, b), f"no voter compares candidates {a} and {b}")
+    score = [Fraction(0)] * e.m
+    for a, b in itertools.combinations(range(e.m), 2):
+        if g.counts[a][b] > g.counts[b][a]:
+            score[a] += 1
+        elif g.counts[b][a] > g.counts[a][b]:
+            score[b] += 1
+        else:
+            score[a] += Fraction(1, 2)
+            score[b] += Fraction(1, 2)
+    return score.index(max(score))
+
+
+def reference_balanced(e, alpha):
+    alpha = Fraction(alpha)
+    g = comparison_graph(e)
+    for a, b in itertools.combinations(range(e.m), 2):
+        if g.coverage(a, b) < alpha:
+            raise CoverageError((a, b), f"pair ({a}, {b}) covered by {g.coverage(a, b)} < alpha = {alpha}")
+    return reference_king(e.m, reference_edges(g, alpha / 2))
+
+
+def reference_ktop(e, k):
+    edges = reference_edges(comparison_graph(e), Fraction(k, 3 * e.m))
+    coverage = scores(e).topk_coverage
+    for c in sorted(range(e.m), key=lambda c: (-coverage[c], c)):
+        if is_two_hop_king(e.m, edges, c):
+            return c
+    raise TheoremFalsificationError(f"no 2-hop king at threshold {k}/(3*{e.m})")
+
+
+def reference_sampled_copeland(e, epsilon, delta, seed):
+    sub, _ = sample_voters(e, make_plan(epsilon, delta, e.m, "copeland", seed))
+    return reference_king(e.m, reference_edges(comparison_graph(sub), Fraction(1, 2)))
+
+
+def outcome(fn, *args):
+    """The winner, or the error's type, message and pair."""
+    try:
+        return fn(*args)
+    except (ConfigError, CoverageError, TheoremFalsificationError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "pair", None)
 
 
 class TestMajorityOracle:
@@ -137,15 +201,22 @@ class TestDominationRoot:
             assert max(depth.values()) <= math.ceil(math.log2(e.m))
 
 
+def matrix(m, edges):
+    """Bool adjacency matrix of an edge set."""
+    adj = np.zeros((m, m), dtype=bool)
+    for a, b in edges:
+        adj[a, b] = True
+    return adj
+
+
 class TestKingVertex:
     def test_transitive_tournament_source(self):
         edges = frozenset((a, b) for a in range(5) for b in range(5) if a < b)
-        t = ThresholdDigraph(5, Fraction(1, 2), edges)
-        assert king_vertex(t) == 0
+        assert king_vertex(matrix(5, edges)) == 0
 
     def test_three_cycle_all_kings(self):
         edges = frozenset({(0, 1), (1, 2), (2, 0)})
-        assert king_vertex(ThresholdDigraph(3, Fraction(1, 2), edges)) == 0
+        assert king_vertex(matrix(3, edges)) == 0
         assert all(is_two_hop_king(3, edges, v) for v in range(3))
 
     def test_random_tournaments_verified(self):
@@ -155,13 +226,12 @@ class TestKingVertex:
             edges = set()
             for a, b in itertools.combinations(range(m), 2):
                 edges.add((a, b) if rng.random() < 0.5 else (b, a))
-            v = king_vertex(ThresholdDigraph(m, Fraction(1, 2), frozenset(edges)))
+            v = king_vertex(matrix(m, edges))
             assert is_two_hop_king(m, edges, v)
 
     def test_falsification_on_non_tournament(self):
-        g = ThresholdDigraph(3, Fraction(1), frozenset({(0, 1)}))
         with pytest.raises(TheoremFalsificationError):
-            king_vertex(g)
+            king_vertex(matrix(3, {(0, 1)}))
 
 
 class TestCopeland:
@@ -195,6 +265,11 @@ class TestCopeland:
         with pytest.raises(CoverageError):
             copeland(e)
 
+    def test_draw_scores_half_a_win(self):
+        # candidates 1 and 2 win once each; 2 also draws with 0, so it leads
+        e = Election.from_rankings([(0, 2, 1), (2, 1, 0), (1, 0, 2), (2, 1, 0)], 3)
+        assert copeland(e) == 2
+
     def test_winner_is_two_step_king(self):
         for seed in range(8):
             e = inst.impartial_culture(11, 6, seed=seed).election
@@ -207,9 +282,7 @@ class TestBalancedRule:
         for seed in range(4):
             e = inst.impartial_culture(9, 5, seed=seed).election
             w = balanced_rule(e, 1)
-            g = comparison_graph(e)
-            dig = ThresholdDigraph.from_graph(g, Fraction(1, 2))
-            assert is_two_hop_king(dig.m, dig.edges, w)
+            assert is_two_hop_king(e.m, reference_edges(comparison_graph(e), Fraction(1, 2)), w)
 
     def test_coverage_error_names_pair(self):
         e = Election(2, 3, (frozenset({(0, 1)}), frozenset({(1, 0)})))
@@ -466,3 +539,46 @@ class TestConjectureProbe:
             assert probe.best_fraction >= 0
         # empirical outcome is recorded, not asserted as a theorem
         assert held >= 0
+
+
+fractions_in_unit = st.integers(1, 60).flatmap(lambda q: st.integers(1, q).map(lambda p: Fraction(p, q)))
+
+
+class TestTournamentRulesMatchPerPairReference:
+    @given(matching_elections(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_elections(self, e, data):
+        g = comparison_graph(e)
+        assert outcome(copeland, e) == outcome(reference_copeland, e)
+        for alpha in (0.3, 0.7, 0.9, 1.0, data.draw(fractions_in_unit)):
+            assert outcome(balanced_rule, e, alpha) == outcome(reference_balanced, e, alpha)
+        for k in range(1, e.m + 1):
+            if (e.listed == k).all():
+                assert outcome(ktop_rule, e, k) == outcome(reference_ktop, e, k)
+        tau = data.draw(fractions_in_unit | st.sampled_from([0.15, 0.49]))
+        edges = reference_edges(g, tau)
+        adj = support_matrix(g, tau)
+        assert adj.dtype == bool and (adj == matrix(e.m, edges)).all()
+        assert outcome(king_vertex, adj) == outcome(reference_king, e.m, edges)
+        seed = data.draw(st.integers(0, 2**16))
+        if e.all_total:
+            assert sampled_copeland(e, 4, 0.5, seed) == reference_sampled_copeland(e, 4, 0.5, seed)
+        else:
+            with pytest.raises(ConfigError):
+                sampled_copeland(e, 4, 0.5, seed)
+
+    def test_count_exactly_at_threshold_is_an_edge(self):
+        # each of the two voters is exactly alpha/2 = 1/2 of the electorate on the pair (0, 1)
+        e = Election.from_rankings([(0, 1, 2), (1, 0, 2)], 3)
+        adj = support_matrix(comparison_graph(e), Fraction(1, 2))
+        assert adj[0, 1] and adj[1, 0]
+        assert balanced_rule(e, 1) == 0
+
+    def test_float_alpha_threshold_is_exact_at_large_n(self):
+        # Fraction(0.3) / 2 has denominator 2**55, so counts * denominator would
+        # overflow int64 for counts >= 256; the threshold stays a Python int
+        e = Election.from_rankings([(1, 2, 0)] * 500 + [(2, 0, 1)] * 100, 3)
+        g = comparison_graph(e)
+        tau = Fraction(0.3) / 2
+        assert (support_matrix(g, tau) == matrix(3, reference_edges(g, tau))).all()
+        assert balanced_rule(e, 0.3) == reference_balanced(e, 0.3) == 1
