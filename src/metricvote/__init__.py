@@ -30,9 +30,11 @@ from .lp import (
     DistortionReport,
     LinearProgram,
     LpOutcome,
+    MinimaxResult,
     build_metric_lp,
     distortion_of,
     distortion_pair,
+    distortion_table,
     extract_pseudometric,
     minimax,
     solve_lp,

@@ -2,9 +2,15 @@
 
 Every output file embeds the resolved configuration and seeds in its
 header and contains no timestamps, so a rerun with the same seed and
-``--jobs 1`` is byte-identical.  Exit codes: 0 success, 2 configuration
-error, 3 data error, 4 theorem-falsification (a guaranteed structure was
-not found).
+``--jobs 1`` is byte-identical.  Exit codes:
+
+* 0 success;
+* 2 configuration error (``ConfigError``);
+* 3 data error: a malformed or missing input (``DataFormatError``,
+  ``PreferenceCycleError``, ``FileNotFoundError``), or an input that fails
+  a rule's pairwise-coverage precondition (``CoverageError``);
+* 4 theorem falsification: a guaranteed structure was not found
+  (``TheoremFalsificationError``).
 """
 
 from __future__ import annotations
@@ -28,9 +34,9 @@ from .core import (
     truncate_to_ktop,
 )
 from .dataio import EUROVISION_WEIGHTS, F1_WEIGHTS, ScoringRule, load_csv, parse_schema, positional_score, scores_to_election
-from .errors import ConfigError, DataFormatError, PreferenceCycleError, TheoremFalsificationError
+from .errors import ConfigError, CoverageError, DataFormatError, PreferenceCycleError, TheoremFalsificationError
 from .instances import GeneratedInstance, generate, instance_sidecar, witness_from_jsonable
-from .lp import distortion_of, minimax
+from .lp import distortion_of, distortion_table, minimax
 from .mechanisms import balanced_rule, conjecture_probe, copeland, ktop_rule, plurality_matching, run_dr
 from .sampling import child_seed, make_plan, sampled_copeland, sampled_pm
 
@@ -158,7 +164,10 @@ def cmd_run(args) -> int:
     elif args.mechanism == "balanced":
         if args.alpha is None:
             raise ConfigError("--mechanism balanced needs --alpha")
-        winner = balanced_rule(e, args.alpha)
+        if not math.isfinite(args.alpha):
+            raise ConfigError(f"alpha must be in (0, 1], got {args.alpha}")
+        # the decimal as typed: Fraction(0.9) is the binary double, just above 9/10
+        winner = balanced_rule(e, Fraction(repr(args.alpha)))
     elif args.mechanism == "conjecture-probe":
         if args.k is None:
             raise ConfigError("--mechanism conjecture-probe needs --k")
@@ -189,7 +198,7 @@ def cmd_run(args) -> int:
 
 def cmd_eval(args) -> int:
     gi = _load_instance(args)
-    report = minimax(gi.election, alpha=args.alpha)
+    report = distortion_table(gi.election, alpha=args.alpha)
     config = ExperimentConfig(
         "eval",
         {"instance": args.infile or f"{args.generator}({args.params or ''})", "seed": args.seed, "alpha": args.alpha},
@@ -206,10 +215,15 @@ def cmd_eval(args) -> int:
 
 
 def _sweep_k_row(task):
-    e, k = task
+    e, k, include_ktop = task
     trunc = truncate_to_ktop(e, k)
-    report = minimax(trunc)
-    return k, report.winner, report.per_candidate[report.winner]
+    best = minimax(trunc)
+    row = [k, best.winner, _fmt(best.value)]
+    if include_ktop:
+        kw = ktop_rule(trunc, k)
+        kd = best.value if kw == best.winner else distortion_of(trunc, kw)[0]
+        row += [kw, _fmt(kd)]
+    return row
 
 
 def cmd_sweep_k(args) -> int:
@@ -218,16 +232,8 @@ def cmd_sweep_k(args) -> int:
     for real in range(args.trials):
         seed = args.seed + real
         gi = generate("impartial-culture", {"n": args.n, "m": args.m}, seed)
-        tasks = [(gi.election, k) for k in range(1, args.m + 1)]
-        results = _pmap(_sweep_k_row, tasks, args.jobs)
-        for (k, winner, dist) in results:
-            row = [real, seed, k, winner, _fmt(dist)]
-            if include_ktop:
-                trunc = truncate_to_ktop(gi.election, k)
-                kw = ktop_rule(trunc, k)
-                kd, _ = distortion_of(trunc, kw)
-                row += [kw, _fmt(kd)]
-            rows.append(row)
+        tasks = [(gi.election, k, include_ktop) for k in range(1, args.m + 1)]
+        rows += [[real, seed, *row] for row in _pmap(_sweep_k_row, tasks, args.jobs)]
     columns = ["realization", "seed", "k", "winner", "distortion"]
     if include_ktop:
         columns += ["ktop_winner", "ktop_distortion"]
@@ -242,10 +248,10 @@ def cmd_sweep_k(args) -> int:
 def _sweep_missing_row(task):
     e, masked_idx, eps_req = task
     masked = mask_voters(e, masked_idx)
-    report = minimax(masked)
+    best = minimax(masked)
     eff = Fraction(len(masked_idx), e.n)
     envelope = math.inf if eff == 1 else MISSING_ENVELOPE_BASE + eff / (1 - eff) * (MISSING_ENVELOPE_BASE + 1)
-    return eps_req, len(masked_idx), float(eff), report.winner, report.per_candidate[report.winner], envelope
+    return eps_req, len(masked_idx), float(eff), best.winner, best.value, envelope
 
 
 def cmd_sweep_missing(args) -> int:
@@ -292,6 +298,7 @@ def cmd_sample(args) -> int:
     gi = _load_instance(args)
     e = gi.election
     plan = make_plan(args.epsilon, args.delta, e.m, args.mode, args.seed)
+    lp_distortion = {}  # per winner: trials often repeat one
     rows = []
     for trial in range(args.trials):
         seed = child_seed(args.seed, trial)
@@ -306,7 +313,9 @@ def cmd_sample(args) -> int:
         if gi.witness is not None:
             rd = _fmt(realized_distortion(gi.witness, winner))
         else:
-            rd = _fmt(distortion_of(e, winner)[0])
+            if winner not in lp_distortion:
+                lp_distortion[winner] = distortion_of(e, winner)[0]
+            rd = _fmt(lp_distortion[winner])
         rows.append(
             [
                 trial,
@@ -467,6 +476,9 @@ def main(argv=None) -> int:
         return 2
     except (DataFormatError, PreferenceCycleError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 3
+    except CoverageError as exc:
+        print(f"coverage error: {exc}", file=sys.stderr)
         return 3
     except TheoremFalsificationError as exc:
         print(f"theorem falsification: {exc}", file=sys.stderr)

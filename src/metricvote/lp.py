@@ -30,6 +30,40 @@ The reference program, with one variable per point pair and every
 triangle row over all point triples, lives in the test suite
 (``tests/reference_lp.py``), which checks that both programs agree on
 status, value and witness soundness.
+
+Two outputs share one set of rules.  ``distortion_table`` solves all
+m(m - 1) pair LPs; ``minimax`` returns only the winner, its value and its
+worst opponent, and solves the pair LPs that a certified bound cannot
+rule out:
+
+* **Bound.** Let c voters state a > b.  Each of them gives
+  d(a,b) <= 2 d(i,b) and d(i,a) <= d(i,b); every other voter j has
+  d(j,a) <= d(j,b) + d(a,b).  So the pair LP value is at most
+  B(a,b) = 1 + 2(n - c)/c, where n counts silent voters too (inf when
+  c = 0).  Closing B under products along paths keeps it a bound
+  (``ratio_bound``).  B is attained, e.g. 3 on one voter each way.
+* **Search.** Candidates are visited by ascending largest bound, and each
+  candidate's opponents by descending bound, ties by index.  The scan of a
+  candidate stops once its running maximum is inf, or once the next bound
+  times (1 + TAU_LP), which covers solver noise, is strictly below
+  (``_strictly_less``) the running maximum.  A candidate is dropped as soon
+  as its running maximum times (1 - TAU_LP) is strictly above the least
+  value found so far.
+* **Candidate value.** Read the candidate itself (value 1) and then its
+  opponents by index; the value is the first of these entries that is not
+  strictly below the largest, and the worst opponent is that entry's
+  opponent (the candidate itself when the entry is its own).  In the
+  usual float-noise ties, where several opponents attain one bound, this
+  is the smallest such opponent and its solved value, as a running
+  maximum updated only on strict increases would give.
+* **Winner.** The smallest candidate c such that the least value is not
+  strictly below c's value.
+
+Both rules are functions of the values, not of the visiting order.  A
+skipped opponent is strictly below its row's largest and a dropped
+candidate strictly above the least value, so neither can change a value,
+a worst opponent or the winner: ``minimax`` agrees with
+``distortion_table`` exactly, not only within ``TAU_LP``.
 """
 
 from __future__ import annotations
@@ -218,6 +252,109 @@ def distortion_pair(e: Election, a: int, b: int, alpha=None) -> float:
     return solve_metric_lp(e, a, b, alpha=alpha).value
 
 
+def ratio_bound(e: Election) -> np.ndarray:
+    """Certified upper bounds B*(a, b) on every pair LP value, as an (m, m) array.
+
+    Let the set S of c voters state a > b.  Each i in S has
+    d(a,b) <= d(i,a) + d(i,b) <= 2 d(i,b), so d(a,b) <= 2 SC(b) / c, and
+    d(i,a) <= d(i,b); every other voter j has d(j,a) <= d(j,b) + d(a,b).
+    Hence SC(a) <= SC(b) + (n - c) d(a,b) <= (1 + 2(n - c)/c) SC(b), with n
+    counting silent voters too; the bound is inf where c = 0.  Ratios
+    multiply along paths, so the min-product closure (a Floyd-Warshall over
+    log B) is a bound as well.  The diagonal is 1.
+    """
+    counts = np.tensordot(e.multiplicity, e.ballots, axes=1)
+    stated = counts > 0
+    bound = np.where(stated, 1 + 2 * (e.n - counts) / np.where(stated, counts, 1), np.inf)
+    np.fill_diagonal(bound, 1.0)
+    for k in range(e.m):
+        np.minimum(bound, bound[:, k : k + 1] * bound[k : k + 1, :], out=bound)
+    return bound
+
+
+def _strictly_less(x: float, y: float) -> bool:
+    if math.isinf(x) or math.isinf(y):
+        return x < y
+    return x < y - TAU_LP * max(1.0, abs(x), abs(y))
+
+
+def _row_value(a: int, solved: dict[int, float]) -> tuple[float, int]:
+    """A candidate's value and worst opponent: the first entry of its row not
+    strictly below the row's largest, reading the candidate itself (value 1)
+    first and then its solved opponents by index."""
+    row = [(a, 1.0), *sorted(solved.items())]
+    top = max(v for _, v in row)
+    worst, value = next((b, v) for b, v in row if not _strictly_less(v, top))
+    return value, worst
+
+
+def _winner(values: dict[int, float]) -> int:
+    """Smallest candidate whose value is not strictly above the least value."""
+    low = min(values.values())
+    return min(c for c, v in values.items() if not _strictly_less(low, v))
+
+
+def _scan(e: Election, a: int, bound: np.ndarray, alpha, cutoff: float = math.inf) -> tuple[float, int] | None:
+    """``_row_value`` of ``a`` from the pair LPs its bounds cannot rule out.
+
+    Opponents are solved by descending bound (then index).  The scan stops
+    once the running maximum is inf, or once the next bound, widened by
+    ``TAU_LP`` for solver noise, is strictly below the running maximum: no
+    remaining pair can then come within ``TAU_LP`` of the row's largest.
+    Returns None as soon as the running maximum, narrowed by ``TAU_LP``, is
+    strictly above ``cutoff``: the value of ``a`` is then strictly above it.
+    """
+    solved, top = {}, 1.0
+    for b in np.argsort(-bound[a], kind="stable").tolist():
+        if b == a:
+            continue
+        if math.isinf(top) or _strictly_less(bound[a, b] * (1 + TAU_LP), top):
+            break
+        solved[b] = distortion_pair(e, a, b, alpha=alpha)
+        top = max(top, solved[b])
+        if _strictly_less(cutoff, top * (1 - TAU_LP)):
+            return None
+    return _row_value(a, solved)
+
+
+def distortion_of(e: Election, a: int, alpha=None) -> tuple[float, int]:
+    """Candidate a's worst-case ratio over all opponents, with the attaining opponent."""
+    return _scan(e, a, ratio_bound(e), alpha)
+
+
+@dataclass(frozen=True)
+class MinimaxResult:
+    """The instance-optimal winner, its worst-case ratio and the opponent attaining it."""
+
+    winner: int
+    value: float
+    worst_opponent: int
+
+
+def minimax(e: Election, alpha=None) -> MinimaxResult:
+    """Instance-optimal rule: the candidate whose worst-case ratio is least.
+
+    Branch and bound over ``ratio_bound``, as the module docstring sets
+    out: candidates are visited by ascending largest bound, and one is
+    dropped as soon as its value must be strictly above the least value
+    found so far.  The result equals the winner and its entries in
+    ``distortion_table``.  With ``alpha`` set this is the alpha-decisive
+    variant; ``alpha = 1`` coincides with the plain rule.
+    """
+    if e.m < 1:
+        raise ConfigError("minimax needs at least one candidate")
+    bound = ratio_bound(e)
+    rows, incumbent = {}, math.inf
+    for a in np.argsort(bound.max(axis=1), kind="stable").tolist():
+        row = _scan(e, a, bound, alpha, cutoff=incumbent)
+        if row is not None:
+            rows[a] = row
+            incumbent = min(incumbent, row[0])
+    winner = _winner({a: value for a, (value, _) in rows.items()})
+    value, worst = rows[winner]
+    return MinimaxResult(winner, value, worst)
+
+
 @dataclass
 class DistortionReport:
     """Full pairwise table of worst-case ratios with the minimax winner."""
@@ -239,52 +376,22 @@ class DistortionReport:
         }
 
 
-def _strictly_less(x: float, y: float) -> bool:
-    if math.isinf(x) or math.isinf(y):
-        return x < y
-    return x < y - TAU_LP * max(1.0, abs(x), abs(y))
-
-
-def distortion_of(e: Election, a: int, alpha=None) -> tuple[float, int]:
-    """Max over opponents of the pair LP value, with the attaining opponent."""
-    best, who = 1.0, a
-    for b in range(e.m):
-        if b == a:
-            continue
-        v = distortion_pair(e, a, b, alpha=alpha)
-        if _strictly_less(best, v):
-            best, who = v, b
-    return best, who
-
-
-def minimax(e: Election, alpha=None) -> DistortionReport:
-    """Instance-optimal rule: evaluate every pair LP and return the argmin-max.
-
-    Ties (within the objective tolerance) break towards the smaller
-    candidate index.  With ``alpha`` set this is the alpha-decisive
-    variant; ``alpha = 1`` coincides with the plain rule.
-    """
+def distortion_table(e: Election, alpha=None) -> DistortionReport:
+    """Every pair LP value, each candidate's value and worst opponent, and
+    the winner, under the same rules as ``minimax``."""
     m = e.m
     if m < 1:
-        raise ConfigError("minimax needs at least one candidate")
+        raise ConfigError("distortion_table needs at least one candidate")
     values = [[1.0] * m for _ in range(m)]
     for a in range(m):
         for b in range(m):
             if a != b:
                 values[a][b] = distortion_pair(e, a, b, alpha=alpha)
-    per_candidate, worst = [], []
-    for a in range(m):
-        best, who = 1.0, a
-        for b in range(m):
-            if _strictly_less(best, values[a][b]):
-                best, who = values[a][b], b
-        per_candidate.append(best)
-        worst.append(who)
-    winner = 0
-    for c in range(1, m):
-        if _strictly_less(per_candidate[c], per_candidate[winner]):
-            winner = c
-    return DistortionReport(tuple(map(tuple, values)), tuple(per_candidate), tuple(worst), winner)
+    rows = [_row_value(a, {b: v for b, v in enumerate(values[a]) if b != a}) for a in range(m)]
+    winner = _winner({a: value for a, (value, _) in enumerate(rows)})
+    return DistortionReport(
+        tuple(map(tuple, values)), tuple(v for v, _ in rows), tuple(w for _, w in rows), winner
+    )
 
 
 def extract_pseudometric(outcome: LpOutcome) -> MetricWitness:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from metricvote import instances as inst
-from metricvote.core import Election, transitive_closure, truncate_to_ktop
+from metricvote.core import Election, mask_voters, transitive_closure, truncate_to_ktop
 
 
 def _size_plan(rng: np.random.Generator) -> list[tuple[int, int, int]]:
@@ -71,3 +71,17 @@ def partial_order_elections(draw):
     if not draw(st.booleans()):
         voters.append(voters[0])  # a repeated ballot, so merging applies
     return Election(len(voters), m, tuple(pool[i] for i in voters))
+
+
+@st.composite
+def ballot_elections(draw):
+    """Partial orders, k-top truncations of total orders, and masked voters."""
+    kind = draw(st.sampled_from(["partial", "ktop", "masked"]))
+    if kind == "ktop":
+        m = draw(st.integers(2, 5))
+        rankings = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=8))
+        return truncate_to_ktop(Election.from_rankings(rankings, m), draw(st.integers(1, m)))
+    e = draw(partial_order_elections())
+    if kind == "masked":
+        e = mask_voters(e, draw(st.sets(st.integers(0, e.n - 1))))
+    return e

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from metricvote import cli
 from metricvote.cli import main
+from metricvote.lp import distortion_of
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -56,6 +58,26 @@ class TestRun:
         assert run(args + ["--out", tmp_path / "x.json"]) == 2
         assert "needs parameters ['ratio']" in capsys.readouterr().err
 
+    def test_coverage_failure_is_data_error(self, tmp_path, capsys):
+        args = ["run", "--mechanism", "balanced", "--alpha", 0.9, "--generator", "ktop-lower-bound"]
+        assert run(args + ["--params", "m=7,k=2,ratio=1/100", "--out", tmp_path / "x.json"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("coverage error: pair (") and err.rstrip().endswith("< alpha = 9/10")
+
+    def test_balanced_alpha_is_the_decimal_given(self, tmp_path):
+        # 9 of 10 voters compare the pair: exactly 0.9, but below the double nearest 0.9
+        elec = tmp_path / "nine.elec"
+        elec.write_text("10 2\n" + "0 > 1\n" * 5 + "1 > 0\n" * 4 + "\n")
+        out = tmp_path / "x.json"
+        assert run(["run", "--mechanism", "balanced", "--alpha", 0.9, "--in", elec, "--out", out]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["winner"] == 0 and doc["config"]["alpha"] == 0.9
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_balanced_alpha_not_finite_is_config_error(self, tmp_path, alpha):
+        args = ["run", "--mechanism", "balanced", "--alpha", alpha, "--generator", "impartial-culture"]
+        assert run(args + ["--params", "n=10,m=3", "--out", tmp_path / "x.json"]) == 2
+
     def test_plurality_matching_payload(self, tmp_path):
         base = tmp_path / "veto"
         run(["gen", "--generator", "veto", "--params", "m=4", "--out", base])
@@ -104,6 +126,22 @@ class TestSweeps:
         assert rows[0] == "realization,seed,k,winner,distortion"
         assert len(rows) == 1 + 3 * 2  # header + m rows per realization
 
+    def test_sweep_k_ktop_column_reuses_minimax_value(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(e, a, alpha=None):
+            calls.append(a)
+            return distortion_of(e, a, alpha=alpha)
+
+        monkeypatch.setattr(cli, "distortion_of", counted)
+        out = tmp_path / "k.csv"
+        argv = ["sweep-k", "--n", 9, "--m", 4, "--trials", 2, "--mechanism", "minimax+ktop", "--out", out]
+        assert run(argv) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        differ = [r for r in rows if r[3] != r[5]]
+        assert len(calls) == len(differ)
+        assert all(r[4] == r[6] for r in rows if r[3] == r[5])
+
     def test_sweep_k_final_k_within_three(self, tmp_path):
         out = tmp_path / "k.csv"
         run(["sweep-k", "--n", 8, "--m", 3, "--trials", 1, "--out", out])
@@ -136,6 +174,23 @@ class TestSample:
         assert len(rows) == 5
         # elapsed_ms stays empty without --timing so reruns are byte-identical
         assert rows[1].endswith(",")
+
+    def test_lp_distortion_once_per_winner(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(e, a, alpha=None):
+            calls.append(a)
+            return distortion_of(e, a, alpha=alpha)
+
+        monkeypatch.setattr(cli, "distortion_of", counted)
+        base = tmp_path / "ic"
+        run(["gen", "--generator", "impartial-culture", "--params", "n=30,m=4", "--seed", 1, "--out", base])
+        out = tmp_path / "s.csv"
+        argv = ["sample", "--mode", "copeland", "--in", base.with_suffix(".elec"), "--trials", 8, "--out", out]
+        assert run(argv) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        assert len(rows) == 8
+        assert sorted(calls) == sorted({int(r[3]) for r in rows})
 
     def test_zero_trials_header_only(self, tmp_path):
         base = tmp_path / "eu"

@@ -165,12 +165,12 @@ class TestRoundTrips:
 )
 def test_eurovision_2004_reproduction():
     """Winner ranking reproduction on the real contest file (not CI acceptance)."""
-    from metricvote.lp import minimax
+    from metricvote.lp import distortion_table
 
     path = os.environ["METRICVOTE_EUROVISION_CSV"]
     table = load_csv(path, parse_schema("eurovision"))
     e = scores_to_election(table)
-    report = minimax(e)
+    report = distortion_table(e)
     winner_name = table.candidates[report.winner]
     assert winner_name == "Ukraine"
     assert abs(report.per_candidate[report.winner] - 1.1786) < 5e-4

@@ -2,26 +2,33 @@
 
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
-from conftest import partial_order_elections
+from conftest import ballot_elections, partial_order_elections
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from reference_lp import build_full, from_rows, solve_full
 
 from metricvote import instances as inst
-from metricvote.core import Election, check_consistent, mask_voters, social_cost
+from metricvote import lp
+from metricvote.core import Election, check_consistent, mask_voters, social_cost, truncate_to_ktop
 from metricvote.errors import ConfigError, SolverFailureError
 from metricvote.lp import (
     INFEASIBLE,
     OPTIMAL,
     TAU_LP,
     UNBOUNDED,
+    _row_value,
     _solve_metric,
+    _winner,
     build_metric_lp,
     distortion_of,
     distortion_pair,
+    distortion_table,
     extract_pseudometric,
     minimax,
+    ratio_bound,
     solve_lp,
     solve_metric_lp,
 )
@@ -127,25 +134,26 @@ class TestWitnessExtraction:
 class TestMinimax:
     def test_single_candidate(self):
         e = Election.from_rankings([(0,)], 1)
-        rep = minimax(e)
+        rep = distortion_table(e)
         assert rep.winner == 0 and rep.per_candidate == (1.0,)
+        assert minimax(e) == lp.MinimaxResult(0, 1.0, 0)
 
     def test_veto_instance_m10(self):
         gi = inst.veto_instance(10)
-        rep = minimax(gi.election)
+        rep = distortion_table(gi.election)
         assert rep.winner == 0
         assert rep.per_candidate[0] <= 1.5 + TAU_LP
         assert all(rep.per_candidate[b] >= 2.6 - 1e-6 for b in range(1, 10))
 
     def test_missing_voters_value(self):
         gi = inst.missing_voters_tight(Fraction(2, 5))
-        rep = minimax(gi.election)
+        rep = distortion_table(gi.election)
         assert close(rep.per_candidate[0], float(gi.expected["distortion_a"]), 1e-5)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
     def test_decisive_instance_alpha(self, alpha):
         gi = inst.decisive_instance(Fraction(alpha).limit_denominator(10))
-        rep = minimax(gi.election, alpha=alpha)
+        rep = distortion_table(gi.election, alpha=alpha)
         assert rep.winner in (0, 2)
         assert close(rep.per_candidate[rep.winner], 1 + 2 * alpha)
         assert close(rep.per_candidate[1], 2 + alpha)
@@ -157,15 +165,107 @@ class TestMinimax:
 
     def test_report_serialises_infinities(self):
         e = Election(1, 2, (frozenset({(0, 1)}),))
-        doc = minimax(e).to_json_dict()
+        doc = distortion_table(e).to_json_dict()
         assert doc["values"][1][0] == "inf"
         assert doc["winner"] == 0
 
     def test_full_ranking_winner_within_three(self):
         for seed in range(3):
             e = inst.impartial_culture(9, 4, seed=seed).election
-            rep = minimax(e)
-            assert rep.per_candidate[rep.winner] <= 3 + TAU_LP
+            assert minimax(e).value <= 3 + TAU_LP
+
+
+def _assert_minimax_matches_table(e, alpha=None):
+    """Winner, value and worst opponent of ``minimax`` equal the full table's, exactly."""
+    rep = distortion_table(e, alpha=alpha)
+    got = minimax(e, alpha=alpha)
+    assert got.winner == rep.winner
+    assert got.value == rep.per_candidate[rep.winner]
+    assert got.worst_opponent == rep.worst_opponent[rep.winner]
+    return rep
+
+
+class TestBranchAndBound:
+    """``minimax`` skips pair LPs by ``ratio_bound`` yet returns the table's answer."""
+
+    @given(ballot_elections())
+    @settings(max_examples=60, deadline=None)
+    def test_bound_holds_and_minimax_matches_table(self, e):
+        rep = _assert_minimax_matches_table(e)
+        bound = ratio_bound(e)
+        for a in range(e.m):
+            for b in range(e.m):
+                assert rep.values[a][b] <= bound[a, b] * (1 + TAU_LP)
+        for a in range(e.m):
+            assert distortion_of(e, a) == (rep.per_candidate[a], rep.worst_opponent[a])
+
+    @given(ballot_elections(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_table_on_any_values_within_the_bound(self, e, data):
+        # stand-in pair values in clusters a few TAU_LP wide around the bounds,
+        # each at most its bound widened by TAU_LP, as solver noise may leave it
+        bound = ratio_bound(e)
+        levels = sorted({float(x) for x in bound.flat if math.isfinite(x)}) + [math.inf]
+        factor = st.sampled_from([1 + t * TAU_LP for t in (0, 0.5, 1, 1.5, 2, -0.5, -1, -1.5, -2)])
+        values = {}
+        for a in range(e.m):
+            for b in range(e.m):
+                if a != b:
+                    level = data.draw(st.sampled_from(levels))
+                    values[a, b] = min(level * data.draw(factor), bound[a, b] * (1 + TAU_LP))
+        with patch.object(lp, "distortion_pair", lambda e, a, b, alpha=None: values[a, b]):
+            _assert_minimax_matches_table(e)
+
+    def test_small_lp_corpus(self, small_lp_corpus):
+        for e in small_lp_corpus:
+            _assert_minimax_matches_table(e)
+
+    def test_veto_instance_exact_ties(self):
+        rep = _assert_minimax_matches_table(inst.veto_instance(10).election)
+        assert rep.winner == 0
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+    def test_decisive_instance_alpha(self, alpha):
+        gi = inst.decisive_instance(Fraction(alpha).limit_denominator(10))
+        _assert_minimax_matches_table(gi.election, alpha=alpha)
+
+    def test_near_tie(self):
+        # each candidate tops one voter: every pair value ties at its bound, 1 + 2 * (3 - 1) / 1 = 5
+        e = truncate_to_ktop(Election.from_rankings([(0, 1, 2), (1, 2, 0), (2, 0, 1)], 3), 1)
+        rep = _assert_minimax_matches_table(e)
+        assert rep.winner == 0 and rep.worst_opponent[0] == 1
+        assert all(close(v, rep.per_candidate[0], TAU_LP) for v in rep.per_candidate)
+
+    def test_tie_rules_read_values_not_order(self):
+        eps = TAU_LP * 0.6
+        # the least value is 1.0; only candidate 1 is within TAU_LP of it
+        assert _winner({2: 1.0, 0: 1.0 + 2 * eps, 1: 1.0 + eps}) == 1
+        # 5.0 is the first entry within TAU_LP (relative) of the largest
+        assert _row_value(3, {2: 5.0 + 5 * eps, 0: 5.0 - 10 * eps, 1: 5.0}) == (5.0, 1)
+        assert _row_value(3, {0: 1.0, 1: 1.0 - eps}) == (1.0, 3)
+        assert _row_value(0, {2: math.inf, 1: math.inf}) == (math.inf, 1)
+
+    def test_bound_values(self):
+        e = Election(3, 3, (frozenset({(0, 1)}), frozenset({(0, 1)}), frozenset()))
+        bound = ratio_bound(e)
+        assert close(bound[0, 1], 1 + 2 * (3 - 2) / 2, 1e-12)
+        assert bound[1, 0] == math.inf and bound[0, 2] == math.inf
+        assert (bound.diagonal() == 1.0).all()
+        # attained: one voter each way
+        split = Election.from_rankings([(0, 1), (1, 0)], 2)
+        assert close(ratio_bound(split)[0, 1], 3.0, 1e-12) and close(distortion_pair(split, 0, 1), 3.0)
+
+    def test_skips_pair_lps(self, monkeypatch):
+        calls = []
+
+        def counted(e, a, b, alpha=None):
+            calls.append((a, b))
+            return distortion_pair(e, a, b, alpha=alpha)
+
+        monkeypatch.setattr(lp, "distortion_pair", counted)
+        e = inst.impartial_culture(40, 7, seed=0).election
+        minimax(e)
+        assert len(set(calls)) == len(calls) < 7 * 6
 
 
 def _assert_matches_full(e, a, b, alpha=None):

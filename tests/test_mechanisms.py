@@ -5,14 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import partial_order_elections
+from conftest import ballot_elections
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
 from metricvote import instances as inst
-from metricvote.core import Election, comparison_graph, mask_voters, realized_distortion, scores, truncate_to_ktop
+from metricvote.core import Election, comparison_graph, realized_distortion, scores, truncate_to_ktop
 from metricvote.errors import ConfigError, CoverageError, TheoremFalsificationError
 from metricvote.mechanisms import (
     DominationGraph,
@@ -423,22 +423,8 @@ def per_voter_matching(g: DominationGraph) -> MatchingResult:
     return MatchingResult(size, tuple(usage), Fraction(size, g.n), tuple(assignment))
 
 
-@st.composite
-def matching_elections(draw):
-    """Partial orders, k-top truncations of total orders, and masked voters."""
-    kind = draw(st.sampled_from(["partial", "ktop", "masked"]))
-    if kind == "ktop":
-        m = draw(st.integers(2, 5))
-        rankings = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=8))
-        return truncate_to_ktop(Election.from_rankings(rankings, m), draw(st.integers(1, m)))
-    e = draw(partial_order_elections())
-    if kind == "masked":
-        e = mask_voters(e, draw(st.sets(st.integers(0, e.n - 1))))
-    return e
-
-
 class TestMatchingMatchesPerVoterReference:
-    @given(matching_elections(), st.data())
+    @given(ballot_elections(), st.data())
     @settings(max_examples=80, deadline=None)
     def test_elections(self, e, data):
         caps = data.draw(st.lists(st.integers(0, 3), min_size=e.m, max_size=e.m))
@@ -545,7 +531,7 @@ fractions_in_unit = st.integers(1, 60).flatmap(lambda q: st.integers(1, q).map(l
 
 
 class TestTournamentRulesMatchPerPairReference:
-    @given(matching_elections(), st.data())
+    @given(ballot_elections(), st.data())
     @settings(max_examples=100, deadline=None)
     def test_elections(self, e, data):
         g = comparison_graph(e)
