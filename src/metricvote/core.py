@@ -29,7 +29,9 @@ list is read from the ballot: the ``listed[i]`` candidates of lowest rank
 position (column sum, the number of candidates stated above).  The length
 is kept per voter because lists of m - 1 and m candidates state the same
 pairs.  ``Election.prefs`` and ``Election.ktop`` are derived, cached
-per-voter views; mechanisms read the arrays instead.
+per-voter views; mechanisms read the arrays instead, and the pair counts
+every tournament rule and the LP bound start from are cached once as
+``Election.pair_counts``.
 """
 
 from __future__ import annotations
@@ -311,6 +313,13 @@ class Election:
         return np.argsort(self.ballots.sum(axis=1), axis=1, kind="stable")
 
     @functools.cached_property
+    def pair_counts(self) -> np.ndarray:
+        """Read-only (m, m) int64 array: entry (a, b) counts the voters stating a > b."""
+        counts = np.tensordot(self.multiplicity, self.ballots, axes=1).astype(np.int64)
+        counts.setflags(write=False)
+        return counts
+
+    @functools.cached_property
     def ktop(self) -> tuple[tuple[int, ...] | None, ...]:
         """Per-voter top lists read from the ballots; None for voters without one."""
         order = self._order.tolist()
@@ -415,12 +424,16 @@ class ComparisonGraph:
         return len(self.counts)
 
 
-def comparison_graph(e: Election) -> ComparisonGraph:
-    """Fraction of voters who certainly prefer a to b, for every ordered pair."""
+def _pair_counts(e: Election) -> np.ndarray:
+    """``e.pair_counts``, for the rules that need at least one voter."""
     if e.n < 1:
         raise DataFormatError("comparison graph needs at least one voter")
-    counts = np.tensordot(e.multiplicity, e.ballots, axes=1)
-    return ComparisonGraph(e.n, tuple(map(tuple, counts.tolist())))
+    return e.pair_counts
+
+
+def comparison_graph(e: Election) -> ComparisonGraph:
+    """Fraction of voters who certainly prefer a to b, for every ordered pair."""
+    return ComparisonGraph(e.n, tuple(map(tuple, _pair_counts(e).tolist())))
 
 
 def _count_voters(e: Election, per_ballot: np.ndarray) -> tuple[int, ...]:

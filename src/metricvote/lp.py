@@ -263,7 +263,7 @@ def ratio_bound(e: Election) -> np.ndarray:
     multiply along paths, so the min-product closure (a Floyd-Warshall over
     log B) is a bound as well.  The diagonal is 1.
     """
-    counts = np.tensordot(e.multiplicity, e.ballots, axes=1)
+    counts = e.pair_counts
     stated = counts > 0
     bound = np.where(stated, 1 + 2 * (e.n - counts) / np.where(stated, counts, 1), np.inf)
     np.fill_diagonal(bound, 1.0)

@@ -1,8 +1,8 @@
 """Ordinal mechanisms: knockout elicitation, tournament rules, and matchings.
 
 All rules are pure given an election (plus a seed where pairings are
-shuffled); per-candidate matching scores can safely be computed
-concurrently, while the knockout oracle is inherently sequential.
+shuffled); the knockout oracle is inherently sequential, and every
+candidate's matching score comes from one shared max-flow.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .core import (
     Election,
     Transcript,
     _first_appearance,
+    _pair_counts,
     _row_keys,
     comparison_graph,
     plurality_counts,
@@ -170,7 +171,7 @@ def copeland(e: Election) -> int:
     compared by at least one voter.  Scores are doubled to stay integral;
     ties break towards the smaller index.
     """
-    counts = np.array(comparison_graph(e).counts, dtype=np.int64)
+    counts = _pair_counts(e)
     pair = _uncovered_pair(counts, 1)
     if pair is not None:
         a, b = pair
@@ -189,12 +190,13 @@ def balanced_rule(e: Election, alpha) -> int:
     alpha = Fraction(alpha)
     if not 0 < alpha <= 1:
         raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
-    g = comparison_graph(e)
-    pair = _uncovered_pair(np.array(g.counts, dtype=np.int64), math.ceil(alpha * g.n))
+    counts = _pair_counts(e)
+    pair = _uncovered_pair(counts, math.ceil(alpha * e.n))
     if pair is not None:
         a, b = pair
-        raise CoverageError(pair, f"pair ({a}, {b}) covered by {g.coverage(a, b)} < alpha = {alpha}")
-    return king_vertex(support_matrix(g, alpha / 2))
+        coverage = Fraction(int(counts[a, b] + counts[b, a]), e.n)
+        raise CoverageError(pair, f"pair ({a}, {b}) covered by {coverage} < alpha = {alpha}")
+    return king_vertex(counts >= math.ceil(alpha / 2 * e.n))
 
 
 def _check_exactly_k(e: Election, k: int) -> None:
@@ -265,12 +267,6 @@ class MatchingResult:
     #: matched candidate per voter, -1 when unmatched (the V^0 block)
     assignment: tuple[int, ...]
 
-    def blocks(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {}
-        for i, k in enumerate(self.assignment):
-            out.setdefault(k, []).append(i)
-        return {k: tuple(v) for k, v in sorted(out.items())}
-
 
 def plurality_capacities(e: Election) -> tuple[int, ...]:
     """Plurality counts as right-side capacities; every voter needs a unique top."""
@@ -300,19 +296,49 @@ def build_domination_graph(
     return DominationGraph(focal, tuple(int(c) for c in capacities), beaten, e.ballot_of)
 
 
+def _max_flow(rows: np.ndarray, size: np.ndarray, part: np.ndarray, capacities: Sequence[int], n: int):
+    """One Dinic max-flow over domination graphs laid side by side.
+
+    Class c (neighbourhood ``rows[c]``, ``size[c]`` voters) belongs to graph
+    ``part[c]``; the classes of one graph are contiguous.  Nodes: 0 source,
+    then every class, then m candidates per graph, then the sink; edges run
+    source -> class (class size) -> open candidate of its graph (class size)
+    -> sink (candidate capacity), with candidates of capacity <= 0 closed.
+    The graphs share only the source and the sink.  Capacities are clipped
+    to n, which is exact (a candidate never takes more than the n voters)
+    and keeps them inside the solver's int32 range.
+    """
+    kn, m = rows.shape
+    parts = int(part[-1]) + 1
+    caps = np.array([min(max(int(c), 0), n) for c in capacities], dtype=np.int64)
+    is_open = caps > 0
+    open_k = np.flatnonzero(is_open)
+    ci, k = np.nonzero(rows & is_open)
+    snk = 1 + kn + parts * m
+    cand = 1 + kn + np.add.outer(m * np.arange(parts), open_k).reshape(-1)
+    tails = np.concatenate([np.zeros(kn, dtype=np.intp), 1 + ci, cand])
+    heads = np.concatenate([1 + np.arange(kn), 1 + kn + m * part[ci] + k, np.full(len(cand), snk)])
+    weights = np.concatenate([size, size[ci], np.tile(caps[open_k], parts)])
+    net = csr_matrix((weights, (tails, heads)), shape=(snk + 1, snk + 1))
+    return maximum_flow(net, 0, snk, method="dinic").flow
+
+
 def max_matching(g: DominationGraph) -> MatchingResult:
     """Maximum capacitated bipartite matching via max-flow.
 
     Voters whose neighbourhood rows are equal (zero-capacity candidates
     included) form one class, numbered by its first voter, whatever the
     ballot numbering; a class's size is its voter count.  The network is
-    source -> class (capacity: class size) -> open candidate (class size)
-    -> sink (candidate capacity), with candidates of capacity <= 0 closed.
-    The class flows are expanded to voters class by class: ascending voters
-    take the flow to ascending candidates, and the rest get -1.
+    the one-graph case of :func:`_max_flow`, which :func:`phi_scores` runs
+    on all m graphs at once.  The class flows are expanded to voters class
+    by class: ascending voters take the flow to ascending candidates, and
+    the rest get -1.
 
-    The assignment depends on which maximum flow the solver returns, so the
-    method is named rather than left to SciPy's default.
+    The library itself needs only the fractions, but this function stays
+    public: its assignment is PluralityMatching's certificate, the matching
+    that witnesses a candidate's fraction.  The assignment depends on which
+    maximum flow the solver returns, so the method is named rather than
+    left to SciPy's default.
     """
     m = len(g.capacities)
     if g.n == 0:
@@ -320,17 +346,8 @@ def max_matching(g: DominationGraph) -> MatchingResult:
     first, voter_class = _first_appearance(_row_keys(g.neighbourhoods)[g.ballot_of])
     kn = len(first)
     size = np.bincount(voter_class, minlength=kn)
-    caps = np.asarray(g.capacities, dtype=np.int64)
-    is_open = caps > 0
-    open_k = np.flatnonzero(is_open)
-    ci, k = np.nonzero(g.neighbourhoods[g.ballot_of[first]] & is_open)
-    # nodes: 0 source, 1..kn classes, kn+1..kn+m candidates, kn+m+1 sink
-    snk = kn + m + 1
-    tails = np.concatenate([np.zeros(kn, dtype=np.intp), 1 + ci, 1 + kn + open_k])
-    heads = np.concatenate([1 + np.arange(kn), 1 + kn + k, np.full(len(open_k), snk)])
-    net = csr_matrix((np.concatenate([size, size[ci], caps[open_k]]), (tails, heads)), shape=(snk + 1, snk + 1))
-    res = maximum_flow(net, 0, snk, method="dinic")
-    flow = res.flow[1 : 1 + kn, 1 + kn : snk].toarray()
+    flow = _max_flow(g.neighbourhoods[g.ballot_of[first]], size, np.zeros(kn, dtype=np.intp), g.capacities, g.n)
+    flow = flow[1 : 1 + kn, 1 + kn : 1 + kn + m].toarray()
     matched = flow.sum(axis=1)
     # one entry per matched voter, class by class, candidates ascending
     cand = np.repeat(np.tile(np.arange(m), kn), flow.reshape(-1))
@@ -339,15 +356,41 @@ def max_matching(g: DominationGraph) -> MatchingResult:
     voters = np.argsort(voter_class, kind="stable")
     assignment = np.full(g.n, -1)
     assignment[voters[np.repeat(np.cumsum(size) - size, matched) + rank]] = cand
-    total = int(res.flow_value)
+    total = int(matched.sum())
     return MatchingResult(total, tuple(flow.sum(axis=0).tolist()), Fraction(total, g.n), tuple(assignment.tolist()))
 
 
 def phi_scores(e: Election, capacities: Sequence[int] | None = None) -> tuple[Fraction, ...]:
-    """Matching fraction of every candidate's domination graph."""
+    """Matching fraction of every candidate's domination graph, from one max-flow.
+
+    The m domination graphs are laid side by side in one network (see
+    :func:`_max_flow`), each with its ballots grouped into classes of equal
+    neighbourhood rows.  The graphs meet only at the source and the sink,
+    so the union's maximum flow is the sum of the graphs' maxima, and any
+    maximum flow of the union, restricted to one graph, is a maximum flow
+    of that graph.  Candidate j's matching size is therefore the flow on
+    the source edges of graph j: each fraction equals
+    ``max_matching(build_domination_graph(e, j, capacities)).phi``.
+    """
     if capacities is None:
         capacities = plurality_capacities(e)
-    return tuple(max_matching(build_domination_graph(e, j, capacities)).phi for j in range(e.m))
+    rows, size = [], []
+    for j in range(e.m):
+        g = build_domination_graph(e, j, capacities)
+        # classes in key order, each represented by its last ballot (a stable sort costs more)
+        keys, ballot_class = np.unique(_row_keys(g.neighbourhoods), return_inverse=True)
+        ballot_class = ballot_class.reshape(-1)
+        rep = np.empty(len(keys), dtype=np.intp)
+        rep[ballot_class] = np.arange(len(ballot_class))
+        rows.append(g.neighbourhoods[rep])
+        size.append(np.bincount(ballot_class, weights=e.multiplicity).astype(np.int64))
+    if e.n == 0:
+        return (Fraction(0),) * e.m
+    part = np.repeat(np.arange(e.m), [len(r) for r in rows])
+    rows, size = np.concatenate(rows), np.concatenate(size)
+    source = _max_flow(rows, size, part, capacities, e.n)[0, 1 : 1 + len(size)].toarray().reshape(-1)
+    matched = np.bincount(part, weights=source, minlength=e.m)
+    return tuple(Fraction(int(x), e.n) for x in matched)
 
 
 def plurality_matching(e: Election) -> tuple[int, tuple[Fraction, ...]]:

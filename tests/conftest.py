@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from metricvote import instances as inst
 from metricvote.core import Election, mask_voters, transitive_closure, truncate_to_ktop
+from metricvote.mechanisms import MatchingResult
 
 
 def _size_plan(rng: np.random.Generator) -> list[tuple[int, int, int]]:
@@ -22,6 +23,14 @@ def _size_plan(rng: np.random.Generator) -> list[tuple[int, int, int]]:
     plan.append((200, 16, 2))  # both bounds realised
     plan.append((197, 13, 3))
     return plan
+
+
+def matching_blocks(r: MatchingResult) -> dict[int, tuple[int, ...]]:
+    """The voters matched to each candidate, ascending; key -1 holds the unmatched voters."""
+    out: dict[int, list[int]] = {}
+    for i, k in enumerate(r.assignment):
+        out.setdefault(k, []).append(i)
+    return {k: tuple(v) for k, v in sorted(out.items())}
 
 
 @pytest.fixture(scope="session")

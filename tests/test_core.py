@@ -446,6 +446,21 @@ class TestComparisonGraph:
             for b in range(a + 1, e.m):
                 assert g.weight(a, b) + g.weight(b, a) == 1
 
+    def test_pair_counts_cached_and_read_only(self):
+        e = Election.from_rankings([(0, 1, 2), (2, 0, 1), (0, 1, 2)], 3)
+        counts = e.pair_counts
+        assert counts is e.pair_counts and counts.dtype == np.int64
+        assert counts.tolist() == [[0, 3, 2], [0, 0, 2], [1, 1, 0]]
+        assert comparison_graph(e).counts == tuple(map(tuple, counts.tolist()))
+        with pytest.raises(ValueError):
+            counts[0, 1] = 0
+
+    def test_no_voters(self):
+        e = Election.from_rankings([], 3)
+        assert not e.pair_counts.any()
+        with pytest.raises(DataFormatError, match="at least one voter"):
+            comparison_graph(e)
+
     @given(small_election())
     @settings(max_examples=40)
     def test_recount_matches_brute_force(self, e):

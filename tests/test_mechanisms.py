@@ -5,15 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import ballot_elections
+from conftest import ballot_elections, matching_blocks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
 from metricvote import instances as inst
+from metricvote import mechanisms
 from metricvote.core import Election, comparison_graph, realized_distortion, scores, truncate_to_ktop
-from metricvote.errors import ConfigError, CoverageError, TheoremFalsificationError
+from metricvote.errors import ConfigError, CoverageError, DataFormatError, TheoremFalsificationError
 from metricvote.mechanisms import (
     DominationGraph,
     MatchingResult,
@@ -26,6 +27,7 @@ from metricvote.mechanisms import (
     ktop_rule,
     majority_oracle,
     max_matching,
+    phi_scores,
     plurality_matching,
     run_dr,
     support_matrix,
@@ -377,7 +379,7 @@ class TestMatching:
     def test_decomposition_blocks(self):
         e = Election.from_rankings([(0, 1), (1, 0), (1, 0)], 2)
         r = max_matching(build_domination_graph(e, 1))
-        blocks = r.blocks()
+        blocks = matching_blocks(r)
         assert sum(len(v) for k, v in blocks.items() if k >= 0) == r.size
 
 
@@ -474,6 +476,60 @@ class TestMatchingMatchesPerVoterReference:
         assert r.size == 5 and r.usage == (2, 1, 2)
 
 
+class TestPhiScoresOneNetwork:
+    @given(ballot_elections(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_graph_matchings(self, e, data):
+        caps = data.draw(st.lists(st.sampled_from([-1, 0, 1, 2, 3]), min_size=e.m, max_size=e.m))
+        assert phi_scores(e, caps) == tuple(max_matching(build_domination_graph(e, j, caps)).phi for j in range(e.m))
+
+    def test_one_flow_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("method"))
+            return maximum_flow(*args, **kwargs)
+
+        monkeypatch.setattr(mechanisms, "maximum_flow", counted)
+        e = inst.impartial_culture(60, 7, seed=4).election
+        phis = phi_scores(e)
+        assert calls == ["dinic"]
+        assert max(phis) == 1
+
+    def test_all_capacities_closed(self):
+        e = Election.from_rankings([(0, 1, 2), (2, 1, 0), (1, 0, 2)], 3)
+        assert phi_scores(e, (0, -1, 0)) == (0, 0, 0)
+
+    def test_one_voter(self):
+        e = Election.from_rankings([(2, 0, 1)], 3)
+        # only candidate 2 has capacity, and only the focal 2 reaches it
+        assert phi_scores(e) == (0, 0, 1)
+        assert plurality_matching(e) == (2, (0, 0, 1))
+        partial = Election(1, 3, (frozenset({(1, 0)}),))
+        assert phi_scores(partial, (1, 1, 0)) == (1, 1, 0)
+
+    def test_no_voters(self):
+        assert phi_scores(Election.from_rankings([], 3)) == (0, 0, 0)
+
+    def test_capacity_vector_of_wrong_length(self):
+        e = Election.from_rankings([(0, 1, 2)] * 2, 3)
+        with pytest.raises(ConfigError, match=r"^capacity vector must have one entry per candidate$"):
+            phi_scores(e, (1, 1))
+
+    def test_voter_without_unique_top(self):
+        e = Election.from_ktop([[0], []], 3)
+        with pytest.raises(ConfigError, match=r"^voter 1 has no unique top; supply capacities explicitly$"):
+            phi_scores(e)
+
+    def test_capacities_beyond_int32(self):
+        # the solver stores capacities as int32; 2**32 + 1 used to wrap to 1
+        e = Election.from_rankings([(0, 1)] * 3 + [(1, 0)] * 2, 2)
+        for caps in ((2**32 + 1, 2**32), (2**31, 2**31), (2**70, 2**63)):
+            assert phi_scores(e, caps) == (1, 1)
+        r = max_matching(build_domination_graph(e, 0, (0, 2**32 + 1)))
+        assert r.size == 3 and r.usage == (0, 3) and r.assignment == (1, 1, 1, -1, -1)
+
+
 class TestPluralityMatching:
     def test_identical_voters(self):
         e = Election.from_rankings([(1, 0, 2)] * 5, 3)
@@ -559,6 +615,12 @@ class TestTournamentRulesMatchPerPairReference:
         adj = support_matrix(comparison_graph(e), Fraction(1, 2))
         assert adj[0, 1] and adj[1, 0]
         assert balanced_rule(e, 1) == 0
+
+    def test_no_voters(self):
+        e = Election.from_rankings([], 3)
+        for rule, args in ((copeland, ()), (balanced_rule, (1,))):
+            with pytest.raises(DataFormatError, match="at least one voter"):
+                rule(e, *args)
 
     def test_float_alpha_threshold_is_exact_at_large_n(self):
         # Fraction(0.3) / 2 has denominator 2**55, so counts * denominator would

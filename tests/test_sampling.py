@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from conftest import matching_blocks
 
 from metricvote import instances as inst
 from metricvote.core import Election
@@ -137,7 +138,7 @@ class TestSampledPluralityMatching:
         e = Election.from_rankings([(0, 1)] * 4 + [(1, 0)] * 4, 2)
         for j in range(2):
             full = max_matching(build_domination_graph(e, j))
-            blocks = full.blocks()
+            blocks = matching_blocks(full)
             picks = []
             for k, voters in blocks.items():
                 picks.extend(voters[: len(voters) // 2])  # exact halves per block
