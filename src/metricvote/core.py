@@ -325,9 +325,6 @@ class Election:
         order = self._order.tolist()
         return tuple(tuple(order[j][:k]) if k else None for j, k in zip(self.ballot_of.tolist(), self.listed.tolist()))
 
-    def prefers(self, i: int, a: int, b: int) -> bool:
-        return 0 <= a < self.m and 0 <= b < self.m and bool(self.ballots[self.ballot_of[i], a, b])
-
     def _per_ballot(self, values: np.ndarray, i: int) -> int | None:
         v = int(values[self.ballot_of[i]])
         return None if v < 0 else v
@@ -336,23 +333,13 @@ class Election:
         """Voter i's unique maximal candidate, or None for partial information."""
         return self._per_ballot(self._top, i)
 
-    def bottom(self, i: int) -> int | None:
-        return self._per_ballot(self._bottom, i)
-
     def second(self, i: int) -> int | None:
         """Voter i's second choice: dominates everyone except the top."""
         return self._per_ballot(self._second, i)
 
-    def is_total(self, i: int) -> bool:
-        return bool(self._total[self.ballot_of[i]])
-
     @property
     def all_total(self) -> bool:
         return bool(self._total.all())
-
-    def ranking(self, i: int) -> tuple[int, ...] | None:
-        """Full ranking of voter i when derivable (total order), else None."""
-        return tuple(self._order[self.ballot_of[i]].tolist()) if self.listed[i] == self.m else None
 
     def restrict(self, voters: Sequence[int]) -> "Election":
         """Sub-election on the given voter multiset (order preserved)."""

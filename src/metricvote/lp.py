@@ -33,8 +33,8 @@ status, value and witness soundness.
 
 Two outputs share one set of rules.  ``distortion_table`` solves all
 m(m - 1) pair LPs; ``minimax`` returns only the winner, its value and its
-worst opponent, and solves the pair LPs that a certified bound cannot
-rule out:
+worst opponent, and solves only the pair LPs that certified bounds
+cannot rule out:
 
 * **Bound.** Let c voters state a > b.  Each of them gives
   d(a,b) <= 2 d(i,b) and d(i,a) <= d(i,b); every other voter j has
@@ -42,6 +42,19 @@ rule out:
   B(a,b) = 1 + 2(n - c)/c, where n counts silent voters too (inf when
   c = 0).  Closing B under products along paths keeps it a bound
   (``ratio_bound``).  B is attained, e.g. 3 on one voter each way.
+* **Floor.** Put a set X of candidates containing a but not b at point 0
+  and the rest at point 2, each voter stating some p in X above some q
+  outside X at 1, and every other voter at 2.  A voter at 1 is equally far
+  from every candidate.  A voter at 2 is at distance 2 from X and 0 from
+  the rest, and states no X candidate above a non-X one, so each pair it
+  states is at equal distance or puts the nearer candidate first.  So
+  this line pseudo-metric is consistent, and with ``far`` voters at 2 and
+  ``mid`` voters at 1 it gives SC(a)/SC(b) = 1 + 2 far/mid.  X = {a} and
+  X = V - {b} give a closed-form lower bound on each candidate's value
+  (``value_floor``).  A candidate is dropped before any LP when its floor
+  times (1 - TAU_LP) is strictly above the least value found so far.
+  With ``alpha`` set the floor is 1: a voter at 1 is as far from its top
+  as from its second choice, which the alpha rows forbid once alpha < 1.
 * **Search.** Candidates are visited by ascending largest bound, and each
   candidate's opponents by descending bound, ties by index.  The scan of a
   candidate stops once its running maximum is inf, or once the next bound
@@ -60,10 +73,12 @@ rule out:
   strictly below c's value.
 
 Both rules are functions of the values, not of the visiting order.  A
-skipped opponent is strictly below its row's largest and a dropped
-candidate strictly above the least value, so neither can change a value,
-a worst opponent or the winner: ``minimax`` agrees with
-``distortion_table`` exactly, not only within ``TAU_LP``.
+skipped opponent is strictly below its row's largest.  A dropped
+candidate, whether by its running maximum or by its floor, is strictly
+above the least value, since its value is at least its floor up to solver
+noise.  So neither can change a value, a worst opponent or the winner:
+``minimax`` agrees with ``distortion_table`` exactly, not only within
+``TAU_LP``.
 """
 
 from __future__ import annotations
@@ -272,6 +287,32 @@ def ratio_bound(e: Election) -> np.ndarray:
     return bound
 
 
+def _cluster_ratio(far: np.ndarray, mid: np.ndarray) -> np.ndarray:
+    """1 + 2 far/mid, the two-cluster SC(a)/SC(b); inf when mid = 0 < far, 1 when far = 0."""
+    return np.where(mid > 0, 1 + 2 * far / np.where(mid > 0, mid, 1), np.where(far > 0, np.inf, 1.0))
+
+
+def value_floor(e: Election) -> np.ndarray:
+    """Certified lower bounds on every candidate's value (its row maximum), as an (m,) array.
+
+    The two-cluster metric of the module docstring with X = {a} has as
+    ``mid`` voters the s_a voters stating a above anything; with
+    X = V - {b}, for any b != a, its ``far`` voters are the t_b voters
+    stating nothing above b, silent voters included.  So the value of a is
+    at least max(1, 1 + 2(n - s_a)/s_a, max over b != a of
+    1 + 2 t_b/(n - t_b)).  With one candidate there is no opponent and the
+    floor is 1.
+    """
+    m = e.m
+    if m < 2:
+        return np.ones(m)
+    weight = e.multiplicity
+    s = weight @ e.ballots.any(axis=2)
+    t = e.n - weight @ e.ballots.any(axis=1)
+    g = np.where(np.eye(m, dtype=bool), 1.0, _cluster_ratio(t, e.n - t))
+    return np.maximum(_cluster_ratio(e.n - s, s), g.max(axis=1))
+
+
 def _strictly_less(x: float, y: float) -> bool:
     if math.isinf(x) or math.isinf(y):
         return x < y
@@ -334,18 +375,23 @@ class MinimaxResult:
 def minimax(e: Election, alpha=None) -> MinimaxResult:
     """Instance-optimal rule: the candidate whose worst-case ratio is least.
 
-    Branch and bound over ``ratio_bound``, as the module docstring sets
-    out: candidates are visited by ascending largest bound, and one is
-    dropped as soon as its value must be strictly above the least value
-    found so far.  The result equals the winner and its entries in
-    ``distortion_table``.  With ``alpha`` set this is the alpha-decisive
-    variant; ``alpha = 1`` coincides with the plain rule.
+    Branch and bound over ``ratio_bound`` and ``value_floor``, as the
+    module docstring sets out: candidates are visited by ascending largest
+    bound; one whose floor is strictly above the least value found so far
+    is dropped with no LP, and one is dropped during its scan as soon as
+    its value must be strictly above it.  The result equals the winner and
+    its entries in ``distortion_table``.  With ``alpha`` set this is the
+    alpha-decisive variant, searched without the floor; ``alpha = 1``
+    coincides with the plain rule.
     """
     if e.m < 1:
         raise ConfigError("minimax needs at least one candidate")
     bound = ratio_bound(e)
+    floor = value_floor(e) if alpha is None else np.ones(e.m)
     rows, incumbent = {}, math.inf
     for a in np.argsort(bound.max(axis=1), kind="stable").tolist():
+        if _strictly_less(incumbent, floor[a] * (1 - TAU_LP)):
+            continue
         row = _scan(e, a, bound, alpha, cutoff=incumbent)
         if row is not None:
             rows[a] = row

@@ -25,6 +25,28 @@ def _size_plan(rng: np.random.Generator) -> list[tuple[int, int, int]]:
     return plan
 
 
+def ranking(e: Election, i: int) -> tuple[int, ...] | None:
+    """Voter i's full ranking when its top list names every candidate, else None."""
+    top = e.ktop[i]
+    return top if top is not None and len(top) == e.m else None
+
+
+def prefers(e: Election, i: int, a: int, b: int) -> bool:
+    """Whether voter i states a > b; False for out-of-range candidates."""
+    return 0 <= a < e.m and 0 <= b < e.m and bool(e.ballots[e.ballot_of[i], a, b])
+
+
+def bottom(e: Election, i: int) -> int | None:
+    """Voter i's unique minimal candidate (stated below all others), or None."""
+    below = np.flatnonzero(e.ballots[e.ballot_of[i]].sum(axis=0) == e.m - 1)
+    return int(below[0]) if len(below) else None
+
+
+def is_total(e: Election, i: int) -> bool:
+    """Whether voter i's ballot states every pair."""
+    return int(e.ballots[e.ballot_of[i]].sum()) == e.m * (e.m - 1) // 2
+
+
 def matching_blocks(r: MatchingResult) -> dict[int, tuple[int, ...]]:
     """The voters matched to each candidate, ascending; key -1 holds the unmatched voters."""
     out: dict[int, list[int]] = {}

@@ -142,6 +142,16 @@ class TestSweeps:
         assert len(calls) == len(differ)
         assert all(r[4] == r[6] for r in rows if r[3] == r[5])
 
+    def test_sweep_k_jobs_change_only_the_header(self, tmp_path):
+        argv = ["sweep-k", "--n", 8, "--m", 4, "--trials", 2, "--mechanism", "minimax+ktop", "--out"]
+        texts = {}
+        for jobs in (1, 2):
+            out = tmp_path / f"j{jobs}.csv"
+            assert run(argv + [out, "--jobs", jobs]) == 0
+            texts[jobs] = out.read_text().splitlines()
+        assert [l for l in texts[1] if l != "# jobs=1"] == [l for l in texts[2] if l != "# jobs=2"]
+        assert len(texts[1]) == len(texts[2]) == len([l for l in texts[2] if l != "# jobs=2"]) + 1
+
     def test_sweep_k_final_k_within_three(self, tmp_path):
         out = tmp_path / "k.csv"
         run(["sweep-k", "--n", 8, "--m", 3, "--trials", 1, "--out", out])

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import partial_order_elections
+from conftest import bottom, is_total, partial_order_elections, prefers, ranking
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -156,7 +156,7 @@ class TestElection:
     def test_total_orders_get_canonical_annotation(self):
         e = Election(1, 3, (transitive_closure({(2, 1), (1, 0)}),))
         assert e.ktop[0] == (2, 1, 0)
-        assert e.ranking(0) == (2, 1, 0)
+        assert ranking(e, 0) == (2, 1, 0)
 
     def test_ktop_annotation_must_match(self):
         with pytest.raises(DataFormatError):
@@ -170,7 +170,7 @@ class TestElection:
 
     def test_top_and_bottom_partial(self):
         e = Election(1, 3, (frozenset({(0, 1)}),))
-        assert e.top(0) is None and e.bottom(0) is None
+        assert e.top(0) is None and bottom(e, 0) is None
 
     def test_truncate_to_ktop(self):
         e = Election.from_rankings([(2, 0, 1)], 3)
@@ -193,12 +193,12 @@ class TestBallotTensor:
             outdeg = [sum(1 for d in range(m) if (c, d) in p) for c in range(m)]
             indeg = [sum(1 for d in range(m) if (d, c) in p) for c in range(m)]
             top = next((c for c in range(m) if outdeg[c] == m - 1), None)
-            bottom = next((c for c in range(m) if indeg[c] == m - 1), None)
+            low = next((c for c in range(m) if indeg[c] == m - 1), None)
             second = None if top is None else next((c for c in range(m) if c != top and outdeg[c] == m - 2), None)
-            assert (e.top(i), e.bottom(i), e.second(i)) == (top, bottom, second)
-            assert e.is_total(i) == (len(p) == m * (m - 1) // 2)
+            assert (e.top(i), bottom(e, i), e.second(i)) == (top, low, second)
+            assert is_total(e, i) == (len(p) == m * (m - 1) // 2)
             tops.append(top)
-            bottoms.append(bottom)
+            bottoms.append(low)
         assert e.all_total == all(len(p) == m * (m - 1) // 2 for p in prefs)
 
         counts = [[sum(1 for p in prefs if (a, b) in p) for b in range(m)] for a in range(m)]
@@ -266,7 +266,7 @@ class TestListedAnnotation:
         assert e.prefs == tuple(prefs)
         assert e.ktop == tuple(ref)
         assert e.listed.tolist() == [len(a) if a else 0 for a in ref]
-        assert [e.ranking(i) for i in range(n)] == [a if a and len(a) == m else None for a in ref]
+        assert [ranking(e, i) for i in range(n)] == [a if a and len(a) == m else None for a in ref]
 
         listed = [c for a in ref if a for c in a]
         assert scores(e).topk_coverage == tuple(Fraction(listed.count(c), max(n, 1)) for c in range(m))
@@ -306,7 +306,7 @@ class TestListedAnnotation:
         short, full = Election.from_ktop([(0, 1)], 3), Election.from_ktop([(0, 1, 2)], 3)
         assert np.array_equal(short.ballots, full.ballots)
         assert short != full and short.ktop == ((0, 1),) and full.ktop == ((0, 1, 2),)
-        assert short.ranking(0) is None and full.ranking(0) == (0, 1, 2)
+        assert ranking(short, 0) is None and ranking(full, 0) == (0, 1, 2)
 
 
 class TestBallotConstruction:
@@ -326,7 +326,7 @@ class TestBallotConstruction:
     def test_truncate_equals_pair_sets(self):
         e = inst.impartial_culture(30, 5, seed=2).election
         for k in range(1, 6):
-            lists = [e.ranking(i)[:k] for i in range(e.n)]
+            lists = [ranking(e, i)[:k] for i in range(e.n)]
             ref = Election(e.n, e.m, tuple(ktop_pairs(t, e.m) for t in lists), lists)
             assert truncate_to_ktop(e, k) == ref
 
@@ -470,7 +470,7 @@ class TestComparisonGraph:
         for a in range(e.m):
             for b in range(e.m):
                 if a != b:
-                    assert g.counts[a][b] == sum(1 for i in range(e.n) if e.prefers(i, a, b))
+                    assert g.counts[a][b] == sum(1 for i in range(e.n) if prefers(e, i, a, b))
 
 
 class TestScores:
@@ -574,7 +574,7 @@ class TestInduction:
         w = MetricWitness(1, 2, ((0, 1, 1), (1, 0, 2), (1, 2, 0)))
         asc = induce_election(w, "index_asc")
         desc = induce_election(w, "index_desc")
-        assert asc.ranking(0) == (0, 1) and desc.ranking(0) == (1, 0)
+        assert ranking(asc, 0) == (0, 1) and ranking(desc, 0) == (1, 0)
 
     def test_line_single_peaked(self):
         gi = inst.euclidean(6, 4, 1, seed=9)
@@ -582,4 +582,4 @@ class TestInduction:
         assert check_consistent(w, e)
         # along a line, each voter's ranking is single-peaked in candidate position
         order = sorted(range(4), key=lambda c: w.vc(0, c))
-        assert e.ranking(0)[0] == order[0]
+        assert ranking(e, 0)[0] == order[0]

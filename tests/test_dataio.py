@@ -5,6 +5,7 @@ import os
 from pathlib import Path
 
 import pytest
+from conftest import prefers
 
 from metricvote import instances as inst
 from metricvote.core import Election, election_from_text, election_to_text, scores
@@ -65,9 +66,9 @@ class TestScoresToElection:
         cand = {c: i for i, c in enumerate(table.candidates)}
         per, sai = cand["per"], cand["sai"]
         # both retired in race 1: not comparable there
-        assert not e.prefers(0, per, sai) and not e.prefers(0, sai, per)
+        assert not prefers(e, 0, per, sai) and not prefers(e, 0, sai, per)
         # every finisher beats every retiree
-        assert e.prefers(0, cand["lec"], per)
+        assert prefers(e, 0, cand["lec"], per)
 
     def test_transitively_closed_output(self):
         table = load_csv(FIXTURES / "mini_contest.csv", parse_schema("generic:voter,entry,points"))

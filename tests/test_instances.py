@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import ranking
 
 from metricvote import instances as inst
 from metricvote.core import (
@@ -121,7 +122,7 @@ def test_missing_voters_limit():
 
 def test_veto_instance_m4_matches_listed_profile():
     gi = inst.veto_instance(4)
-    assert [gi.election.ranking(i) for i in range(4)] == [
+    assert [ranking(gi.election, i) for i in range(4)] == [
         (1, 0, 2, 3),
         (3, 0, 1, 2),
         (2, 0, 3, 1),

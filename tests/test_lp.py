@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from conftest import ballot_elections, partial_order_elections
 from hypothesis import example, given, settings
@@ -31,6 +32,7 @@ from metricvote.lp import (
     ratio_bound,
     solve_lp,
     solve_metric_lp,
+    value_floor,
 )
 
 
@@ -175,6 +177,10 @@ class TestMinimax:
             assert minimax(e).value <= 3 + TAU_LP
 
 
+#: Relative solver-noise factors for stand-in pair values.
+NOISE = [1 + t * TAU_LP for t in (0, 0.5, 1, 1.5, 2, -0.5, -1, -1.5, -2)]
+
+
 def _assert_minimax_matches_table(e, alpha=None):
     """Winner, value and worst opponent of ``minimax`` equal the full table's, exactly."""
     rep = distortion_table(e, alpha=alpha)
@@ -185,13 +191,22 @@ def _assert_minimax_matches_table(e, alpha=None):
     return rep
 
 
+def _assert_floor_holds(e, rep):
+    """``value_floor`` is at most every candidate's value, up to solver noise, and never NaN."""
+    floor = value_floor(e)
+    assert floor.shape == (e.m,) and not np.isnan(floor).any()
+    assert (floor <= np.array(rep.per_candidate) * (1 + TAU_LP)).all()
+    return floor
+
+
 class TestBranchAndBound:
-    """``minimax`` skips pair LPs by ``ratio_bound`` yet returns the table's answer."""
+    """``minimax`` skips pair LPs by ``ratio_bound`` and ``value_floor`` yet returns the table's answer."""
 
     @given(ballot_elections())
     @settings(max_examples=60, deadline=None)
     def test_bound_holds_and_minimax_matches_table(self, e):
         rep = _assert_minimax_matches_table(e)
+        _assert_floor_holds(e, rep)
         bound = ratio_bound(e)
         for a in range(e.m):
             for b in range(e.m):
@@ -202,11 +217,12 @@ class TestBranchAndBound:
     @given(ballot_elections(), st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_table_on_any_values_within_the_bound(self, e, data):
-        # stand-in pair values in clusters a few TAU_LP wide around the bounds,
-        # each at most its bound widened by TAU_LP, as solver noise may leave it
+        # the alpha path, which has no floor: stand-in pair values in clusters a
+        # few TAU_LP wide around the bounds, each at most its bound widened by
+        # TAU_LP, as solver noise may leave it
         bound = ratio_bound(e)
         levels = sorted({float(x) for x in bound.flat if math.isfinite(x)}) + [math.inf]
-        factor = st.sampled_from([1 + t * TAU_LP for t in (0, 0.5, 1, 1.5, 2, -0.5, -1, -1.5, -2)])
+        factor = st.sampled_from(NOISE)
         values = {}
         for a in range(e.m):
             for b in range(e.m):
@@ -214,11 +230,35 @@ class TestBranchAndBound:
                     level = data.draw(st.sampled_from(levels))
                     values[a, b] = min(level * data.draw(factor), bound[a, b] * (1 + TAU_LP))
         with patch.object(lp, "distortion_pair", lambda e, a, b, alpha=None: values[a, b]):
+            _assert_minimax_matches_table(e, alpha=0.5)
+
+    @given(ballot_elections(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_table_on_any_values_within_the_bracket(self, e, data):
+        # without alpha: stand-ins clustered around the bounds and floors, each
+        # clamped to [floor (1 - TAU_LP), bound (1 + TAU_LP)] (the bound wins where
+        # the two cross), and one per row at least the floor, as the certified
+        # floor and solver noise may leave them
+        bound, floor = ratio_bound(e), value_floor(e)
+        levels = sorted({float(x) for x in [*bound.flat, *floor] if math.isfinite(x)}) + [math.inf]
+        factor = st.sampled_from(NOISE)
+        values = {}
+        for a in range(e.m):
+            for b in range(e.m):
+                if a != b:
+                    level = data.draw(st.sampled_from(levels)) * data.draw(factor)
+                    values[a, b] = min(max(level, floor[a] * (1 - TAU_LP)), bound[a, b] * (1 + TAU_LP))
+            if e.m > 1:
+                reach = [b for b in range(e.m) if b != a and floor[a] <= bound[a, b] * (1 + TAU_LP)]
+                assert reach  # the floor is at most the row's largest bound
+                b = data.draw(st.sampled_from(reach))
+                values[a, b] = max(values[a, b], floor[a])
+        with patch.object(lp, "distortion_pair", lambda e, a, b, alpha=None: values[a, b]):
             _assert_minimax_matches_table(e)
 
     def test_small_lp_corpus(self, small_lp_corpus):
         for e in small_lp_corpus:
-            _assert_minimax_matches_table(e)
+            _assert_floor_holds(e, _assert_minimax_matches_table(e))
 
     def test_veto_instance_exact_ties(self):
         rep = _assert_minimax_matches_table(inst.veto_instance(10).election)
@@ -266,6 +306,78 @@ class TestBranchAndBound:
         e = inst.impartial_culture(40, 7, seed=0).election
         minimax(e)
         assert len(set(calls)) == len(calls) < 7 * 6
+
+
+class TestValueFloor:
+    """``value_floor`` is a certified lower bound on every candidate's value; its
+    soundness on ``small_lp_corpus`` and ``ballot_elections`` is checked beside
+    the full table in ``TestBranchAndBound``."""
+
+    def test_equals_values_on_top_one_ballots(self):
+        for seed in range(12):
+            e = truncate_to_ktop(inst.impartial_culture(3 + seed, 2 + seed % 4, seed=seed).election, 1)
+            rep = distortion_table(e)
+            floor = _assert_floor_holds(e, rep)
+            for a in range(e.m):
+                assert close(floor[a], rep.per_candidate[a], TAU_LP)
+
+    def test_closed_form(self):
+        # one voter each way: s_a = 1 and t_b = 1, so every floor is 1 + 2 * 1/1
+        split = Election.from_rankings([(0, 1), (1, 0)], 2)
+        assert value_floor(split).tolist() == [3.0, 3.0]
+        # voters 0, 1 state 0 > 1 and voter 2 is silent: s = (2, 0, 0), t = (3, 1, 3)
+        e = Election(3, 3, (frozenset({(0, 1)}), frozenset({(0, 1)}), frozenset()))
+        assert value_floor(e).tolist() == [math.inf, math.inf, math.inf]
+        e = Election(2, 3, (frozenset({(0, 1), (0, 2)}), frozenset({(0, 1)})))
+        # s = (2, 0, 0); t = (2, 0, 1): g = (inf, 1, 1 + 2 * 1/1)
+        assert value_floor(e).tolist() == [3.0, math.inf, math.inf]
+
+    def test_silent_and_degenerate_elections(self):
+        silent = Election(3, 3, (frozenset(),) * 3)
+        assert value_floor(silent).tolist() == [math.inf] * 3
+        assert distortion_table(silent).per_candidate == (math.inf,) * 3
+        assert value_floor(Election(0, 3, ())).tolist() == [1.0] * 3
+        assert value_floor(Election.from_rankings([(0,)], 1)).tolist() == [1.0]
+
+    def test_below_largest_bound_on_euclidean_corpus(self, euclidean_corpus):
+        for gi in euclidean_corpus:
+            e = gi.election
+            assert (value_floor(e) <= ratio_bound(e).max(axis=1) * (1 + TAU_LP)).all()
+
+    def test_floor_drop_keeps_the_noise_margin(self, monkeypatch):
+        # candidate 1 is visited first with value L; candidate 0's floor F is
+        # 1.5 TAU_LP above L, but its value, read off a near-tie, is within
+        # TAU_LP of L, so it must be kept: it is the table's winner
+        big, low = 3.0, 3.0 * (1 - 1.5 * TAU_LP)
+        values = {
+            (0, 1): big * (1 - 0.9 * TAU_LP), (0, 2): big,
+            (1, 0): low, (1, 2): low,
+            (2, 0): 10.0, (2, 1): 10.0,
+        }
+        bound = np.array([[1.0, 10, 10], [5, 1, 5], [10, 10, 1]])
+        monkeypatch.setattr(lp, "ratio_bound", lambda e: bound)
+        monkeypatch.setattr(lp, "value_floor", lambda e: np.array([big, 1.0, 10.0]))
+        monkeypatch.setattr(lp, "distortion_pair", lambda e, a, b, alpha=None: values[a, b])
+        rep = _assert_minimax_matches_table(Election.from_rankings([(0, 1, 2)], 3))
+        assert rep.winner == 0
+
+    def test_floor_drops_candidates_without_an_lp(self, monkeypatch):
+        def count_lps(e):
+            calls = []
+
+            def counted(e, a, b, alpha=None):
+                calls.append((a, b))
+                return distortion_pair(e, a, b, alpha=alpha)
+
+            with patch.object(lp, "distortion_pair", counted):
+                return minimax(e), len(calls)
+
+        e0 = inst.impartial_culture(20, 5, seed=0).election
+        with_floor = [count_lps(truncate_to_ktop(e0, k)) for k in range(1, 5)]
+        monkeypatch.setattr(lp, "value_floor", lambda e: np.ones(e.m))
+        without = [count_lps(truncate_to_ktop(e0, k)) for k in range(1, 5)]
+        assert [r for r, _ in with_floor] == [r for r, _ in without]
+        assert sum(c for _, c in with_floor) < sum(c for _, c in without)
 
 
 def _assert_matches_full(e, a, b, alpha=None):
