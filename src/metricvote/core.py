@@ -1,17 +1,22 @@
-"""Election data model: partial preference orders, metrics, and derived counts.
+"""Election data model: weak preference orders, metrics, and derived counts.
 
 Candidates and voters are 0-based integers throughout.  A voter's stated
-preferences are the transitive closure of the elicited comparisons, i.e. a
-set of ordered candidate pairs ``(a, b)`` meaning "a is (weakly) closer
-than b".  Total rankings, k-top ballots, and score-derived partial orders
-are all special cases of this representation.
+preferences are a weak order: the candidates fall into ranked groups, every
+candidate is stated above every candidate of a lower group, and candidates
+of one group are not compared.  As a set of ordered pairs ``(a, b)``
+meaning "a is (weakly) closer than b" it is closed under transitivity.
+Total rankings, k-top ballots (the omitted candidates form one last
+group), score-derived lists and silent voters are all weak orders; a pair
+set that is not one, such as {(0, 1)} with m = 3, is rejected.
 
-An :class:`Election` stores every distinct pair set once, as three
-read-only arrays:
+An :class:`Election` stores every distinct ballot once, as three read-only
+arrays:
 
-* ``ballots``, a boolean tensor of shape (u, m, m): ``ballots[j, a, b]``
-  says that ballot j states a > b.  Any closed partial order fits,
-  including non-weak ones such as {(0, 1)} with m = 3;
+* ``levels``, shape (u, m) and dtype ``np.min_scalar_type(m)``:
+  ``levels[j, c]`` counts the candidates ballot j states above c, so the
+  ballot states a > b exactly when ``levels[j, a] < levels[j, b]``.  This
+  rank is canonical: a weak order has one level vector, whose top group
+  sits at level 0, and a silent ballot is the all-zero row;
 * ``multiplicity``, shape (u,): how many voters cast each ballot;
 * ``ballot_of``, shape (n,): the ballot of each voter, so per-voter
   identities (sampled transcripts, witnesses) stay reproducible.
@@ -22,11 +27,10 @@ the numbering a pass over the voters that merges repeated pair sets would
 give, so ``lp.build_metric_lp``, which emits one variable block per
 ballot, lays out its variables and rows in voter order whichever
 constructor built the election.  Top, bottom, second choice and totality
-are derived once per ballot from row and column sums.  ``listed`` (shape
-(n,)) is the length of each voter's ordered top list, 0 when the voter's
-information did not arrive as a list (an empty list states nothing).  The
-list is read from the ballot: the ``listed[i]`` candidates of lowest rank
-position (column sum, the number of candidates stated above).  The length
+are read once per ballot from the levels.  ``listed`` (shape (n,)) is the
+length of each voter's ordered top list, 0 when the voter's information
+did not arrive as a list (an empty list states nothing).  The list is read
+from the ballot: the ``listed[i]`` candidates of lowest level.  The length
 is kept per voter because lists of m - 1 and m candidates state the same
 pairs.  ``Election.prefs`` and ``Election.ktop`` are derived, cached
 per-voter views; mechanisms read the arrays instead, and the pair counts
@@ -147,13 +151,13 @@ def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[order], number[inverse.reshape(-1)]
 
 
-def _ballots_from_lists(lists: Sequence[Sequence[int]], m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ballots, ballot_of) of ordered top lists, built without per-pair loops.
+def _levels_from_lists(lists: Sequence[Sequence[int]], m: int) -> np.ndarray:
+    """Per-voter level vectors of ordered top lists, built without per-pair loops.
 
-    A voter's ballot is fixed by the rank position of each candidate, with
-    every omitted candidate at position m - 1: omitted candidates beat no
-    one, and a list of m - 1 candidates states the same pairs as the full
-    ranking that ends with the omitted one.
+    A listed candidate's level is its list position, and every omitted
+    candidate shares the level just below the list: omitted candidates beat
+    no one, and a list of m - 1 candidates states the same pairs as the
+    full ranking that ends with the omitted one.
     """
     if m < 1:
         raise DataFormatError("need n >= 0 and m >= 1")
@@ -166,36 +170,60 @@ def _ballots_from_lists(lists: Sequence[Sequence[int]], m: int) -> tuple[np.ndar
         raise DataFormatError(f"voter {voter[np.argmax(bad)]}: k-top entry out of range")
     if (np.bincount(voter * m + flat, minlength=n * m) > 1).any():
         raise DataFormatError("k-top list contains duplicates")
-    pos = np.full((n, m), m - 1, dtype=np.min_scalar_type(m))
-    pos[voter, flat] = np.arange(len(flat)) - np.repeat(np.cumsum(lens) - lens, lens)
-    return _ballots_from_levels(pos)
+    level = np.repeat(lens.astype(np.min_scalar_type(m)), m).reshape(n, m)
+    level[voter, flat] = np.arange(len(flat)) - np.repeat(np.cumsum(lens) - lens, lens)
+    return level
 
 
-def _ballots_from_levels(level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ballots, ballot_of) of per-voter level vectors, shape (n, m).
+def _levels_from_rankings(rows: np.ndarray, m: int) -> np.ndarray:
+    """Per-voter level vectors of total orders given as an (n, m) integer array."""
+    if m < 1:
+        raise DataFormatError("need n >= 0 and m >= 1")
+    bad = ((rows < 0) | (rows >= m)).any(axis=1)
+    if bad.any():
+        raise DataFormatError(f"voter {np.argmax(bad)}: k-top entry out of range")
+    level = np.full(rows.shape, m, dtype=np.min_scalar_type(m))
+    level[np.arange(len(rows))[:, None], rows] = np.arange(m)
+    # every row names m candidates in range, so a candidate left out means a repeated one
+    if (level == m).any():
+        raise DataFormatError("k-top list contains duplicates")
+    return level
 
-    A voter states a > b exactly when ``level[a] < level[b]``, so every
-    ballot is closed.  Voters with equal pair sets must have equal level
-    vectors: the ballots are the distinct rows in first-appearance order.
+
+def _is_weak(levels: np.ndarray) -> np.ndarray:
+    """Per row, whether every entry equals the number of smaller entries in the row.
+
+    Let entry c count the candidates a closed pair set states above c.  A
+    stated a > b puts everything above a above b too, so each entry is at
+    most the number of smaller entries, with equality everywhere exactly
+    when the set is a weak order.
     """
-    first, ballot_of = _first_appearance(level)
-    rep = level[first]
-    return rep[:, :, None] < rep[:, None, :], ballot_of
+    low = np.sort(levels, axis=1)
+    new = np.ones(low.shape, dtype=bool)
+    new[:, 1:] = low[:, 1:] != low[:, :-1]
+    below = np.maximum.accumulate(np.where(new, np.arange(low.shape[1]), 0), axis=1)
+    return (low == below).all(axis=1)
 
 
-def _first_true(mask: np.ndarray) -> np.ndarray:
-    """Per row, the index of the first True entry, or -1 when there is none."""
-    return np.where(mask.any(axis=1), mask.argmax(axis=1), -1)
+def _relation(levels: np.ndarray) -> np.ndarray:
+    """The (u, m, m) bool relation of level vectors: entry [j, a, b] says ballot j states a > b."""
+    return levels[:, :, None] < levels[:, None, :]
+
+
+def _sole(mask: np.ndarray) -> np.ndarray:
+    """Per row, the index of the only True entry, or -1 when there is not exactly one."""
+    return np.where(mask.sum(axis=1) == 1, mask.argmax(axis=1), -1)
 
 
 class Election:
-    """An election: ``n`` voters and ``m`` candidates with closed pair sets.
+    """An election: ``n`` voters and ``m`` candidates with weak-order ballots.
 
     ``Election(n, m, prefs, ktop)`` takes one pair set per voter and checks
-    every set for range and closure.  The ballots are then stored once each
-    (see the module docstring); ``restrict``, ``mask_voters``,
-    ``truncate_to_ktop`` and the ``from_*`` constructors build the arrays
-    directly.
+    every set for range, closure and being a weak order
+    (:class:`DataFormatError`, naming the voter, otherwise).  The ballots
+    are then stored once each as level vectors (see the module docstring);
+    ``restrict``, ``mask_voters``, ``truncate_to_ktop`` and the ``from_*``
+    constructors build the arrays directly.
 
     ``ktop[i]`` optionally records that voter i's information arrived as an
     ordered top list (its pair set must equal the k-top expansion); only its
@@ -212,40 +240,37 @@ class Election:
         index: dict[frozenset, int] = {}
         ballot_of = np.fromiter((index.setdefault(p, len(index)) for p in prefs), dtype=np.intp, count=len(prefs))
         sizes = [len(p) for p in index]
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.chain.from_iterable(index)),
-            dtype=np.intp,
-            count=2 * sum(sizes),
-        ).reshape(-1, 2)
-        ballots = np.zeros((len(index), m, m), dtype=bool)
-        ballots[np.repeat(np.arange(len(index)), sizes), flat[:, 0], flat[:, 1]] = True
-        self._fill(n, m, ballots, ballot_of, [0 if t is None else len(t) for t in ktop])
+        below = np.fromiter((b for p in index for _, b in p), dtype=np.intp, count=sum(sizes))
+        # each candidate's level: the candidates stated above it
+        owner = np.repeat(np.arange(len(index)), sizes)
+        levels = np.bincount(owner * m + below, minlength=len(index) * m).reshape(-1, m)
+        odd = np.flatnonzero(~_is_weak(levels))
+        if len(odd):
+            raise DataFormatError(f"voter {np.argmax(ballot_of == odd[0])}: pair set is not a weak order")
+        self._fill(n, m, levels, ballot_of, [0 if t is None else len(t) for t in ktop])
 
     @classmethod
-    def _of(cls, n: int, m: int, ballots: np.ndarray, ballot_of: np.ndarray, listed) -> "Election":
-        """Election from distinct, used ballots numbered by first appearance."""
+    def _of(cls, n: int, m: int, levels: np.ndarray, ballot_of: np.ndarray, listed) -> "Election":
+        """Election from distinct, used level vectors numbered by first appearance."""
         e = cls.__new__(cls)
-        e._fill(n, m, ballots, ballot_of, listed)
+        e._fill(n, m, levels, ballot_of, listed)
         return e
 
-    def _fill(self, n, m, ballots, ballot_of, listed) -> None:
-        ballots = np.ascontiguousarray(ballots, dtype=bool)
+    def _fill(self, n, m, levels, ballot_of, listed) -> None:
+        levels = np.ascontiguousarray(levels, dtype=np.min_scalar_type(m))
         ballot_of = np.ascontiguousarray(ballot_of, dtype=np.intp)
-        multiplicity = np.bincount(ballot_of, minlength=len(ballots))
-        outdeg = ballots.sum(axis=2)
-        total = outdeg.sum(axis=1) == m * (m - 1) // 2
-        if m == 1:
-            top = bottom = np.zeros(len(ballots), dtype=np.intp)
-        else:
-            top = _first_true(outdeg == m - 1)
-            bottom = _first_true(ballots.sum(axis=1) == m - 1)
-        second = np.where(top >= 0, _first_true(outdeg == m - 2), -1)
+        multiplicity = np.bincount(ballot_of, minlength=len(levels))
+        # a weak order states as many pairs as its levels sum to
+        total = levels.sum(axis=1) == m * (m - 1) // 2
+        top = _sole(levels == 0)
+        second = np.where(top >= 0, _sole(levels == 1), -1)
+        bottom = _sole(levels == m - 1)
         # canonical annotation for total orders
         listed = np.where(np.equal(listed, 0) & total[ballot_of], m, listed).astype(np.intp)
-        for arr in (ballots, ballot_of, multiplicity, listed):
+        for arr in (levels, ballot_of, multiplicity, listed):
             arr.setflags(write=False)
         fields = {
-            "n": n, "m": m, "ballots": ballots, "multiplicity": multiplicity, "ballot_of": ballot_of,
+            "n": n, "m": m, "levels": levels, "multiplicity": multiplicity, "ballot_of": ballot_of,
             "listed": listed, "_top": top, "_bottom": bottom, "_second": second, "_total": total,
         }
         for name, value in fields.items():
@@ -258,7 +283,7 @@ class Election:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return (Election._of, (self.n, self.m, self.ballots, self.ballot_of, self.listed))
+        return (Election._of, (self.n, self.m, self.levels, self.ballot_of, self.listed))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -267,61 +292,81 @@ class Election:
             (self.n, self.m) == (other.n, other.m)
             and np.array_equal(self.ballot_of, other.ballot_of)
             and np.array_equal(self.listed, other.listed)
-            and np.array_equal(self.ballots, other.ballots)
+            and np.array_equal(self.levels, other.levels)
         )
 
     def __hash__(self) -> int:
-        arrays = (self.ballots, self.ballot_of, self.listed)
-        return hash((self.n, self.m, self.ballots.shape, *(a.tobytes() for a in arrays)))
+        arrays = (self.levels, self.ballot_of, self.listed)
+        return hash((self.n, self.m, self.levels.shape, *(a.tobytes() for a in arrays)))
 
     def __repr__(self) -> str:
-        return f"Election(n={self.n}, m={self.m}, ballots={len(self.ballots)})"
+        return f"Election(n={self.n}, m={self.m}, ballots={len(self.levels)})"
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_rankings(cls, rankings: Sequence[Sequence[int]], m: int | None = None) -> "Election":
-        """Build an election from total orders (best candidate first)."""
-        rankings = [tuple(r) for r in rankings]
+    def from_rankings(cls, rankings: Sequence[Sequence[int]] | np.ndarray, m: int | None = None) -> "Election":
+        """Build an election from total orders (best candidate first).
+
+        ``rankings`` is a sequence of rankings or a 2-D integer array with
+        one ranking per row.
+        """
+        if not (isinstance(rankings, np.ndarray) and rankings.ndim == 2 and rankings.dtype.kind in "iu"):
+            rankings = list(rankings)
+            lens = np.fromiter(map(len, rankings), dtype=np.intp, count=len(rankings))
+            if m is None:
+                m = max((max(r) for r in rankings if len(r)), default=-1) + 1
+            short = np.flatnonzero(lens != m)
+            if len(short):
+                raise DataFormatError(f"voter {short[0]}: ranking must list all {m} candidates")
+            rankings = np.array(rankings, dtype=np.int64).reshape(len(rankings), m)
         if m is None:
-            m = max((max(r) for r in rankings if r), default=-1) + 1
-        for i, r in enumerate(rankings):
-            if len(r) != m:
-                raise DataFormatError(f"voter {i}: ranking must list all {m} candidates")
-        ballots, ballot_of = _ballots_from_lists(rankings, m)
-        return cls._of(len(rankings), m, ballots, ballot_of, np.full(len(rankings), m))
+            m = int(rankings.max()) + 1 if rankings.size else 0
+        if rankings.shape[1] != m:
+            raise DataFormatError(f"voter 0: ranking must list all {m} candidates")
+        levels = _levels_from_rankings(rankings, m)
+        first, ballot_of = _first_appearance(levels)
+        return cls._of(len(rankings), m, levels[first], ballot_of, np.full(len(rankings), m))
 
     @classmethod
     def from_ktop(cls, lists: Sequence[Sequence[int]], m: int) -> "Election":
         """Build an election from per-voter ordered top lists."""
         lists = [tuple(t) for t in lists]
-        ballots, ballot_of = _ballots_from_lists(lists, m)
-        return cls._of(len(lists), m, ballots, ballot_of, [len(t) for t in lists])
+        levels = _levels_from_lists(lists, m)
+        first, ballot_of = _first_appearance(levels)
+        return cls._of(len(lists), m, levels[first], ballot_of, [len(t) for t in lists])
 
     # -- accessors ---------------------------------------------------------
 
     @functools.cached_property
     def prefs(self) -> tuple[frozenset[tuple[int, int]], ...]:
-        """Per-voter pair sets, derived from the ballots; voters casting one
+        """Per-voter pair sets, derived from the levels; voters casting one
         ballot share one frozenset."""
-        sets = [frozenset(map(tuple, np.argwhere(b).tolist())) for b in self.ballots]
+        sets = [frozenset(map(tuple, np.argwhere(b).tolist())) for b in _relation(self.levels)]
         return tuple(sets[j] for j in self.ballot_of.tolist())
 
     @functools.cached_property
     def _order(self) -> np.ndarray:
-        """Per ballot, the candidates by rank position (column sum), ties by index."""
-        return np.argsort(self.ballots.sum(axis=1), axis=1, kind="stable")
+        """Per ballot, the candidates by level, ties by index."""
+        return np.argsort(self.levels, axis=1, kind="stable")
 
     @functools.cached_property
     def pair_counts(self) -> np.ndarray:
-        """Read-only (m, m) int64 array: entry (a, b) counts the voters stating a > b."""
-        counts = np.tensordot(self.multiplicity, self.ballots, axes=1).astype(np.int64)
+        """Read-only (m, m) int64 array: entry (a, b) counts the voters stating a > b.
+
+        Row a compares level a with every level, one column of the
+        transposed levels at a time; the float products are exact, since
+        every count is an integer below 2**53.
+        """
+        columns = np.ascontiguousarray(self.levels.T)
+        weight = self.multiplicity.astype(np.float64)
+        counts = np.array([(row < columns) @ weight for row in columns]).astype(np.int64)
         counts.setflags(write=False)
         return counts
 
     @functools.cached_property
     def ktop(self) -> tuple[tuple[int, ...] | None, ...]:
-        """Per-voter top lists read from the ballots; None for voters without one."""
+        """Per-voter top lists read from the levels; None for voters without one."""
         order = self._order.tolist()
         return tuple(tuple(order[j][:k]) if k else None for j, k in zip(self.ballot_of.tolist(), self.listed.tolist()))
 
@@ -346,7 +391,7 @@ class Election:
         voters = _voter_ids(voters, self.n)
         cast = self.ballot_of[voters]
         first, ballot_of = _first_appearance(cast)
-        return Election._of(len(ballot_of), self.m, self.ballots[cast[first]], ballot_of, self.listed[voters])
+        return Election._of(len(ballot_of), self.m, self.levels[cast[first]], ballot_of, self.listed[voters])
 
 
 def _voter_ids(voters, n: int) -> np.ndarray:
@@ -361,33 +406,32 @@ def _voter_ids(voters, n: int) -> np.ndarray:
 def truncate_to_ktop(e: Election, k: int) -> Election:
     """Keep only the top ``k`` of every voter's total order.
 
-    On a total order the column sums give each candidate's rank position;
-    the truncated ballot keeps the rows of the k top-ranked candidates.
+    On a total order a candidate's level is its rank position; capping the
+    levels at k leaves the k top-ranked candidates in order, above one
+    group of the rest.
     """
     if not 1 <= k <= e.m:
         raise DataFormatError(f"k must be in [1, {e.m}], got {k}")
     short = np.flatnonzero(e.listed != e.m)
     if len(short):
         raise DataFormatError(f"voter {short[0]} has no total order to truncate")
-    pos = e.ballots.sum(axis=1)
-    listed = pos < k
-    first, number = _first_appearance(np.where(listed, pos, e.m))
-    ballots = e.ballots[first] & listed[first][:, :, None]
-    return Election._of(e.n, e.m, ballots, number[e.ballot_of], np.full(e.n, k))
+    levels = np.minimum(e.levels, k)
+    first, number = _first_appearance(levels)
+    return Election._of(e.n, e.m, levels[first], number[e.ballot_of], np.full(e.n, k))
 
 
 def mask_voters(e: Election, voters: Iterable[int]) -> Election:
     """Blank out the given voters (their pair set becomes empty)."""
     gone = np.zeros(e.n, dtype=bool)
     gone[_voter_ids(list(voters), e.n)] = True
-    empty = np.flatnonzero(~e.ballots.any(axis=(1, 2)))
-    ballots = e.ballots
-    if len(empty) == 0:
-        empty = [len(ballots)]
-        ballots = np.concatenate([ballots, np.zeros((1, e.m, e.m), dtype=bool)])
-    cast = np.where(gone, empty[0], e.ballot_of)
+    levels = e.levels
+    silent = np.flatnonzero(~levels.any(axis=1))
+    if len(silent) == 0:
+        silent = [len(levels)]
+        levels = np.concatenate([levels, np.zeros((1, e.m), dtype=levels.dtype)])
+    cast = np.where(gone, silent[0], e.ballot_of)
     first, ballot_of = _first_appearance(cast)
-    return Election._of(e.n, e.m, ballots[cast[first]], ballot_of, np.where(gone, 0, e.listed))
+    return Election._of(e.n, e.m, levels[cast[first]], ballot_of, np.where(gone, 0, e.listed))
 
 
 # -- comparison graph and scores ------------------------------------------
@@ -448,7 +492,7 @@ def _listed_ranks(e: Election) -> tuple[np.ndarray, np.ndarray]:
     candidate's position in the pair's top list, ``rank`` (g, m), -1 if unlisted."""
     keys, count = np.unique(e.ballot_of * (e.m + 1) + e.listed, return_counts=True)
     ballot, length = np.divmod(keys, e.m + 1)
-    rank = e.ballots[ballot].sum(axis=1)
+    rank = e.levels[ballot].astype(np.intp)
     return count, np.where(rank < length[:, None], rank, -1)
 
 
@@ -604,7 +648,7 @@ def check_consistent(metric: MetricWitness, e: Election, tol: float = TAU_METRIC
     """True iff every stated pair is respected by the metric within ``tol``."""
     if metric.n != e.n or metric.m != e.m:
         raise DataFormatError("metric dimensions do not match the election")
-    stated = [np.argwhere(b).tolist() for b in e.ballots]
+    stated = [np.argwhere(b).tolist() for b in _relation(e.levels)]
     for i, j in enumerate(e.ballot_of.tolist()):
         for a, b in stated[j]:
             da, db = metric.vc(i, a), metric.vc(i, b)
@@ -674,13 +718,10 @@ def election_to_text(e: Election) -> str:
     """Serialise to the line format: header ``n m``, one ballot line per voter.
 
     Annotated voters are written as their ordered list (omitted candidates
-    are implicitly ranked below); other voters must form a weak order,
-    written with ``=`` between tied candidates.
+    are implicitly ranked below); other voters as their weak order, with
+    ``=`` between tied candidates.
     """
-    # a weak order states a > b exactly when fewer candidates are stated above a than above b
-    above = e.ballots.sum(axis=1)
-    weak = ((above[:, :, None] < above[:, None, :]) == e.ballots).all(axis=(1, 2))
-    stated = e.ballots.any(axis=(1, 2))
+    stated = e.levels.any(axis=1)
     order = e._order.tolist()
     texts: dict[tuple[int, int], str] = {}
     lines = [f"{e.n} {e.m}"]
@@ -690,13 +731,12 @@ def election_to_text(e: Election) -> str:
                 texts[j, k] = " > ".join(str(c) for c in order[j][:k])
             elif not stated[j]:
                 texts[j, k] = ""
-            elif not weak[j]:
-                raise DataFormatError(f"voter {i}: preferences are not a weak order; not serialisable")
             else:
-                levels: dict[int, list[int]] = {}
-                for c, h in enumerate(above[j].tolist()):
-                    levels.setdefault(h, []).append(c)
-                texts[j, k] = " > ".join(" = ".join(str(c) for c in levels[h]) for h in sorted(levels))
+                level = e.levels[j].tolist()
+                groups: dict[int, list[str]] = {}
+                for c in order[j]:
+                    groups.setdefault(level[c], []).append(str(c))
+                texts[j, k] = " > ".join(" = ".join(g) for g in groups.values())
         lines.append(texts[j, k])
     return "\n".join(lines) + "\n"
 
@@ -704,11 +744,11 @@ def election_to_text(e: Election) -> str:
 def election_from_text(text: str) -> Election:
     """Parse the line format written by :func:`election_to_text`.
 
-    Each ballot line becomes a level vector: a listed candidate gets the
-    index of its ``=`` group, and every omitted candidate one shared level
-    below the last group (an empty line puts all candidates on one level).
-    These levels are dense, so equal pair sets give equal vectors, and the
-    relation they state is closed by construction.
+    Each ballot line becomes a level vector: a listed candidate's level is
+    the number of candidates listed before its ``=`` group, and every
+    omitted candidate's is the number listed (an empty line puts all
+    candidates at level 0).  These are the canonical levels of the
+    module docstring, so equal pair sets give equal vectors.
     """
     lines = text.splitlines()
     if not lines:
@@ -723,7 +763,7 @@ def election_from_text(text: str) -> Election:
     body = lines[1 : 1 + n]
     if len(body) < n:
         raise DataFormatError(f"expected {n} ballot lines, found {len(body)}")
-    listed_all, marks, counts, depth, lengths = [], [], [], [], []
+    listed_all, marks, counts, lengths = [], [], [], []
     for i, line in enumerate(body):
         # candidates at even positions, separators at odd ones
         tokens = line.replace(">", " > ").replace("=", " = ").split()
@@ -743,14 +783,15 @@ def election_from_text(text: str) -> Election:
         # one mark per listed candidate: ">" where a new group starts
         marks += [">", *between] if listed else []
         counts.append(len(listed))
-        depth.append(gt + 1 if listed else 0)
         lengths.append(len(listed) if gt == len(between) else 0)
     if n < 0 or m < 1:
         raise DataFormatError("need n >= 0 and m >= 1")
     counts = np.array(counts, dtype=np.intp)
-    started = np.cumsum(np.array(marks, dtype="U1") == ">")
-    group = started - started[np.repeat(np.cumsum(counts) - counts, counts)]
-    level = np.repeat(np.array(depth, dtype=np.min_scalar_type(m)), m).reshape(n, m)
-    level[np.repeat(np.arange(n), counts), np.array(listed_all, dtype=np.intp)] = group
-    ballots, ballot_of = _ballots_from_levels(level)
-    return Election._of(n, m, ballots, ballot_of, lengths)
+    # every line's first mark is ">", so each group start found stays within its line
+    spot = np.arange(len(marks))
+    start = np.maximum.accumulate(np.where(np.array(marks, dtype="U1") == ">", spot, 0))
+    line_start = np.repeat(np.cumsum(counts) - counts, counts)
+    level = np.repeat(counts.astype(np.min_scalar_type(m)), m).reshape(n, m)
+    level[np.repeat(np.arange(n), counts), np.array(listed_all, dtype=np.intp)] = start - line_start
+    first, ballot_of = _first_appearance(level)
+    return Election._of(n, m, level[first], ballot_of, lengths)

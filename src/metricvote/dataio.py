@@ -169,7 +169,7 @@ def positional_score(e: Election, rule: ScoringRule) -> tuple[tuple[int, ...], i
     smaller index).  Prefixes shorter than the weight vector are scored as
     far as they reach.
     """
-    unlisted = np.flatnonzero((e.listed == 0) & e.ballots.any(axis=(1, 2))[e.ballot_of])
+    unlisted = np.flatnonzero((e.listed == 0) & e.levels.any(axis=1)[e.ballot_of])
     if len(unlisted):
         raise DataFormatError(f"voter {unlisted[0]} has no ranked prefix to score")
     # one weight per rank position, and 0 past the weights (and at rank -1, unlisted)

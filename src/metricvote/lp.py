@@ -6,8 +6,8 @@ unordered point pairs: symmetry is folded away structurally and the
 diagonal is implicit.
 
 The program has one block of m voter-candidate distances per distinct
-ballot of ``Election.ballots``, in the election's ballot order, and one
-distance per candidate pair.  It emits these rows:
+ballot, a row of ``Election.levels``, in the election's ballot order, and
+one distance per candidate pair.  It emits these rows:
 
 * ``SC(b) = 1`` and the objective ``SC(a)``, each block weighted by
   ``Election.multiplicity``, the number of voters casting its ballot.
@@ -92,7 +92,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .core import Election, MetricWitness
+from .core import Election, MetricWitness, _relation
 from .errors import ConfigError, SolverFailureError
 
 #: Relative tolerance on LP objective values.
@@ -168,7 +168,7 @@ def build_metric_lp(e: Election, a: int, b: int, alpha=None) -> LinearProgram:
     n, m = e.n, e.m
 
     # one block of m distances per distinct ballot
-    stated = e.ballots
+    stated = _relation(e.levels)
     nb = len(stated)
     weight = e.multiplicity.astype(float)
     covering = stated & ~np.matmul(stated, stated)
@@ -306,9 +306,10 @@ def value_floor(e: Election) -> np.ndarray:
     m = e.m
     if m < 2:
         return np.ones(m)
-    weight = e.multiplicity
-    s = weight @ e.ballots.any(axis=2)
-    t = e.n - weight @ e.ballots.any(axis=1)
+    levels, weight = e.levels, e.multiplicity
+    # a ballot states a above something iff a's level is below its highest, and nothing above level 0
+    s = weight @ (levels < levels.max(axis=1, keepdims=True))
+    t = weight @ (levels == 0)
     g = np.where(np.eye(m, dtype=bool), 1.0, _cluster_ratio(t, e.n - t))
     return np.maximum(_cluster_ratio(e.n - s, s), g.max(axis=1))
 

@@ -43,8 +43,7 @@ def majority_oracle(e: Election, a: int, b: int, tiebreak: str = "high_index_win
         raise ConfigError(f"candidates ({a}, {b}) out of range")
     if tiebreak not in TIEBREAKS:
         raise ConfigError(f"unknown tiebreak {tiebreak!r}")
-    na = int(e.multiplicity @ e.ballots[:, a, b])
-    nb = int(e.multiplicity @ e.ballots[:, b, a])
+    na, nb = int(e.pair_counts[a, b]), int(e.pair_counts[b, a])
     if na > nb:
         return b
     if nb > na:
@@ -282,8 +281,8 @@ def build_domination_graph(
 ) -> DominationGraph:
     """Domination graph of ``focal``; edges use only certain comparisons.
 
-    Row j is ``e.ballots[j, focal, :]`` with the focal column set, shared by
-    the voters casting ballot j.
+    Row j marks the candidates ballot j ranks below the focal one, and the
+    focal candidate itself; the voters casting ballot j share it.
     """
     if not 0 <= focal < e.m:
         raise ConfigError(f"focal candidate {focal} out of range")
@@ -291,7 +290,7 @@ def build_domination_graph(
         capacities = plurality_capacities(e)
     if len(capacities) != e.m:
         raise ConfigError("capacity vector must have one entry per candidate")
-    beaten = e.ballots[:, focal, :].copy()
+    beaten = e.levels[:, focal, None] < e.levels
     beaten[:, focal] = True
     return DominationGraph(focal, tuple(int(c) for c in capacities), beaten, e.ballot_of)
 

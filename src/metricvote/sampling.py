@@ -74,17 +74,23 @@ def _generator(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def sample_voters(e: Election, plan: SamplePlan) -> tuple[Election, Transcript]:
-    """Seeded voter draw; the transcript records the sampled indices in order."""
+def _sample(e: Election, plan: SamplePlan, transcript: Transcript | None) -> Election:
+    """The sub-election of a seeded voter draw; the sampled indices are
+    recorded in order when a transcript is given."""
     if not plan.with_replacement and plan.size > e.n:
         raise ConfigError(f"cannot draw {plan.size} voters from {e.n} without replacement")
     rng = _generator(plan.seed)
     idx = rng.choice(e.n, size=plan.size, replace=plan.with_replacement)
-    voters = idx.tolist()
+    if transcript is not None:
+        for i in idx.tolist():
+            transcript.record_sample(i)
+    return e.restrict(idx)
+
+
+def sample_voters(e: Election, plan: SamplePlan) -> tuple[Election, Transcript]:
+    """Seeded voter draw; the transcript records the sampled indices in order."""
     transcript = Transcript()
-    for i in voters:
-        transcript.record_sample(i)
-    return e.restrict(voters), transcript
+    return _sample(e, plan, transcript), transcript
 
 
 def sampled_copeland(e: Election, epsilon: float, delta: float, seed: int, transcript: Transcript | None = None) -> int:
@@ -95,10 +101,7 @@ def sampled_copeland(e: Election, epsilon: float, delta: float, seed: int, trans
     """
     if not e.all_total:
         raise ConfigError("sampled copeland needs total orders")
-    plan = make_plan(epsilon, delta, e.m, "copeland", seed)
-    sub, log = sample_voters(e, plan)
-    if transcript is not None:
-        transcript.events.extend(log.events)
+    sub = _sample(e, make_plan(epsilon, delta, e.m, "copeland", seed), transcript)
     return king_vertex(support_matrix(comparison_graph(sub), Fraction(1, 2)))
 
 
@@ -111,10 +114,7 @@ def sampled_pm(
     """
     if not e.all_total:
         raise ConfigError("sampled plurality-matching needs total orders")
-    plan = make_plan(epsilon, delta, e.m, "plurality-matching", seed)
-    sub, log = sample_voters(e, plan)
-    if transcript is not None:
-        transcript.events.extend(log.events)
+    sub = _sample(e, make_plan(epsilon, delta, e.m, "plurality-matching", seed), transcript)
     # right-side capacities are the sample's own plurality counts
     phis = phi_scores(sub)
     return phis.index(max(phis)), phis

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from metricvote import instances as inst
-from metricvote.core import Election, mask_voters, transitive_closure, truncate_to_ktop
+from metricvote.core import Election, ktop_pairs, mask_voters, truncate_to_ktop
 from metricvote.mechanisms import MatchingResult
 
 
@@ -31,20 +31,57 @@ def ranking(e: Election, i: int) -> tuple[int, ...] | None:
     return top if top is not None and len(top) == e.m else None
 
 
+def relation(e: Election) -> np.ndarray:
+    """(u, m, m) bool array: entry [j, a, b] says ballot j states a > b."""
+    return e.levels[:, :, None] < e.levels[:, None, :]
+
+
 def prefers(e: Election, i: int, a: int, b: int) -> bool:
     """Whether voter i states a > b; False for out-of-range candidates."""
-    return 0 <= a < e.m and 0 <= b < e.m and bool(e.ballots[e.ballot_of[i], a, b])
+    return 0 <= a < e.m and 0 <= b < e.m and bool(relation(e)[e.ballot_of[i], a, b])
 
 
 def bottom(e: Election, i: int) -> int | None:
     """Voter i's unique minimal candidate (stated below all others), or None."""
-    below = np.flatnonzero(e.ballots[e.ballot_of[i]].sum(axis=0) == e.m - 1)
+    below = np.flatnonzero(relation(e)[e.ballot_of[i]].sum(axis=0) == e.m - 1)
     return int(below[0]) if len(below) else None
 
 
 def is_total(e: Election, i: int) -> bool:
     """Whether voter i's ballot states every pair."""
-    return int(e.ballots[e.ballot_of[i]].sum()) == e.m * (e.m - 1) // 2
+    return int(relation(e)[e.ballot_of[i]].sum()) == e.m * (e.m - 1) // 2
+
+
+# -- references read from pair sets alone ---------------------------------------
+
+
+def ref_top(p, m: int) -> int | None:
+    """The candidate stated above every other one, or None."""
+    return next((c for c in range(m) if sum((c, d) in p for d in range(m)) == m - 1), None)
+
+
+def ref_second(p, m: int) -> int | None:
+    """The candidate stated above all but the top, when there is a top, or None."""
+    top = ref_top(p, m)
+    if top is None:
+        return None
+    return next((c for c in range(m) if c != top and sum((c, d) in p for d in range(m)) == m - 2), None)
+
+
+def ref_bottom(p, m: int) -> int | None:
+    """The candidate stated below every other one, or None."""
+    return next((c for c in range(m) if sum((d, c) in p for d in range(m)) == m - 1), None)
+
+
+def ref_counts(prefs, m: int) -> list[list[int]]:
+    """Entry [a][b]: the voters whose pair set holds (a, b)."""
+    return [[sum((a, b) in p for p in prefs) for b in range(m)] for a in range(m)]
+
+
+def ref_ktop(p, m: int, length: int) -> tuple[int, ...] | None:
+    """The first ``length`` candidates by the number stated above them, ties by index; None for 0."""
+    order = sorted(range(m), key=lambda c: (sum((d, c) in p for d in range(m)), c))
+    return tuple(order[:length]) if length else None
 
 
 def matching_blocks(r: MatchingResult) -> dict[int, tuple[int, ...]]:
@@ -89,24 +126,53 @@ def small_lp_corpus():
 
 
 @st.composite
-def partial_order_elections(draw):
-    """Random closed partial orders (empty and non-weak ones included), cast
-    by voters drawn with repetition from a small pool of ballots."""
+def weak_order(draw, m: int) -> tuple[frozenset, tuple[int, ...] | None]:
+    """(pair set, top list or None): a random weak order over m candidates,
+    an ordered partition drawn as a permutation cut into groups.  Ties and
+    the silent ballot (one group) are included.  When every group but the
+    last is a single candidate the ballot is a k-top list, which is
+    sometimes given as an annotation."""
+    perm = draw(st.permutations(range(m)))
+    cuts = draw(st.lists(st.booleans(), min_size=m - 1, max_size=m - 1))
+    groups = [[perm[0]]]
+    for c, cut in zip(perm[1:], cuts):
+        if cut:
+            groups.append([c])
+        else:
+            groups[-1].append(c)
+    pairs = frozenset((a, b) for gi, g in enumerate(groups) for a in g for h in groups[gi + 1 :] for b in h)
+    listed = [g[0] for g in groups[:-1]]
+    if all(len(g) == 1 for g in groups[:-1]) and listed and draw(st.booleans()):
+        if len(groups[-1]) == 1 and draw(st.booleans()):
+            listed.append(groups[-1][0])  # lists of m - 1 and m candidates state the same pairs
+        assert ktop_pairs(listed, m) == pairs
+        return pairs, tuple(listed)
+    return pairs, None
+
+
+@st.composite
+def weak_order_profiles(draw):
+    """(m, pair sets, top lists): random weak orders (ties, k-top lists and
+    empty ballots included), cast by voters drawn with repetition from a
+    small pool of ballots."""
     m = draw(st.integers(2, 4))
-    pool = []
-    for _ in range(draw(st.integers(1, 3))):
-        perm = draw(st.permutations(range(m)))
-        allowed = [(perm[i], perm[j]) for i in range(m) for j in range(i + 1, m)]
-        pool.append(transitive_closure(draw(st.lists(st.sampled_from(allowed), unique=True))))
+    pool = [draw(weak_order(m)) for _ in range(draw(st.integers(1, 3)))]
     voters = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=5))
     if not draw(st.booleans()):
         voters.append(voters[0])  # a repeated ballot, so merging applies
-    return Election(len(voters), m, tuple(pool[i] for i in voters))
+    return m, tuple(pool[i][0] for i in voters), tuple(pool[i][1] for i in voters)
+
+
+@st.composite
+def partial_order_elections(draw):
+    """Elections of :func:`weak_order_profiles`, built from their pair sets."""
+    m, prefs, ktop = draw(weak_order_profiles())
+    return Election(len(prefs), m, prefs, ktop)
 
 
 @st.composite
 def ballot_elections(draw):
-    """Partial orders, k-top truncations of total orders, and masked voters."""
+    """Weak orders, k-top truncations of total orders, and masked voters."""
     kind = draw(st.sampled_from(["partial", "ktop", "masked"]))
     if kind == "ktop":
         m = draw(st.integers(2, 5))

@@ -1,17 +1,34 @@
 """Election model: closure, consistency, counts, and the text format."""
 
+import importlib
 import itertools
 import pickle
+import pkgutil
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import bottom, is_total, partial_order_elections, prefers, ranking
+from conftest import (
+    bottom,
+    is_total,
+    prefers,
+    ranking,
+    ref_bottom,
+    ref_counts,
+    ref_ktop,
+    ref_second,
+    ref_top,
+    relation,
+    weak_order,
+    weak_order_profiles,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import metricvote
 from metricvote import instances as inst
+from metricvote import mechanisms, sampling
 from metricvote.core import (
     Election,
     MetricWitness,
@@ -80,8 +97,7 @@ def weak_order_text(draw):
 def listed_elections(draw):
     """(election, pair sets, annotations): top lists of lengths 0, k, m - 1
     and m, built with ``from_ktop``, the pair-set constructor or the text
-    parser.  The pair-set constructor may also get unannotated voters with
-    one stated pair."""
+    parser.  The pair-set constructor may also get unannotated weak orders."""
     m = draw(st.integers(1, 5))
     k = draw(st.integers(1, m))
     n = draw(st.integers(0, 6))
@@ -94,9 +110,8 @@ def listed_elections(draw):
         e = election_from_text(f"{n} {m}\n" + "".join(" > ".join(map(str, t)) + "\n" for t in lists))
     else:
         for i in range(n):
-            if m > 1 and draw(st.booleans()):
-                a, b = draw(st.permutations(range(m)))[:2]
-                prefs[i], ann[i] = frozenset({(a, b)}), None
+            if draw(st.booleans()):
+                prefs[i], ann[i] = draw(weak_order(m))[0], None
         e = Election(n, m, tuple(prefs), tuple(ann))
     return e, prefs, ann
 
@@ -169,8 +184,16 @@ class TestElection:
         assert e.top(0) == 2 and e.second(0) == 0
 
     def test_top_and_bottom_partial(self):
-        e = Election(1, 3, (frozenset({(0, 1)}),))
+        # 0 = 1 > 2 = 3
+        e = Election(1, 4, (frozenset({(0, 2), (0, 3), (1, 2), (1, 3)}),))
         assert e.top(0) is None and bottom(e, 0) is None
+
+    def test_rejects_non_weak_order(self):
+        # 0 > 1, and 2 is compared with neither
+        with pytest.raises(DataFormatError, match="^voter 0: pair set is not a weak order$"):
+            Election(3, 3, [{(0, 1)}] * 3)
+        with pytest.raises(DataFormatError, match="^voter 1: pair set is not a weak order$"):
+            Election(3, 4, (frozenset(), frozenset({(0, 1), (2, 3)}), frozenset()))
 
     def test_truncate_to_ktop(self):
         e = Election.from_rankings([(2, 0, 1)], 3)
@@ -180,54 +203,71 @@ class TestElection:
 
 
 class TestBallotTensor:
-    """Ballot-derived quantities against per-voter loops over the pair sets."""
+    """Everything read from the levels against references computed from the
+    pair sets alone (``conftest.ref_*``)."""
 
-    @given(partial_order_elections(), st.data())
+    @given(weak_order_profiles(), st.data())
     @settings(max_examples=80, deadline=None)
-    @example(Election(3, 3, (frozenset({(0, 1)}),) * 2 + (frozenset(),)), None)
-    def test_matches_per_voter_reference(self, e, data):
-        n, m, prefs = e.n, e.m, e.prefs
-        assert Election(n, m, prefs, e.ktop) == e
-        tops, bottoms = [], []
-        for i, p in enumerate(prefs):
-            outdeg = [sum(1 for d in range(m) if (c, d) in p) for c in range(m)]
-            indeg = [sum(1 for d in range(m) if (d, c) in p) for c in range(m)]
-            top = next((c for c in range(m) if outdeg[c] == m - 1), None)
-            low = next((c for c in range(m) if indeg[c] == m - 1), None)
-            second = None if top is None else next((c for c in range(m) if c != top and outdeg[c] == m - 2), None)
-            assert (e.top(i), bottom(e, i), e.second(i)) == (top, low, second)
-            assert is_total(e, i) == (len(p) == m * (m - 1) // 2)
-            tops.append(top)
-            bottoms.append(low)
-        assert e.all_total == all(len(p) == m * (m - 1) // 2 for p in prefs)
+    @example((3, (frozenset({(0, 1), (2, 1)}),) * 2 + (frozenset(),), (None,) * 3), None)
+    def test_matches_per_voter_reference(self, profile, data):
+        m, prefs, ann = profile
+        n = len(prefs)
+        e = Election(n, m, prefs, ann)
+        self.check(e, prefs, ann)
+        voters = [0, n - 1, 0] if data is None else data.draw(st.lists(st.integers(0, n - 1), max_size=7))
+        self.check(e.restrict(voters), [prefs[i] for i in voters], [ann[i] for i in voters])
+        gone = set(range(0, n, 2))
+        self.check(
+            mask_voters(e, gone),
+            [frozenset() if i in gone else p for i, p in enumerate(prefs)],
+            [None if i in gone else a for i, a in enumerate(ann)],
+        )
+        short = [i for i, (p, a) in enumerate(zip(prefs, ann)) if len(p) != m * (m - 1) // 2 or len(a or (0,) * m) != m]
+        for k in range(1, m + 1):
+            if short:
+                with pytest.raises(DataFormatError, match=f"^voter {short[0]} has no total order to truncate$"):
+                    truncate_to_ktop(e, k)
+            else:
+                lists = [ref_ktop(p, m, k) for p in prefs]
+                self.check(truncate_to_ktop(e, k), [ktop_pairs(t, m) for t in lists], lists)
 
-        counts = [[sum(1 for p in prefs if (a, b) in p) for b in range(m)] for a in range(m)]
-        assert comparison_graph(e).counts == tuple(tuple(row) for row in counts)
+    @staticmethod
+    def check(e, prefs, ann):
+        n, m = e.n, e.m
+        total = [len(p) == m * (m - 1) // 2 for p in prefs]
+        assert e.prefs == tuple(prefs)
+        lengths = [len(a) if a else m if t else 0 for a, t in zip(ann, total)]
+        assert e.ktop == tuple(ref_ktop(p, m, k) for p, k in zip(prefs, lengths))
+        tops = [ref_top(p, m) for p in prefs]
+        bottoms = [ref_bottom(p, m) for p in prefs]
+        for i, p in enumerate(prefs):
+            assert e.levels[e.ballot_of[i]].tolist() == [sum((d, c) in p for d in range(m)) for c in range(m)]
+            assert (e.top(i), e.second(i), bottom(e, i)) == (tops[i], ref_second(p, m), bottoms[i])
+            assert is_total(e, i) == total[i]
+        assert e.all_total == all(total)
+
+        counts = ref_counts(prefs, m)
+        assert e.pair_counts.tolist() == counts
+        if n:
+            assert comparison_graph(e).counts == tuple(map(tuple, counts))
         s = scores(e)
         assert s.plurality == tuple(tops.count(c) for c in range(m))
         assert s.veto == tuple(bottoms.count(c) for c in range(m))
         listed = [c for t in e.ktop if t is not None for c in t]
-        assert s.topk_coverage == tuple(Fraction(listed.count(c), n) for c in range(m))
+        assert s.topk_coverage == tuple(Fraction(listed.count(c), max(n, 1)) for c in range(m))
         for a, b in itertools.permutations(range(m), 2):
             na, nb = counts[a][b], counts[b][a]
             assert majority_oracle(e, a, b) == (b if na > nb else a if nb > na else min(a, b))
-
         for focal in range(m):
             g = build_domination_graph(e, focal, (1,) * m)
             for i, p in enumerate(prefs):
                 row = g.neighbourhoods[g.ballot_of[i]]
                 assert set(np.flatnonzero(row).tolist()) == {k for k in range(m) if k == focal or (focal, k) in p}
 
-        voters = [0, n - 1, 0] if data is None else data.draw(st.lists(st.integers(0, n - 1), max_size=7))
-        sub = Election(len(voters), m, tuple(prefs[i] for i in voters), tuple(e.ktop[i] for i in voters))
-        assert e.restrict(voters) == sub
-        gone = set(range(0, n, 2))
-        blank = Election(
-            n, m,
-            tuple(frozenset() if i in gone else p for i, p in enumerate(prefs)),
-            tuple(None if i in gone else t for i, t in enumerate(e.ktop)),
-        )
-        assert mask_voters(e, gone) == blank
+        back = pickle.loads(pickle.dumps(e))
+        rebuilt = Election(n, m, tuple(prefs), tuple(ann))
+        assert back == e == rebuilt and hash(back) == hash(e) == hash(rebuilt)
+        assert not back.levels.flags.writeable
 
 
 class TestListedAnnotation:
@@ -304,7 +344,7 @@ class TestListedAnnotation:
     def test_list_length_is_part_of_the_election(self):
         # lists of m - 1 and m candidates state the same pairs
         short, full = Election.from_ktop([(0, 1)], 3), Election.from_ktop([(0, 1, 2)], 3)
-        assert np.array_equal(short.ballots, full.ballots)
+        assert np.array_equal(relation(short), relation(full))
         assert short != full and short.ktop == ((0, 1),) and full.ktop == ((0, 1, 2),)
         assert ranking(short, 0) is None and ranking(full, 0) == (0, 1, 2)
 
@@ -314,6 +354,34 @@ class TestBallotConstruction:
         rankings = [(2, 0, 1, 3), (0, 1, 2, 3), (2, 0, 1, 3), (3, 2, 1, 0)]
         e = Election.from_rankings(rankings, 4)
         assert e == Election(4, 4, tuple(ktop_pairs(r, 4) for r in rankings), rankings)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    @pytest.mark.parametrize("m", [3, None])
+    def test_from_rankings_array_equals_list(self, dtype, m):
+        rankings = [(2, 0, 1), (0, 1, 2), (2, 0, 1), (1, 2, 0)]
+        e = Election.from_rankings(np.array(rankings, dtype=dtype), m)
+        assert e == Election.from_rankings(rankings, m)
+        assert Election.from_rankings(np.zeros((0, 3), dtype=dtype), 3) == Election.from_rankings([], 3)
+
+    @pytest.mark.parametrize(
+        "rankings, m, message",
+        [
+            ([(0, 1, 2), (0, 1)], 3, "voter 1: ranking must list all 3 candidates"),
+            ([(0, 1, 2), (0, 1)], None, "voter 1: ranking must list all 3 candidates"),
+            ([(0, 1, 2), (0, 1, 5)], None, "voter 0: ranking must list all 6 candidates"),
+            ([(0, 1, 2), (0, 1, 2)], 2, "voter 0: ranking must list all 2 candidates"),
+            ([(0, 1, 2), (0, 1, 5)], 3, "voter 1: k-top entry out of range"),
+            ([(0, 1, 2), (0, -1, 1)], 3, "voter 1: k-top entry out of range"),
+            ([(0, 1, 2), (0, 0, 1)], 3, "k-top list contains duplicates"),
+            ([(0, 1, 2), (2, 2, 2)], None, "k-top list contains duplicates"),
+        ],
+    )
+    def test_from_rankings_messages(self, rankings, m, message):
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            Election.from_rankings(rankings, m)
+        if len({len(r) for r in rankings}) == 1:
+            with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+                Election.from_rankings(np.array(rankings), m)
 
     def test_from_ktop_equals_pair_sets(self):
         # the 3-top and the 4-top list (0, 1, 2[, 3]) state the same pairs
@@ -331,15 +399,16 @@ class TestBallotConstruction:
             assert truncate_to_ktop(e, k) == ref
 
     def test_first_appearance_order(self):
-        p, q = frozenset({(1, 0)}), frozenset({(0, 2)})
+        p, q = frozenset({(1, 0), (1, 2)}), frozenset({(0, 2), (1, 2)})
         e = Election(5, 3, (p, frozenset(), p, q, frozenset()))
         assert e.ballot_of.tolist() == [0, 1, 0, 2, 1]
         assert e.multiplicity.tolist() == [2, 2, 1]
-        assert [sorted(map(tuple, np.argwhere(b).tolist())) for b in e.ballots] == [[(1, 0)], [], [(0, 2)]]
+        assert [sorted(map(tuple, np.argwhere(b).tolist())) for b in relation(e)] == [[(1, 0), (1, 2)], [], [(0, 2), (1, 2)]]
+        assert e.levels.tolist() == [[1, 0, 1], [0, 0, 0], [0, 0, 2]]
         assert e.restrict([3, 0, 3]).ballot_of.tolist() == [0, 1, 0]
         assert mask_voters(e, [0, 2]).ballot_of.tolist() == [0, 0, 0, 1, 0]
         with pytest.raises(ValueError):
-            e.ballots[0, 0, 1] = True
+            e.levels[0, 0] = 0
 
     @pytest.mark.parametrize("voters", [[5], [-1], [0, 2], [1, -3]])
     def test_voter_ids_out_of_range(self, voters):
@@ -379,7 +448,7 @@ class TestBallotConstruction:
         e = truncate_to_ktop(inst.impartial_culture(12, 4, seed=5).election, 2)
         back = pickle.loads(pickle.dumps(e))
         assert back == e and hash(back) == hash(e)
-        assert not back.ballots.flags.writeable
+        assert not back.levels.flags.writeable
 
     @pytest.mark.parametrize(
         "build",
@@ -394,6 +463,41 @@ class TestBallotConstruction:
     def test_negative_candidate_rejected(self, build):
         with pytest.raises(DataFormatError):
             build()
+
+
+def large_n_sequence(rankings, m: int) -> list:
+    """The library calls of the benchmark's ``ordinal-large-n`` workload, at k = 3."""
+    e = Election.from_rankings(rankings, m)
+    top = truncate_to_ktop(e, 3)
+    return [
+        comparison_graph(e).counts,
+        mechanisms.copeland(e),
+        mechanisms.run_dr(e)[0],
+        mechanisms.ktop_rule(top, 3),
+        mechanisms.balanced_rule(top, Fraction(2, 5)),
+        mechanisms.plurality_matching(e),
+        [sampling.sampled_copeland(e, 1.0, 0.05, seed) for seed in range(3)],
+        [sampling.sampled_plurality_matching(e, 2.0, 0.05, seed) for seed in range(3)],
+    ]
+
+
+class TestLevelsOnly:
+    def test_large_n_sequence_builds_no_relation(self, monkeypatch):
+        # the (u, m, m) relation is for the LP, consistency checks and the pair-set view only
+        rankings = np.random.default_rng(7).random((600, 5)).argsort(axis=1)
+        expected = large_n_sequence(rankings.tolist(), 5)
+
+        def refuse(levels):
+            raise AssertionError("built the (u, m, m) relation")
+
+        patched = []
+        for info in pkgutil.iter_modules(metricvote.__path__):
+            module = importlib.import_module(f"metricvote.{info.name}")
+            if getattr(module, "_relation", None) is not None:
+                monkeypatch.setattr(module, "_relation", refuse)
+                patched.append(info.name)
+        assert {"core", "lp"} <= set(patched)
+        assert large_n_sequence(rankings, 5) == large_n_sequence(rankings.tolist(), 5) == expected
 
 
 class TestConsistencyAndCost:

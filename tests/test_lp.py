@@ -81,7 +81,7 @@ class TestMetricLpConstruction:
             assert w.vc(i, e.top(i)) <= 1e-7
 
     def test_alpha_needs_top_and_second(self):
-        e = Election(1, 3, (frozenset({(0, 1)}),))
+        e = Election(1, 3, (frozenset({(0, 2), (1, 2)}),))
         with pytest.raises(ConfigError):
             build_metric_lp(e, 0, 1, alpha=0.5)
 
@@ -286,7 +286,7 @@ class TestBranchAndBound:
         assert _row_value(0, {2: math.inf, 1: math.inf}) == (math.inf, 1)
 
     def test_bound_values(self):
-        e = Election(3, 3, (frozenset({(0, 1)}), frozenset({(0, 1)}), frozenset()))
+        e = Election(3, 3, (frozenset({(0, 1), (2, 1)}), frozenset({(0, 1), (2, 1)}), frozenset()))
         bound = ratio_bound(e)
         assert close(bound[0, 1], 1 + 2 * (3 - 2) / 2, 1e-12)
         assert bound[1, 0] == math.inf and bound[0, 2] == math.inf
@@ -325,11 +325,11 @@ class TestValueFloor:
         # one voter each way: s_a = 1 and t_b = 1, so every floor is 1 + 2 * 1/1
         split = Election.from_rankings([(0, 1), (1, 0)], 2)
         assert value_floor(split).tolist() == [3.0, 3.0]
-        # voters 0, 1 state 0 > 1 and voter 2 is silent: s = (2, 0, 0), t = (3, 1, 3)
-        e = Election(3, 3, (frozenset({(0, 1)}), frozenset({(0, 1)}), frozenset()))
+        # voters 0, 1 state 0 = 2 > 1 and voter 2 is silent: s = (2, 0, 2), t = (3, 1, 3)
+        e = Election(3, 3, (frozenset({(0, 1), (2, 1)}), frozenset({(0, 1), (2, 1)}), frozenset()))
         assert value_floor(e).tolist() == [math.inf, math.inf, math.inf]
-        e = Election(2, 3, (frozenset({(0, 1), (0, 2)}), frozenset({(0, 1)})))
-        # s = (2, 0, 0); t = (2, 0, 1): g = (inf, 1, 1 + 2 * 1/1)
+        e = Election(2, 3, (frozenset({(0, 1), (0, 2)}), frozenset({(0, 1), (2, 1)})))
+        # s = (2, 0, 1); t = (2, 0, 1): g = (inf, 1, 1 + 2 * 1/1)
         assert value_floor(e).tolist() == [3.0, math.inf, math.inf]
 
     def test_silent_and_degenerate_elections(self):
@@ -450,7 +450,7 @@ class TestReducedLpMatchesFull:
 class TestReducedLpProperty:
     @given(partial_order_elections())
     @settings(max_examples=60, deadline=None)
-    @example(Election(3, 3, (frozenset({(0, 1)}),) * 2 + (frozenset(),)))
+    @example(Election(3, 3, (frozenset({(0, 1), (2, 1)}),) * 2 + (frozenset(),)))
     def test_reduced_value_equals_full(self, e):
         for a in range(e.m):
             for b in range(e.m):

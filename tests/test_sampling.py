@@ -121,7 +121,7 @@ class TestSampledCopeland:
         assert copeland(sub) == copeland(e)
 
     def test_requires_total_orders(self):
-        e = Election(2, 3, (frozenset({(0, 1)}), frozenset()))
+        e = Election(2, 3, (frozenset({(0, 1), (0, 2)}), frozenset()))
         with pytest.raises(ConfigError):
             sampled_copeland(e, 1, 0.1, 0)
 
