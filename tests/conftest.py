@@ -171,13 +171,19 @@ def partial_order_elections(draw):
 
 
 @st.composite
+def ktop_elections(draw):
+    """k-top truncations of total orders, m <= 5 and n <= 8: every voter has a unique top."""
+    m = draw(st.integers(2, 5))
+    rankings = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=8))
+    return truncate_to_ktop(Election.from_rankings(rankings, m), draw(st.integers(1, m)))
+
+
+@st.composite
 def ballot_elections(draw):
     """Weak orders, k-top truncations of total orders, and masked voters."""
     kind = draw(st.sampled_from(["partial", "ktop", "masked"]))
     if kind == "ktop":
-        m = draw(st.integers(2, 5))
-        rankings = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=8))
-        return truncate_to_ktop(Election.from_rankings(rankings, m), draw(st.integers(1, m)))
+        return draw(ktop_elections())
     e = draw(partial_order_elections())
     if kind == "masked":
         e = mask_voters(e, draw(st.sets(st.integers(0, e.n - 1))))

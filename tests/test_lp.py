@@ -6,7 +6,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from conftest import ballot_elections, partial_order_elections
+from conftest import ballot_elections, ktop_elections, partial_order_elections
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_lp import build_full, from_rows, solve_full
@@ -34,6 +34,7 @@ from metricvote.lp import (
     solve_metric_lp,
     value_floor,
 )
+from metricvote.mechanisms import phi_scores
 
 
 def close(x, y, tol=1e-6):
@@ -306,6 +307,32 @@ class TestBranchAndBound:
         e = inst.impartial_culture(40, 7, seed=0).election
         minimax(e)
         assert len(set(calls)) == len(calls) < 7 * 6
+
+
+class TestMatchingCertificate:
+    @given(ktop_elections())
+    @settings(max_examples=40, deadline=None)
+    def test_value_within_matching_bound(self, e):
+        """value(a) <= (4 - phi_a) / phi_a for every a with phi_a > 0.
+
+        phi_a is the matching fraction of a's domination graph under
+        plurality capacities.  Fix an opponent b and a consistent metric d.
+        The capacities let each matched voter i, matched to candidate k, be
+        paired with a distinct voter j whose unique top is k.  Voter i
+        states a over k (or k = a), so d(i, a) <= d(i, k) <= d(i, b) +
+        d(b, j) + d(j, k) <= d(i, b) + 2 d(j, b), since k is j's top.  An
+        unmatched voter has d(i, a) <= d(i, b) + d(a, b).  The j are
+        distinct, so summing gives SC(a) <= 3 SC(b) + (1 - phi_a) n d(a, b),
+        and the triangle inequality summed over all voters gives
+        n d(a, b) <= SC(a) + SC(b).  Hence phi_a SC(a) <= (4 - phi_a) SC(b).
+        Only stated comparisons and unique tops are used, so k-top ballots
+        are covered; at phi_a = 1 this is the bound of 3.  The bound is
+        tight on these elections, so the LP values get a relative TAU_LP.
+        """
+        values = distortion_table(e).per_candidate
+        for a, phi in enumerate(phi_scores(e)):
+            if phi > 0:
+                assert values[a] <= (4 - phi) / phi * (1 + TAU_LP)
 
 
 class TestValueFloor:

@@ -481,10 +481,15 @@ class TestPhiScoresOneNetwork:
     @given(ballot_elections(), st.data())
     @settings(max_examples=80, deadline=None)
     def test_matches_per_graph_matchings(self, e, data):
+        # silent, masked and k-top voters, closed candidates; both paths are
+        # called directly, since small elections take the subset tables
         caps = data.draw(st.lists(st.sampled_from([-1, 0, 1, 2, 3]), min_size=e.m, max_size=e.m))
-        assert phi_scores(e, caps) == tuple(max_matching(build_domination_graph(e, j, caps)).phi for j in range(e.m))
+        sizes = [max_matching(build_domination_graph(e, j, caps)).size for j in range(e.m)]
+        assert mechanisms._matched_by_cut(e, caps).tolist() == sizes
+        assert mechanisms._matched_by_flow(e, caps).tolist() == sizes
+        assert phi_scores(e, caps) == tuple(Fraction(s, e.n) for s in sizes)
 
-    def test_one_flow_call(self, monkeypatch):
+    def test_flow_only_past_the_subset_rule(self, monkeypatch):
         calls = []
 
         def counted(*args, **kwargs):
@@ -492,10 +497,13 @@ class TestPhiScoresOneNetwork:
             return maximum_flow(*args, **kwargs)
 
         monkeypatch.setattr(mechanisms, "maximum_flow", counted)
-        e = inst.impartial_culture(60, 7, seed=4).election
-        phis = phi_scores(e)
+        e = inst.impartial_culture(60, 7, seed=4).election  # 2**7 <= 16 * 60
+        assert max(phi_scores(e)) == 1
+        assert calls == []
+        few = Election.from_rankings([range(8), range(7, -1, -1), (3, 1, 4, 0, 5, 2, 7, 6)], 8)  # 2**8 > 16 * 3
+        phis = phi_scores(few)
         assert calls == ["dinic"]
-        assert max(phis) == 1
+        assert phis == tuple(max_matching(build_domination_graph(few, j)).phi for j in range(8))
 
     def test_all_capacities_closed(self):
         e = Election.from_rankings([(0, 1, 2), (2, 1, 0), (1, 0, 2)], 3)
@@ -527,6 +535,8 @@ class TestPhiScoresOneNetwork:
         e = Election.from_rankings([(0, 1)] * 3 + [(1, 0)] * 2, 2)
         for caps in ((2**32 + 1, 2**32), (2**31, 2**31), (2**70, 2**63)):
             assert phi_scores(e, caps) == (1, 1)
+            assert mechanisms._matched_by_cut(e, caps).tolist() == [5, 5]
+            assert mechanisms._matched_by_flow(e, caps).tolist() == [5, 5]
         r = max_matching(build_domination_graph(e, 0, (0, 2**32 + 1)))
         assert r.size == 3 and r.usage == (0, 3) and r.assignment == (1, 1, 1, -1, -1)
 
