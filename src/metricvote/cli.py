@@ -94,7 +94,10 @@ def _parse_number(text: str):
     except ValueError:
         pass
     if "/" in text:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad fraction {text!r}") from exc
     try:
         return float(text)
     except ValueError:
@@ -257,7 +260,10 @@ def _sweep_missing_row(task):
 def cmd_sweep_missing(args) -> int:
     import numpy as np
 
-    grid = [float(x) for x in args.epsilon_grid.split(",")]
+    try:
+        grid = [float(x) for x in args.epsilon_grid.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"bad --epsilon-grid {args.epsilon_grid!r}") from exc
     for eps in grid:
         if not 0 <= eps < 1:
             raise ConfigError(f"epsilon grid entries must be in [0, 1), got {eps}")

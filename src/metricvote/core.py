@@ -515,6 +515,12 @@ def _is_exact(x) -> bool:
     return isinstance(x, (Fraction, int)) and not isinstance(x, bool)
 
 
+def _shortest_paths(d: np.ndarray) -> None:
+    """Close ``d`` under all-pairs shortest paths in place (Floyd–Warshall)."""
+    for k in range(len(d)):
+        np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :], out=d)
+
+
 @dataclass(frozen=True, eq=False)
 class MetricWitness:
     """Symmetric distance table on voters followed by candidates.
@@ -545,18 +551,12 @@ class MetricWitness:
 
     @classmethod
     def from_points(cls, voter_points, candidate_points, norm: int = 2) -> "MetricWitness":
-        """Distances between explicit coordinates (exact for exact 1-D input)."""
+        """Distances between explicit coordinates (exact for exact input in 1-D or under L1)."""
         vp = [tuple(p) if isinstance(p, (tuple, list, np.ndarray)) else (p,) for p in voter_points]
         cp = [tuple(p) if isinstance(p, (tuple, list, np.ndarray)) else (p,) for p in candidate_points]
         pts = vp + cp
-        exact = all(all(_is_exact(x) for x in p) for p in pts)
-        if exact:
-            size = len(pts)
-
-            def d(p, q):
-                return sum(abs(x - y) for x, y in zip(p, q))
-
-            table = tuple(tuple(d(pts[i], pts[j]) for j in range(size)) for i in range(size))
+        if all(_is_exact(x) for p in pts for x in p) and (norm == 1 or all(len(p) == 1 for p in pts)):
+            table = tuple(tuple(sum(abs(x - y) for x, y in zip(p, q)) for q in pts) for p in pts)
             return cls(len(vp), len(cp), table)
         arr = np.asarray(pts, dtype=np.float64)
         from scipy.spatial.distance import cdist
@@ -564,15 +564,35 @@ class MetricWitness:
         table = cdist(arr, arr, metric="cityblock" if norm == 1 else "euclidean")
         return cls(len(vp), len(cp), table)
 
+    @classmethod
+    def from_edges(cls, n: int, m: int, edges: list) -> "MetricWitness":
+        """Exact shortest-path metric of a connected graph on voters, then candidates.
+
+        ``edges`` is a list of ``(p, q, length)`` with int or Fraction lengths
+        >= 0; a repeated edge keeps its shortest length.  Entries are
+        Fractions when any length is one, ints otherwise.  The closure runs on
+        ints scaled by the common denominator: Fraction arithmetic is slower.
+        """
+        size = n + m
+        if not all(_is_exact(w) and w >= 0 for _, _, w in edges):
+            raise DataFormatError("edge lengths must be ints or Fractions >= 0")
+        scale = math.lcm(*(w.denominator for _, _, w in edges))
+        d = np.full((size, size), math.inf, dtype=object)
+        np.fill_diagonal(d, 0)
+        for p, q, w in edges:
+            w = int(w * scale)
+            if w < d[p, q]:
+                d[p, q] = d[q, p] = w
+        _shortest_paths(d)
+        if (d == math.inf).any():
+            raise DataFormatError("graph is not connected")
+        unit = Fraction(1, scale) if any(isinstance(w, Fraction) for _, _, w in edges) else 1
+        return cls(n, m, tuple(tuple(x * unit for x in row) for row in d.tolist()))
+
     def vc(self, voter: int, candidate: int):
         if isinstance(self.dist, np.ndarray):
             return float(self.dist[voter, self.n + candidate])
         return self.dist[voter][self.n + candidate]
-
-    def cc(self, a: int, b: int):
-        if isinstance(self.dist, np.ndarray):
-            return float(self.dist[self.n + a, self.n + b])
-        return self.dist[self.n + a][self.n + b]
 
     def as_array(self) -> np.ndarray:
         if isinstance(self.dist, np.ndarray):
@@ -760,8 +780,12 @@ def election_from_text(text: str) -> Election:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise DataFormatError(f"bad header: {lines[0]!r}") from exc
-    body = lines[1 : 1 + n]
-    if len(body) < n:
+    if n < 0 or m < 1:
+        raise DataFormatError("need n >= 0 and m >= 1")
+    body = lines[1:]
+    while len(body) > n and not body[-1].strip():
+        body.pop()
+    if len(body) != n:
         raise DataFormatError(f"expected {n} ballot lines, found {len(body)}")
     listed_all, marks, counts, lengths = [], [], [], []
     for i, line in enumerate(body):
@@ -784,8 +808,6 @@ def election_from_text(text: str) -> Election:
         marks += [">", *between] if listed else []
         counts.append(len(listed))
         lengths.append(len(listed) if gt == len(between) else 0)
-    if n < 0 or m < 1:
-        raise DataFormatError("need n >= 0 and m >= 1")
     counts = np.array(counts, dtype=np.intp)
     # every line's first mark is ">", so each group start found stays within its line
     spot = np.arange(len(marks))

@@ -4,6 +4,11 @@ Every generator is a pure function of its parameters and seed.  When a
 ground-truth witness ships with the instance it is consistent with the
 election, and the ``expected`` dict carries machine-checkable claims
 (exact rationals wherever the construction is rational).
+
+Line constructions place exact points with ``MetricWitness.from_points``.
+The witnesses of ``ktop_lower_bound``, ``veto_instance`` and ``hidden_star``
+are weighted graphs whose exact shortest-path metric comes from
+``MetricWitness.from_edges``.
 """
 
 from __future__ import annotations
@@ -164,8 +169,10 @@ def dr_lower_bound(m: int, far_ratio: int = 100) -> GeneratedInstance:
 def ktop_lower_bound(m: int, k: int, ratio) -> GeneratedInstance:
     """Disjoint k-top blocks around a star centre; distortion approaches 2n - 1.
 
-    ``ratio`` is the near/far distance ratio (delta over D); the exact
-    distortion of the first block candidate against the centre x is
+    The witness is a star on the centre candidate x: voter i has edges to
+    x and to its block, of length 1 for voter 0 and ``ratio`` (delta over
+    D) for the others, and a block's candidates are zero apart.  The exact
+    distortion of the first block candidate against x is
     (1 + (n-1)(ratio + 2)) / (1 + (n-1) ratio), attached as an expected
     property.
     """
@@ -178,53 +185,12 @@ def ktop_lower_bound(m: int, k: int, ratio) -> GeneratedInstance:
     x = m - 1
     blocks = [tuple(range(i * k, (i + 1) * k)) for i in range(n)]
     e = Election.from_ktop(blocks, m)
-
-    D, delta = Fraction(1), r
-    size = n + m
-
-    def block_of(c: int) -> int:
-        return c // k
-
-    # shortest paths on the star: v_0 hangs at D from x with its block D
-    # beyond; every other voter sits at delta from x with its block delta
-    # beyond.
-    def dvx(i: int) -> Fraction:
-        return D if i == 0 else delta
-
-    def dvb(i: int) -> Fraction:  # voter to own block
-        return D if i == 0 else delta
-
-    dist = [[Fraction(0)] * size for _ in range(size)]
-
-    def point_dist(p: int, q: int) -> Fraction:
-        def to_x(p: int) -> Fraction:
-            if p < n:  # voter
-                return dvx(p)
-            c = p - n
-            if c == x:
-                return Fraction(0)
-            return dvx(block_of(c)) + dvb(block_of(c))
-
-        def anchor(p: int) -> int:  # star arm the point hangs on
-            if p < n:
-                return p
-            c = p - n
-            return -1 if c == x else block_of(c)
-
-        def arm_offset(p: int) -> Fraction:  # distance from the arm's voter
-            if p < n:
-                return Fraction(0)
-            c = p - n
-            return Fraction(0) if c == x else dvb(block_of(c))
-
-        if anchor(p) == anchor(q) and anchor(p) != -1:
-            return abs(arm_offset(p) - arm_offset(q))
-        return to_x(p) + to_x(q)
-
-    for p in range(size):
-        for q in range(p + 1, size):
-            dist[p][q] = dist[q][p] = point_dist(p, q)
-    witness = MetricWitness(n, m, tuple(map(tuple, dist)))
+    edges = []
+    for i, block in enumerate(blocks):
+        arm = Fraction(1) if i == 0 else r
+        edges += [(i, n + c, arm) for c in (x, *block)]
+        edges += [(n + c, n + c + 1, 0) for c in block[:-1]]
+    witness = MetricWitness.from_edges(n, m, edges)
     formula = (1 + (n - 1) * (r + 2)) / (1 + (n - 1) * r)
     expected = {
         "optimal": x,
@@ -274,8 +240,9 @@ def veto_instance(m: int) -> GeneratedInstance:
 
     a (id 0) has social cost m on the shipped graph metric while every
     other candidate costs 3m - 4, yet a is ineligible for the matching
-    rule because plu(a) = 0 < 1 = veto(a).  The graph generalisation
-    beyond m = 4 (one hub per voter top plus the a-spine) is a
+    rule because plu(a) = 0 < 1 = veto(a).  The graph has unit edges from
+    each voter but the last to a and to its top, and from the last voter
+    to every candidate.  This edge list generalising m = 4 is a
     reconstruction validated through those SC values.
     """
     if m < 3:
@@ -284,32 +251,12 @@ def veto_instance(m: int) -> GeneratedInstance:
     if m == 4:
         rankings = [(1, 0, 2, 3), (3, 0, 1, 2), (2, 0, 3, 1), (1, 3, 2, 0)]
     else:
-        rankings = []
-        for i in range(n - 1):
-            top = i + 1
-            rest = [c for c in range(1, m) if c != top]
-            rankings.append(tuple([top, 0] + rest))
-        rankings.append(tuple(list(range(1, m)) + [0]))
+        rankings = [(t, 0, *(c for c in range(1, m) if c != t)) for t in range(1, m)]
+        rankings.append((*range(1, m), 0))
     e = Election.from_rankings(rankings, m)
-
-    size = n + m
-    dist = [[0] * size for _ in range(size)]
-
-    def vd(i: int, c: int) -> int:
-        if i == n - 1:
-            return 1
-        return 1 if c in (0, rankings[i][0]) else 3
-
-    for i in range(n):
-        for c in range(m):
-            dist[i][n + c] = dist[n + c][i] = vd(i, c)
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[i][j] = dist[j][i] = 2
-    for a in range(m):
-        for b in range(a + 1, m):
-            dist[n + a][n + b] = dist[n + b][n + a] = 2
-    witness = MetricWitness(n, m, tuple(map(tuple, dist)))
+    edges = [(i, n + c, 1) for i in range(n - 1) for c in (0, rankings[i][0])]
+    edges += [(n - 1, n + c, 1) for c in range(m)]
+    witness = MetricWitness.from_edges(n, m, edges)
     expected = {
         "sc_a": Fraction(m),
         "sc_other": Fraction(3 * m - 4),
@@ -352,27 +299,16 @@ def decisive_instance(alpha) -> GeneratedInstance:
 def hidden_star(m: int, chosen: int, n: int = 3, far_ratio: int = DEFAULT_FAR_RATIO) -> GeneratedInstance:
     """All voters hug one candidate; every other candidate is far away.
 
-    Used to show that any elicitation of fewer than m - 1 comparisons
-    leaves at least two candidates indistinguishable: two instances
-    differing only in ``chosen`` answer an adversarially chosen short
-    query sequence identically.
+    The witness joins every voter to ``chosen`` at 1 and to every other
+    candidate at ``far_ratio`` >= 1.  Used to show that any elicitation of
+    fewer than m - 1 comparisons leaves at least two candidates
+    indistinguishable: two instances differing only in ``chosen`` answer
+    an adversarially chosen short query sequence identically.
     """
-    if m < 3 or not 0 <= chosen < m:
-        raise ConfigError("hidden_star needs m >= 3 and a valid chosen candidate")
-    delta, dfar = Fraction(1), Fraction(far_ratio)
-    size = n + m
-    dist = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(n):
-        for c in range(m):
-            v = delta if c == chosen else dfar
-            dist[i][n + c] = dist[n + c][i] = v
-        for j in range(i + 1, n):
-            dist[i][j] = dist[j][i] = 2 * delta
-    for a_ in range(m):
-        for b_ in range(a_ + 1, m):
-            v = dfar + delta if chosen in (a_, b_) else 2 * dfar
-            dist[n + a_][n + b_] = dist[n + b_][n + a_] = v
-    witness = MetricWitness(n, m, tuple(map(tuple, dist)))
+    if m < 3 or not 0 <= chosen < m or n < 1 or far_ratio < 1:
+        raise ConfigError("hidden_star needs m >= 3, a valid chosen candidate, n >= 1 and far_ratio >= 1")
+    edges = [(i, n + c, Fraction(1 if c == chosen else far_ratio)) for i in range(n) for c in range(m)]
+    witness = MetricWitness.from_edges(n, m, edges)
     rankings = [tuple([chosen] + [c for c in range(m) if c != chosen])] * n
     e = Election.from_rankings(rankings, m)
     expected = {
@@ -449,7 +385,7 @@ def witness_to_jsonable(w: MetricWitness) -> dict:
 
 def witness_from_jsonable(obj: dict) -> MetricWitness:
     if obj.get("exact"):
-        table = tuple(tuple(Fraction(x) if isinstance(x, str) else Fraction(x) for x in row) for row in obj["dist"])
+        table = tuple(tuple(Fraction(x) for x in row) for row in obj["dist"])
         return MetricWitness(obj["n"], obj["m"], table)
     return MetricWitness(obj["n"], obj["m"], np.asarray(obj["dist"], dtype=float))
 

@@ -92,7 +92,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .core import Election, MetricWitness, _relation
+from .core import Election, MetricWitness, _relation, _shortest_paths
 from .errors import ConfigError, SolverFailureError
 
 #: Relative tolerance on LP objective values.
@@ -468,6 +468,5 @@ def extract_pseudometric(outcome: LpOutcome) -> MetricWitness:
     d[:n, n:] = block[ballot_of]
     d[n:, :n] = d[:n, n:].T
     d[:n, :n][ballot_of[:, None] == ballot_of[None, :]] = 0.0
-    for k in range(size):
-        np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :], out=d)
+    _shortest_paths(d)
     return MetricWitness(n, m, tuple(tuple(float(x) for x in row) for row in d))

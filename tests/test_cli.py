@@ -35,6 +35,19 @@ class TestGen:
     def test_unknown_generator_is_config_error(self, tmp_path):
         assert run(["gen", "--generator", "nope", "--out", tmp_path / "x"]) == 2
 
+    @pytest.mark.parametrize(
+        "generator, params",
+        [
+            ("ktop-lower-bound", "m=7,k=3,ratio=1/0"),
+            ("impartial-culture", "n=a/b,m=3"),
+            ("hidden-star", "m=5,chosen=2,far_ratio=0"),
+        ],
+    )
+    def test_bad_params_are_config_errors(self, tmp_path, capsys, generator, params):
+        args = ["gen", "--generator", generator, "--params", params, "--seed", 0, "--out", tmp_path / "x"]
+        assert run(args) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
 
 class TestRun:
     def test_dr_on_schedule(self, tmp_path):
@@ -165,6 +178,12 @@ class TestSweeps:
         for row in rows:
             assert float(row[6]) <= float(row[7]) + 1e-6  # distortion within the envelope
         assert float(rows[-1][7]) == 3.0  # eps = 0 envelope
+
+
+    def test_sweep_missing_bad_grid_is_config_error(self, tmp_path, capsys):
+        args = ["sweep-missing", "--n", 10, "--m", 3, "--trials", 1, "--epsilon-grid", "0.5,abc"]
+        assert run(args + ["--out", tmp_path / "m.csv"]) == 2
+        assert "bad --epsilon-grid '0.5,abc'" in capsys.readouterr().err
 
 
 class TestSample:

@@ -529,6 +529,50 @@ class TestConsistencyAndCost:
         assert social_cost(gi.witness, 1) == 8
 
 
+class TestMetricWitnessConstructors:
+    def test_from_edges_path_values_and_types(self):
+        # voter 0, candidates at points 1..3 along a path of lengths 1/2, 1, 1/3
+        w = MetricWitness.from_edges(1, 3, [(0, 1, Fraction(1, 2)), (1, 2, 1), (2, 3, Fraction(1, 3))])
+        assert w.dist[0] == (0, Fraction(1, 2), Fraction(3, 2), Fraction(11, 6))
+        assert w.dist[3] == (Fraction(11, 6), Fraction(4, 3), Fraction(1, 3), 0)
+        assert all(type(x) is Fraction for row in w.dist for x in row)
+        w.validate_metric()
+
+    def test_from_edges_int_lengths_give_ints(self):
+        w = MetricWitness.from_edges(2, 1, [(0, 2, 1), (1, 2, 3)])
+        assert w.dist == ((0, 4, 1), (4, 0, 3), (1, 3, 0))
+        assert all(type(x) is int for row in w.dist for x in row)
+
+    def test_from_edges_zero_length_edge_merges_points(self):
+        w = MetricWitness.from_edges(1, 2, [(0, 1, 0), (1, 2, Fraction(5, 2))])
+        assert w.dist[0] == (0, 0, Fraction(5, 2))
+        assert social_cost(w, 0) == 0
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_from_edges_repeated_edge_keeps_shorter(self, order):
+        edges = [(0, 1, 5), (1, 0, 2)][::order] + [(1, 2, 1)]
+        w = MetricWitness.from_edges(1, 2, edges)
+        assert w.dist[0] == (0, 2, 3)
+
+    def test_from_edges_rejects_disconnected_graph(self):
+        with pytest.raises(DataFormatError, match="not connected"):
+            MetricWitness.from_edges(2, 2, [(0, 2, 1), (1, 3, 1)])
+
+    @pytest.mark.parametrize("length", [-1, Fraction(-1, 2), 0.5])
+    def test_from_edges_rejects_bad_lengths(self, length):
+        with pytest.raises(DataFormatError, match="edge lengths"):
+            MetricWitness.from_edges(1, 1, [(0, 1, length)])
+
+    def test_from_points_exact_input_respects_norm(self):
+        voters, cands = [(0, 0)], [(3, 4)]
+        assert MetricWitness.from_points(voters, cands).vc(0, 0) == 5.0
+        assert MetricWitness.from_points([(0.0, 0.0)], [(3.0, 4.0)]).vc(0, 0) == 5.0
+        l1 = MetricWitness.from_points(voters, cands, norm=1)
+        assert l1.exact and l1.vc(0, 0) == 7
+        # 1-D exact points stay exact under any norm
+        assert MetricWitness.from_points([Fraction(1, 2)], [Fraction(2)]).vc(0, 0) == Fraction(3, 2)
+
+
 class TestComparisonGraph:
     def test_unanimous(self):
         e = Election.from_rankings([(0, 1)] * 3, 2)
@@ -642,6 +686,8 @@ class TestTextFormat:
             ("3\n", "header must be 'n m'"),
             ("a b\n", "bad header: 'a b'"),
             ("3 2\n0 > 1\n", "expected 3 ballot lines, found 1"),
+            ("2 3\n0\n1\n2\n", "expected 2 ballot lines, found 3"),
+            ("1 3\n0\n\n2\n\n", "expected 1 ballot lines, found 3"),
             ("1 3\n0 > x\n", "voter 0: bad token in '0 > x'"),
             ("1 3\n0 >> 1\n", "voter 0: bad token in '0 >> 1'"),
             ("1 3\n0 1\n", "voter 0: bad token in '0 1'"),
@@ -658,6 +704,12 @@ class TestTextFormat:
     def test_malformed_input(self, text, message):
         with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
             election_from_text(text)
+
+    def test_trailing_blank_lines_are_not_ballots(self):
+        e = election_from_text("2 3\n0\n1 > 2\n\n  \n")
+        assert e.n == 2 and e.ktop == ((0,), (1, 2))
+        # blank lines inside the n ballot lines stay silent ballots
+        assert election_from_text("2 3\n0\n\n\n").prefs[1] == frozenset()
 
     def test_empty_list_is_no_list(self):
         # an empty list states nothing: it is written as an empty line and read back as no list

@@ -164,6 +164,18 @@ def test_hidden_star_costs():
         assert realized_distortion(gi.witness, c) >= gi.expected["min_bad_distortion"]
 
 
+@pytest.mark.parametrize("params", [{"far_ratio": 0}, {"far_ratio": Fraction(1, 2)}, {"far_ratio": -3}, {"n": 0}])
+def test_hidden_star_rejects_short_far_ratio_and_no_voters(params):
+    with pytest.raises(ConfigError):
+        inst.hidden_star(5, 2, **params)
+
+
+def test_hidden_star_far_ratio_one_is_a_metric():
+    gi = inst.hidden_star(4, chosen=1, n=2, far_ratio=1)
+    gi.check_witness()
+    assert gi.witness.dist[0] == (0, 2, 1, 1, 1, 1)
+
+
 def test_generate_dispatch_and_sidecar_roundtrip():
     gi = inst.generate("chain", {"ell": 3})
     side = instance_sidecar(gi)
@@ -173,6 +185,13 @@ def test_generate_dispatch_and_sidecar_roundtrip():
     side2 = witness_to_jsonable(gi2.witness)
     w3 = witness_from_jsonable(side2)
     assert abs(w3.vc(0, 0) - gi2.witness.vc(0, 0)) < 1e-12
+    # int tables stay ints in JSON; Fraction tables are written as strings
+    veto = instance_sidecar(inst.generate("veto", {"m": 5}))["witness"]
+    assert all(type(x) is int for row in veto["dist"] for x in row)
+    ktop = inst.generate("ktop-lower-bound", {"m": 7, "k": 3, "ratio": Fraction(1, 10)})
+    table = instance_sidecar(ktop)["witness"]["dist"]
+    assert all(type(x) is str for row in table for x in row) and "1/10" in table[1]
+    assert witness_from_jsonable(witness_to_jsonable(ktop.witness)).dist == ktop.witness.dist
     with pytest.raises(ConfigError):
         inst.generate("euclidean", {"n": 5, "m": 3, "dim": 2})  # seed required
     with pytest.raises(ConfigError):
