@@ -4,6 +4,11 @@ Mechanisms under limited ordinal information (pairwise elicitation, k-top
 ballots, missing voters, random samples), an instance-optimal LP
 distortion evaluator, adversarial instance generators, score-table
 ingestion, and an experiment CLI.
+
+Importing the package loads NumPy but not SciPy.  SciPy's LP solver loads on
+the first LP, its max-flow on the first max-flow matching, and its distance
+routines on the first float ``MetricWitness.from_points``; the mechanisms
+that need none of these never load it.
 """
 
 __version__ = "0.1.0"

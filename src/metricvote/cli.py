@@ -391,6 +391,10 @@ def cmd_ingest(args) -> int:
 
 def _pmap(fn, tasks, jobs):
     if jobs and jobs > 1:
+        # Every pooled task solves LPs.  Loading the solver here, once, lets the
+        # forked workers inherit it instead of each importing it on its first LP.
+        import scipy.optimize  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]

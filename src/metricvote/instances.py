@@ -13,6 +13,8 @@ are weighted graphs whose exact shortest-path metric comes from
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
@@ -109,7 +111,7 @@ def chain(ell: int) -> GeneratedInstance:
     return GeneratedInstance(e, witness, "chain", {"ell": ell}, expected=expected)
 
 
-def dr_lower_bound(m: int, far_ratio: int = 100) -> GeneratedInstance:
+def dr_lower_bound(m: int, far_ratio: Fraction | float = 100) -> GeneratedInstance:
     """Knockout worst case: chain of log2(m)+1 candidates plus far fillers.
 
     Ships the pairing schedule under which the top chain candidate survives
@@ -296,7 +298,7 @@ def decisive_instance(alpha) -> GeneratedInstance:
     return GeneratedInstance(e, witness, "decisive_instance", {"alpha": a}, expected=expected)
 
 
-def hidden_star(m: int, chosen: int, n: int = 3, far_ratio: int = DEFAULT_FAR_RATIO) -> GeneratedInstance:
+def hidden_star(m: int, chosen: int, n: int = 3, far_ratio: Fraction | float = DEFAULT_FAR_RATIO) -> GeneratedInstance:
     """All voters hug one candidate; every other candidate is far away.
 
     The witness joins every voter to ``chosen`` at 1 and to every other
@@ -305,15 +307,15 @@ def hidden_star(m: int, chosen: int, n: int = 3, far_ratio: int = DEFAULT_FAR_RA
     indistinguishable: two instances differing only in ``chosen`` answer
     an adversarially chosen short query sequence identically.
     """
-    if m < 3 or not 0 <= chosen < m or n < 1 or far_ratio < 1:
-        raise ConfigError("hidden_star needs m >= 3, a valid chosen candidate, n >= 1 and far_ratio >= 1")
+    if m < 3 or not 0 <= chosen < m or n < 1 or not 1 <= far_ratio < math.inf:
+        raise ConfigError("hidden_star needs m >= 3, a valid chosen candidate, n >= 1 and finite far_ratio >= 1")
     edges = [(i, n + c, Fraction(1 if c == chosen else far_ratio)) for i in range(n) for c in range(m)]
     witness = MetricWitness.from_edges(n, m, edges)
     rankings = [tuple([chosen] + [c for c in range(m) if c != chosen])] * n
     e = Election.from_rankings(rankings, m)
     expected = {
         "chosen": chosen,
-        "min_bad_distortion": Fraction(far_ratio, m) - 1,
+        "min_bad_distortion": Fraction(far_ratio) / m - 1,
     }
     return GeneratedInstance(
         e, witness, "hidden_star", {"m": m, "chosen": chosen, "n": n, "far_ratio": far_ratio}, expected=expected
@@ -331,6 +333,11 @@ GENERATORS = {
     "decisive": decisive_instance,
     "hidden-star": hidden_star,
 }
+
+
+#: What a generator parameter accepts, by its annotation (a string, since
+#: annotations are not evaluated here); any other parameter takes a real number.
+_PARAM_KINDS = {"int": (numbers.Integral, "an integer"), "str": (str, "text")}
 
 
 def generate(name: str, params: dict[str, Any], seed: int | None = None) -> GeneratedInstance:
@@ -352,6 +359,10 @@ def generate(name: str, params: dict[str, Any], seed: int | None = None) -> Gene
     missing = [p.name for p in sig.parameters.values() if p.default is p.empty and p.name not in kwargs]
     if missing:
         raise ConfigError(f"generator {name!r} needs parameters {missing}")
+    for key, value in kwargs.items():
+        kind, noun = _PARAM_KINDS.get(sig.parameters[key].annotation, (numbers.Real, "a number"))
+        if not isinstance(value, kind):
+            raise ConfigError(f"generator {name!r} parameter {key!r} must be {noun}, got {value!r}")
     return fn(**kwargs)
 
 

@@ -79,6 +79,9 @@ above the least value, since its value is at least its floor up to solver
 noise.  So neither can change a value, a worst opponent or the winner:
 ``minimax`` agrees with ``distortion_table`` exactly, not only within
 ``TAU_LP``.
+
+SciPy is imported on the first LP, not with this module: ``build_metric_lp``
+imports ``scipy.sparse`` and ``linprog`` imports the solver when called.
 """
 
 from __future__ import annotations
@@ -86,14 +89,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .core import Election, MetricWitness, _relation, _shortest_paths
 from .errors import ConfigError, SolverFailureError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 #: Relative tolerance on LP objective values.
 TAU_LP = 1e-7
@@ -122,6 +126,20 @@ class LpOutcome:
     value: float
     witness: dict | None = None
     program: LinearProgram | None = None
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call.
+
+    Importing SciPy's optimiser takes more time and memory than importing
+    the rest of the package, NumPy included, and only the LPs need it, so
+    it is not imported with this module.  ``solve_lp`` calls this module
+    attribute rather than SciPy's function, so a wrapper bound to
+    ``lp.linprog`` sees every solve.
+    """
+    from scipy.optimize import linprog as highs
+
+    return highs(*args, **kwargs)
 
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:
@@ -163,6 +181,8 @@ def _alpha_rows(e: Election, alpha, voters) -> list[tuple[int, int]]:
 
 def build_metric_lp(e: Election, a: int, b: int, alpha=None) -> LinearProgram:
     """LP whose value is the worst consistent cost ratio of a against b."""
+    from scipy import sparse
+
     if a == b:
         raise ConfigError("build_metric_lp needs distinct candidates")
     n, m = e.n, e.m

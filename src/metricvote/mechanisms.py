@@ -4,7 +4,8 @@ All rules are pure given an election (plus a seed where pairings are
 shuffled); the knockout oracle is inherently sequential.  Every
 candidate's matching score comes from one minimum cut over candidate
 subsets, or, when there are too many subsets for the ballots, from one
-shared max-flow.
+shared max-flow.  SciPy is imported on the first max-flow, not with this
+module, so the rules that run none never load it.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
 
 from .core import (
     ComparisonGraph,
@@ -322,6 +321,9 @@ def _max_flow(rows: np.ndarray, size: np.ndarray, part: np.ndarray, capacities: 
     The graphs share only the source and the sink.  Capacities are clipped
     to n, which keeps them inside the solver's int32 range.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
     kn, m = rows.shape
     parts = int(part[-1]) + 1
     caps = _clipped(capacities, n)

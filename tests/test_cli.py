@@ -48,6 +48,26 @@ class TestGen:
         assert run(args) == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize(
+        "generator, params, message",
+        [
+            ("chain", "ell=abc", "parameter 'ell' must be an integer, got 'abc'"),
+            ("chain", "ell=2.5", "parameter 'ell' must be an integer, got 2.5"),
+            ("euclidean", "n=4,m=3,dim=2,seed=x", "parameter 'seed' must be an integer, got 'x'"),
+            ("ktop-lower-bound", "m=7,k=3,ratio=big", "parameter 'ratio' must be a number, got 'big'"),
+        ],
+    )
+    def test_wrong_parameter_type_is_config_error(self, tmp_path, capsys, generator, params, message):
+        args = ["gen", "--generator", generator, "--params", params, "--out", tmp_path / "x"]
+        assert run(args) == 2
+        assert capsys.readouterr().err == f"config error: generator {generator!r} {message}\n"
+
+    def test_text_parameter_still_accepted(self, tmp_path):
+        args = ["gen", "--generator", "euclidean", "--params", "n=6,m=3,dim=2,tiebreak=index_asc", "--seed", 2]
+        assert run(args + ["--out", tmp_path / "a"]) == 0
+        assert run(["gen", "--generator", "euclidean", "--params", "n=6,m=3,dim=2", "--seed", 2, "--out", tmp_path / "b"]) == 0
+        assert (tmp_path / "a.elec").read_bytes() == (tmp_path / "b.elec").read_bytes()
+
 
 class TestRun:
     def test_dr_on_schedule(self, tmp_path):

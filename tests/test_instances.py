@@ -170,6 +170,18 @@ def test_hidden_star_rejects_short_far_ratio_and_no_voters(params):
         inst.hidden_star(5, 2, **params)
 
 
+def test_hidden_star_decimal_far_ratio_is_the_fraction():
+    decimal, fraction = inst.hidden_star(5, 2, far_ratio=2.5), inst.hidden_star(5, 2, far_ratio=Fraction(5, 2))
+    assert decimal.witness.dist == fraction.witness.dist
+    assert decimal.expected == fraction.expected == {"chosen": 2, "min_bad_distortion": Fraction(-1, 2)}
+
+
+@pytest.mark.parametrize("far_ratio", [float("inf"), float("nan")])
+def test_hidden_star_rejects_non_finite_far_ratio(far_ratio):
+    with pytest.raises(ConfigError):
+        inst.hidden_star(5, 2, far_ratio=far_ratio)
+
+
 def test_hidden_star_far_ratio_one_is_a_metric():
     gi = inst.hidden_star(4, chosen=1, n=2, far_ratio=1)
     gi.check_witness()

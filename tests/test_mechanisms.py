@@ -496,7 +496,7 @@ class TestPhiScoresOneNetwork:
             calls.append(kwargs.get("method"))
             return maximum_flow(*args, **kwargs)
 
-        monkeypatch.setattr(mechanisms, "maximum_flow", counted)
+        monkeypatch.setattr("scipy.sparse.csgraph.maximum_flow", counted)
         e = inst.impartial_culture(60, 7, seed=4).election  # 2**7 <= 16 * 60
         assert max(phi_scores(e)) == 1
         assert calls == []
