@@ -6,9 +6,8 @@ distortion evaluator, adversarial instance generators, score-table
 ingestion, and an experiment CLI.
 
 Importing the package loads NumPy but not SciPy.  SciPy's LP solver loads on
-the first LP, its max-flow on the first max-flow matching, and its distance
-routines on the first float ``MetricWitness.from_points``; the mechanisms
-that need none of these never load it.
+the first LP and its max-flow on the first max-flow matching; generating
+instances and running the mechanisms that need neither never load it.
 """
 
 __version__ = "0.1.0"

@@ -27,15 +27,15 @@ the numbering a pass over the voters that merges repeated pair sets would
 give, so ``lp.build_metric_lp``, which emits one variable block per
 ballot, lays out its variables and rows in voter order whichever
 constructor built the election.  Top, bottom, second choice and totality
-are read once per ballot from the levels.  ``listed`` (shape (n,)) is the
-length of each voter's ordered top list, 0 when the voter's information
-did not arrive as a list (an empty list states nothing).  The list is read
-from the ballot: the ``listed[i]`` candidates of lowest level.  The length
-is kept per voter because lists of m - 1 and m candidates state the same
-pairs.  ``Election.prefs`` and ``Election.ktop`` are derived, cached
-per-voter views; mechanisms read the arrays instead, and the pair counts
-every tournament rule and the LP bound start from are cached once as
-``Election.pair_counts``.
+are computed per ballot from the levels on first use and cached.
+``listed`` (shape (n,)) is the length of each voter's ordered top list, 0
+when the voter's information did not arrive as a list (an empty list
+states nothing).  The list is read from the ballot: the ``listed[i]``
+candidates of lowest level.  The length is kept per voter because lists
+of m - 1 and m candidates state the same pairs.  ``Election.prefs`` and
+``Election.ktop`` are derived, cached per-voter views; mechanisms read the
+arrays instead, and the pair counts every tournament rule and the LP bound
+start from are cached once as ``Election.pair_counts``.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def _check_pair_sets(n: int, m: int, prefs, ktop) -> None:
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """Int64 keys, equal exactly for equal rows of a 2-D array of small
     non-negative integers: each block of columns is packed into the bits of
-    one integer, so a 1-D ``np.unique`` (much faster than one over rows) groups them."""
+    one integer, so a 1-D sort (much faster than one over rows) groups them."""
     bits = max(int(rows.max(initial=0)).bit_length(), 1)
     # compacted keys stay below len(rows), so a shifted key plus a block fits in 63 bits
     width = max((63 - len(rows).bit_length()) // bits, 1)
@@ -143,12 +143,19 @@ def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if keys.ndim == 2:
         keys = _row_keys(keys)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # an unstable sort is several times faster than the stable one np.unique's
+    # return_index needs; each group's first row is then its least index
+    perm = np.argsort(keys)
+    ordered = keys[perm]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    first = np.minimum.reduceat(perm, np.flatnonzero(new))
     order = np.argsort(first)
     number = np.empty_like(order)
     number[order] = np.arange(len(order))
-    # the shape of the inverse differs across NumPy 2.0.x releases
-    return first[order], number[inverse.reshape(-1)]
+    group = np.empty_like(perm)
+    group[perm] = number[np.cumsum(new) - 1]
+    return first[order], group
 
 
 def _levels_from_lists(lists: Sequence[Sequence[int]], m: int) -> np.ndarray:
@@ -179,11 +186,13 @@ def _levels_from_rankings(rows: np.ndarray, m: int) -> np.ndarray:
     """Per-voter level vectors of total orders given as an (n, m) integer array."""
     if m < 1:
         raise DataFormatError("need n >= 0 and m >= 1")
-    bad = ((rows < 0) | (rows >= m)).any(axis=1)
+    bad = (rows < 0) | (rows >= m)
     if bad.any():
-        raise DataFormatError(f"voter {np.argmax(bad)}: k-top entry out of range")
+        raise DataFormatError(f"voter {np.argmax(bad.any(axis=1))}: k-top entry out of range")
     level = np.full(rows.shape, m, dtype=np.min_scalar_type(m))
-    level[np.arange(len(rows))[:, None], rows] = np.arange(m)
+    # one flat scatter, faster than the 2-D fancy index: entry (i, rows[i, p]) gets p
+    spots = rows + np.arange(0, rows.size, m)[:, None]
+    level.reshape(-1)[spots.reshape(-1)] = np.tile(np.arange(m, dtype=level.dtype), len(rows))
     # every row names m candidates in range, so a candidate left out means a repeated one
     if (level == m).any():
         raise DataFormatError("k-top list contains duplicates")
@@ -257,24 +266,22 @@ class Election:
         return e
 
     def _fill(self, n, m, levels, ballot_of, listed) -> None:
+        """Store the read-only arrays, counting ``multiplicity`` and canonicalising ``listed``."""
         levels = np.ascontiguousarray(levels, dtype=np.min_scalar_type(m))
         ballot_of = np.ascontiguousarray(ballot_of, dtype=np.intp)
         multiplicity = np.bincount(ballot_of, minlength=len(levels))
-        # a weak order states as many pairs as its levels sum to
-        total = levels.sum(axis=1) == m * (m - 1) // 2
-        top = _sole(levels == 0)
-        second = np.where(top >= 0, _sole(levels == 1), -1)
-        bottom = _sole(levels == m - 1)
-        # canonical annotation for total orders
-        listed = np.where(np.equal(listed, 0) & total[ballot_of], m, listed).astype(np.intp)
-        for arr in (levels, ballot_of, multiplicity, listed):
-            arr.setflags(write=False)
-        fields = {
-            "n": n, "m": m, "levels": levels, "multiplicity": multiplicity, "ballot_of": ballot_of,
-            "listed": listed, "_top": top, "_bottom": bottom, "_second": second, "_total": total,
-        }
+        listed = np.array(listed, dtype=np.intp)
+        fields = {"n": n, "m": m, "levels": levels, "multiplicity": multiplicity, "ballot_of": ballot_of}
         for name, value in fields.items():
             object.__setattr__(self, name, value)
+        # canonical annotation for total orders; restrict and truncate_to_ktop pass
+        # entries that are already canonical, so only a 0 needs the check
+        unlisted = listed == 0
+        if unlisted.any():
+            listed[unlisted & self._total[ballot_of]] = m
+        for arr in (levels, ballot_of, multiplicity, listed):
+            arr.setflags(write=False)
+        object.__setattr__(self, "listed", listed)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -315,11 +322,12 @@ class Election:
             rankings = list(rankings)
             lens = np.fromiter(map(len, rankings), dtype=np.intp, count=len(rankings))
             if m is None:
-                m = max((max(r) for r in rankings if len(r)), default=-1) + 1
+                m = int(max((max(r) for r in rankings if len(r)), default=-1)) + 1
             short = np.flatnonzero(lens != m)
             if len(short):
                 raise DataFormatError(f"voter {short[0]}: ranking must list all {m} candidates")
-            rankings = np.array(rankings, dtype=np.int64).reshape(len(rankings), m)
+            flat = itertools.chain.from_iterable(rankings)
+            rankings = np.fromiter(flat, dtype=np.int64, count=len(rankings) * m).reshape(len(rankings), m)
         if m is None:
             m = int(rankings.max()) + 1 if rankings.size else 0
         if rankings.shape[1] != m:
@@ -369,6 +377,27 @@ class Election:
         """Per-voter top lists read from the levels; None for voters without one."""
         order = self._order.tolist()
         return tuple(tuple(order[j][:k]) if k else None for j, k in zip(self.ballot_of.tolist(), self.listed.tolist()))
+
+    @functools.cached_property
+    def _total(self) -> np.ndarray:
+        """Per ballot, whether it is a total order: a weak order states as
+        many pairs as its levels sum to."""
+        return self.levels.sum(axis=1) == self.m * (self.m - 1) // 2
+
+    @functools.cached_property
+    def _top(self) -> np.ndarray:
+        """Per ballot, the only candidate at level 0, or -1."""
+        return _sole(self.levels == 0)
+
+    @functools.cached_property
+    def _second(self) -> np.ndarray:
+        """Per ballot with a top, the only candidate at level 1, or -1."""
+        return np.where(self._top >= 0, _sole(self.levels == 1), -1)
+
+    @functools.cached_property
+    def _bottom(self) -> np.ndarray:
+        """Per ballot, the only candidate at level m - 1, or -1."""
+        return _sole(self.levels == self.m - 1)
 
     def _per_ballot(self, values: np.ndarray, i: int) -> int | None:
         v = int(values[self.ballot_of[i]])
@@ -559,10 +588,13 @@ class MetricWitness:
             table = tuple(tuple(sum(abs(x - y) for x, y in zip(p, q)) for q in pts) for p in pts)
             return cls(len(vp), len(cp), table)
         arr = np.asarray(pts, dtype=np.float64)
-        from scipy.spatial.distance import cdist
-
-        table = cdist(arr, arr, metric="cityblock" if norm == 1 else "euclidean")
-        return cls(len(vp), len(cp), table)
+        # one coordinate at a time: SciPy's cdist sums in this order, so the
+        # table equals it bitwise (a pairwise .sum(axis=-1) does not from 8-D up)
+        table = np.zeros((len(pts), len(pts)))
+        for col in arr.T:
+            diff = col[:, None] - col[None, :]
+            table += np.abs(diff) if norm == 1 else diff * diff
+        return cls(len(vp), len(cp), table if norm == 1 else np.sqrt(table))
 
     @classmethod
     def from_edges(cls, n: int, m: int, edges: list) -> "MetricWitness":

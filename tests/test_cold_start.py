@@ -37,6 +37,7 @@ def test_import_loads_no_scipy(tmp_path, module):
 
 
 IC = ["--generator", "impartial-culture", "--params", "n=200,m=8", "--seed", 3]
+EUC = ["--generator", "euclidean", "--params", "n=200,m=6,dim=3", "--seed", 3]
 
 
 @pytest.mark.parametrize(
@@ -47,16 +48,18 @@ IC = ["--generator", "impartial-culture", "--params", "n=200,m=8", "--seed", 3]
         ["run", "--mechanism", "plurality-matching", *IC, "--out", "out.json"],
         ["gen", *IC, "--out", "ic"],
         ["gen", "--generator", "hidden-star", "--params", "m=5,chosen=2", "--out", "star"],
+        ["gen", *EUC, "--out", "euc"],
+        ["run", "--mechanism", "copeland", *EUC, "--out", "out.json"],
     ],
-    ids=["run-copeland", "run-dr", "run-plurality-matching", "gen-ic", "gen-hidden-star"],
+    ids=["run-copeland", "run-dr", "run-plurality-matching", "gen-ic", "gen-hidden-star", "gen-euclidean",
+         "run-euclidean-copeland"],
 )
 def test_commands_without_lp_load_no_scipy(tmp_path, argv):
     assert scipy_modules_after(cli_code(*argv), tmp_path) == []
 
 
 def test_sample_with_shipped_witness_loads_no_scipy(tmp_path):
-    # generating a Euclidean instance measures float distances with SciPy's
-    # cdist, so the instance is written here and sampled from the file
+    # the instance is written here and sampled from the file with its witness sidecar
     base = tmp_path / "euc"
     assert main(["gen", "--generator", "euclidean", "--params", "n=400,m=4,dim=2", "--seed", "1", "--out", str(base)]) == 0
     argv = ["sample", "--in", "euc.elec", "--mode", "plurality-matching", "--epsilon", "2", "--delta", "0.5",

@@ -40,6 +40,7 @@ from metricvote.core import (
     induce_election,
     ktop_pairs,
     mask_voters,
+    plurality_counts,
     scores,
     social_cost,
     transitive_closure,
@@ -113,6 +114,43 @@ def listed_elections(draw):
             if draw(st.booleans()):
                 prefs[i], ann[i] = draw(weak_order(m))[0], None
         e = Election(n, m, tuple(prefs), tuple(ann))
+    return e, prefs, ann
+
+
+@st.composite
+def routed_elections(draw):
+    """(election, pair sets, annotations) from one constructor (pair sets,
+    ``from_rankings`` from a list or an array, ``from_ktop``, the text
+    parser), then maybe one transform (``restrict``, ``mask_voters``,
+    ``truncate_to_ktop``)."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(0, 6))
+    how = draw(st.sampled_from(("pair_sets", "rankings_list", "rankings_array", "from_ktop", "text")))
+    if how == "pair_sets":
+        ballots = [draw(weak_order(m)) for _ in range(n)]
+        prefs, ann = [p for p, _ in ballots], [a for _, a in ballots]
+        e = Election(n, m, tuple(prefs), tuple(ann))
+    elif how.startswith("rankings"):
+        ann = [tuple(draw(st.permutations(range(m)))) for _ in range(n)]
+        e = Election.from_rankings(ann if how == "rankings_list" else np.array(ann, dtype=np.int64).reshape(n, m), m)
+        prefs = [ktop_pairs(r, m) for r in ann]
+    else:
+        lists = [tuple(draw(st.permutations(range(m)))[: draw(st.integers(0, m))]) for _ in range(n)]
+        text = f"{n} {m}\n" + "".join(" > ".join(map(str, t)) + "\n" for t in lists)
+        e = Election.from_ktop(lists, m) if how == "from_ktop" else election_from_text(text)
+        prefs, ann = [ktop_pairs(t, m) for t in lists], [t or None for t in lists]
+    transform = draw(st.sampled_from(("none", "restrict", "mask", "truncate")))
+    if transform == "restrict" and n:
+        voters = draw(st.lists(st.integers(0, n - 1), max_size=8))
+        return e.restrict(voters), [prefs[i] for i in voters], [ann[i] for i in voters]
+    if transform == "mask":
+        gone = draw(st.sets(st.integers(0, n - 1))) if n else set()
+        prefs = [frozenset() if i in gone else p for i, p in enumerate(prefs)]
+        return mask_voters(e, gone), prefs, [None if i in gone else a for i, a in enumerate(ann)]
+    if transform == "truncate" and all(len(p) == m * (m - 1) // 2 and len(a or (0,) * m) == m for p, a in zip(prefs, ann)):
+        k = draw(st.integers(1, m))
+        lists = [ref_ktop(p, m, k) for p in prefs]
+        return truncate_to_ktop(e, k), [ktop_pairs(t, m) for t in lists], lists
     return e, prefs, ann
 
 
@@ -349,6 +387,45 @@ class TestListedAnnotation:
         assert ranking(short, 0) is None and ranking(full, 0) == (0, 1, 2)
 
 
+class TestPerBallotFields:
+    """Top, second, bottom and totality, computed on first use, against
+    references read from the pair sets (``conftest.ref_*``)."""
+
+    @given(routed_elections())
+    @settings(max_examples=150, deadline=None)
+    def test_match_reference(self, case):
+        e, prefs, ann = case
+        unread = pickle.loads(pickle.dumps(e))
+        for election in (e, unread, pickle.loads(pickle.dumps(e))):
+            self.check(election, prefs, ann)
+
+    @staticmethod
+    def check(e, prefs, ann):
+        m = e.m
+        total = [len(p) == m * (m - 1) // 2 for p in prefs]
+        tops = [ref_top(p, m) for p in prefs]
+        bottoms = [ref_bottom(p, m) for p in prefs]
+        assert e.prefs == tuple(prefs)
+        assert e.listed.tolist() == [len(a) if a else m if t else 0 for a, t in zip(ann, total)]
+        assert [(e.top(i), e.second(i)) for i in range(e.n)] == [(t, ref_second(p, m)) for t, p in zip(tops, prefs)]
+        assert e.all_total == all(total)
+        assert plurality_counts(e) == tuple(tops.count(c) for c in range(m))
+        assert scores(e).veto == tuple(bottoms.count(c) for c in range(m))
+
+    def test_unannotated_total_orders_are_listed_in_full(self):
+        rankings = [(2, 1, 0), (0, 1, 2)]
+        e = Election(3, 3, (*(ktop_pairs(r, 3) for r in rankings), frozenset()))
+        assert e.listed.tolist() == [3, 3, 0]
+        assert e.ktop == (*rankings, None)
+
+    def test_wait_for_first_use(self):
+        fields = {"_top", "_second", "_bottom", "_total"}
+        e = Election.from_rankings([(0, 1, 2), (2, 1, 0), (0, 1, 2)], 3)
+        for built in (e, e.restrict([1, 0]), truncate_to_ktop(e, 2)):
+            assert not fields & set(vars(built))
+        assert e.top(1) == 2 and set(vars(e)) & fields == {"_top"}
+
+
 class TestBallotConstruction:
     def test_from_rankings_equals_pair_sets(self):
         rankings = [(2, 0, 1, 3), (0, 1, 2, 3), (2, 0, 1, 3), (3, 2, 1, 0)]
@@ -362,6 +439,29 @@ class TestBallotConstruction:
         e = Election.from_rankings(np.array(rankings, dtype=dtype), m)
         assert e == Election.from_rankings(rankings, m)
         assert Election.from_rankings(np.zeros((0, 3), dtype=dtype), 3) == Election.from_rankings([], 3)
+
+    @given(st.integers(1, 8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_from_rankings_rows_of_any_type(self, m, data):
+        rows = []
+        for _ in range(data.draw(st.integers(0, 40))):
+            perm = data.draw(st.permutations(range(m)))
+            form = data.draw(st.sampled_from((tuple, list, np.int32, np.uint8, range)))
+            if form is range:
+                rows.append(range(m) if data.draw(st.booleans()) else range(m - 1, -1, -1))
+            elif form in (tuple, list):
+                rows.append(form(perm))
+            else:
+                rows.append(np.array(perm, dtype=form))
+        array = np.array([list(r) for r in rows], dtype=np.int64).reshape(len(rows), m)
+        assert Election.from_rankings(rows, m) == Election.from_rankings(array, m)
+        if rows:
+            assert Election.from_rankings(rows) == Election.from_rankings(array)
+
+    def test_inferred_candidate_count_is_an_int(self):
+        # m read from uint8 rows must not stay uint8: m * (m - 1) // 2 wraps at m = 23
+        e = Election.from_rankings([np.arange(22, -1, -1, dtype=np.uint8)] * 2)
+        assert type(e.m) is int and e.m == 23 and e.all_total
 
     @pytest.mark.parametrize(
         "rankings, m, message",
@@ -562,6 +662,18 @@ class TestMetricWitnessConstructors:
     def test_from_edges_rejects_bad_lengths(self, length):
         with pytest.raises(DataFormatError, match="edge lengths"):
             MetricWitness.from_edges(1, 1, [(0, 1, length)])
+
+    @pytest.mark.parametrize("norm, metric", [(1, "cityblock"), (2, "euclidean")])
+    def test_from_points_float_table_equals_cdist(self, norm, metric):
+        from scipy.spatial.distance import cdist
+
+        rng = np.random.default_rng(11)
+        for dim in range(1, 17):
+            voters = rng.normal(size=(9, dim)) * 10.0 ** rng.integers(-3, 4, size=dim)
+            cands = rng.uniform(-3, 3, size=(4, dim))
+            table = MetricWitness.from_points(list(voters), list(cands), norm=norm).dist
+            points = np.vstack([voters, cands])
+            assert np.array_equal(table, cdist(points, points, metric=metric)), dim
 
     def test_from_points_exact_input_respects_norm(self):
         voters, cands = [(0, 0)], [(3, 4)]
