@@ -554,28 +554,30 @@ def _shortest_paths(d: np.ndarray) -> None:
 class MetricWitness:
     """Symmetric distance table on voters followed by candidates.
 
-    ``dist`` is either a nested tuple of exact ``Fraction``/int entries
-    (exact social-cost arithmetic) or a 2-D float array for large
-    instances.  Off-diagonal zeros are allowed (pseudo-metric with merged
-    points).
+    ``dist`` is one read-only (n + m, n + m) array whose dtype says whether
+    the table is exact.  When every entry given is an int or a Fraction the
+    dtype is object and the array holds those numbers, so social costs and
+    ratios are exact; otherwise it is float64.  A C-contiguous array given
+    with its final dtype is kept without a copy and made read-only.
+    Off-diagonal zeros are allowed (pseudo-metric with merged points).
     """
 
     n: int
     m: int
-    dist: object
+    dist: np.ndarray
 
     def __post_init__(self) -> None:
         size = self.n + self.m
         dist = self.dist
-        if isinstance(dist, np.ndarray):
-            if dist.shape != (size, size):
-                raise DataFormatError(f"distance table must be {size}x{size}")
-            dist = np.ascontiguousarray(dist, dtype=np.float64)
-            dist.setflags(write=False)
+        if getattr(dist, "dtype", object) == object:
+            dist = np.ascontiguousarray(dist, dtype=object)
+            if dist.shape == (size, size) and not all(map(_is_exact, dist.flat)):
+                dist = dist.astype(np.float64)
         else:
-            dist = tuple(tuple(row) for row in dist)
-            if len(dist) != size or any(len(row) != size for row in dist):
-                raise DataFormatError(f"distance table must be {size}x{size}")
+            dist = np.ascontiguousarray(dist, dtype=np.float64)
+        if dist.shape != (size, size):
+            raise DataFormatError(f"distance table must be {size}x{size}")
+        dist.setflags(write=False)
         object.__setattr__(self, "dist", dist)
 
     @classmethod
@@ -584,17 +586,18 @@ class MetricWitness:
         vp = [tuple(p) if isinstance(p, (tuple, list, np.ndarray)) else (p,) for p in voter_points]
         cp = [tuple(p) if isinstance(p, (tuple, list, np.ndarray)) else (p,) for p in candidate_points]
         pts = vp + cp
-        if all(_is_exact(x) for p in pts for x in p) and (norm == 1 or all(len(p) == 1 for p in pts)):
-            table = tuple(tuple(sum(abs(x - y) for x, y in zip(p, q)) for q in pts) for p in pts)
-            return cls(len(vp), len(cp), table)
-        arr = np.asarray(pts, dtype=np.float64)
-        # one coordinate at a time: SciPy's cdist sums in this order, so the
+        if len(set(map(len, pts))) > 1:
+            raise DataFormatError("every point needs the same number of coordinates")
+        exact = all(_is_exact(x) for p in pts for x in p) and (norm == 1 or all(len(p) == 1 for p in pts))
+        absolute = exact or norm == 1
+        arr = np.array(pts, dtype=object if exact else np.float64)
+        # one coordinate at a time: SciPy's cdist sums in this order, so a float
         # table equals it bitwise (a pairwise .sum(axis=-1) does not from 8-D up)
-        table = np.zeros((len(pts), len(pts)))
+        table = np.zeros((len(pts), len(pts)), dtype=arr.dtype)
         for col in arr.T:
             diff = col[:, None] - col[None, :]
-            table += np.abs(diff) if norm == 1 else diff * diff
-        return cls(len(vp), len(cp), table if norm == 1 else np.sqrt(table))
+            table += np.abs(diff) if absolute else diff * diff
+        return cls(len(vp), len(cp), table if absolute else np.sqrt(table))
 
     @classmethod
     def from_edges(cls, n: int, m: int, edges: list) -> "MetricWitness":
@@ -618,53 +621,43 @@ class MetricWitness:
         _shortest_paths(d)
         if (d == math.inf).any():
             raise DataFormatError("graph is not connected")
-        unit = Fraction(1, scale) if any(isinstance(w, Fraction) for _, _, w in edges) else 1
-        return cls(n, m, tuple(tuple(x * unit for x in row) for row in d.tolist()))
+        if any(isinstance(w, Fraction) for _, _, w in edges):
+            d = d * Fraction(1, scale)
+        return cls(n, m, d)
 
     def vc(self, voter: int, candidate: int):
-        if isinstance(self.dist, np.ndarray):
-            return float(self.dist[voter, self.n + candidate])
-        return self.dist[voter][self.n + candidate]
+        """Distance from a voter to a candidate: an int or Fraction when exact, else a float."""
+        return self.dist.item(voter, self.n + candidate)
 
     def as_array(self) -> np.ndarray:
-        if isinstance(self.dist, np.ndarray):
-            return self.dist
-        return np.array([[float(x) for x in row] for row in self.dist])
+        """The table in float64: ``dist`` itself, or a rounded copy of an exact table."""
+        return np.asarray(self.dist, dtype=np.float64)
 
     @property
     def exact(self) -> bool:
-        if isinstance(self.dist, np.ndarray):
-            return False
-        return all(_is_exact(x) for row in self.dist for x in row)
+        return self.dist.dtype == object
 
     def validate_metric(self, tol: float = TAU_METRIC) -> None:
-        """Check symmetry, zero diagonal, nonnegativity, triangle inequality."""
-        size = self.n + self.m
-        if size <= 80 and self.exact:
-            d = self.dist
-            for i in range(size):
-                if d[i][i] != 0:
-                    raise DataFormatError(f"nonzero diagonal at {i}")
-                for j in range(size):
-                    if d[i][j] != d[j][i] or d[i][j] < 0:
-                        raise DataFormatError(f"asymmetric or negative entry at ({i}, {j})")
-            for k in range(size):
-                for i in range(size):
-                    dik = d[i][k]
-                    row_k = d[k]
-                    row_i = d[i]
-                    for j in range(size):
-                        if row_i[j] > dik + row_k[j]:
-                            raise DataFormatError(f"triangle violated on ({i}, {j}, {k})")
-            return
-        a = self.as_array()
-        scale = max(1.0, float(a.max(initial=0.0)))
-        if np.abs(np.diag(a)).max(initial=0.0) > tol * scale:
+        """Check symmetry, zero diagonal, nonnegativity, triangle inequality.
+
+        Exact tables of at most 80 points are checked with no slack; any
+        other table in floats, within ``tol`` times its largest entry (at
+        least 1).
+        """
+        d = self.dist
+        if self.exact and len(d) <= 80:
+            # compared as ints scaled by the common denominator, Fraction arithmetic
+            # being slower; // 1 turns each integral Fraction into an int
+            d, slack = d * math.lcm(*(x.denominator for x in d.flat)) // 1, 0
+        else:
+            d = self.as_array()
+            slack = tol * max(1.0, float(d.max(initial=0.0)))
+        if (np.abs(np.diag(d)) > slack).any():
             raise DataFormatError("nonzero diagonal")
-        if np.abs(a - a.T).max() > tol * scale or a.min() < -tol * scale:
+        if (np.abs(d - d.T) > slack).any() or (d < -slack).any():
             raise DataFormatError("asymmetric or negative entries")
-        for k in range(size):
-            if (a > a[:, k : k + 1] + a[k : k + 1, :] + tol * scale).any():
+        for k in range(len(d)):
+            if (d > d[:, k : k + 1] + d[k : k + 1, :] + slack).any():
                 raise DataFormatError(f"triangle violated through point {k}")
 
 
@@ -672,12 +665,8 @@ def social_cost(metric: MetricWitness, a: int):
     """Sum of voter distances to candidate ``a`` (exact for exact tables)."""
     if not 0 <= a < metric.m:
         raise DataFormatError(f"candidate {a} out of range")
-    if isinstance(metric.dist, np.ndarray):
-        return float(metric.dist[: metric.n, metric.n + a].sum())
-    col = [metric.vc(i, a) for i in range(metric.n)]
-    if all(_is_exact(x) for x in col):
-        return sum(col, Fraction(0)) if any(isinstance(x, Fraction) for x in col) else sum(col)
-    return math.fsum(float(x) for x in col)
+    cost = metric.dist[: metric.n, metric.n + a].sum()
+    return cost if metric.exact else float(cost)
 
 
 def social_costs(metric: MetricWitness):
@@ -691,25 +680,25 @@ def realized_distortion(metric: MetricWitness, winner: int):
     sw = costs[winner]
     if best == 0:
         return Fraction(1) if sw == 0 else math.inf
-    if _is_exact(sw) and _is_exact(best):
+    if metric.exact:
         return Fraction(sw) / Fraction(best)
     return float(sw) / float(best)
 
 
 def check_consistent(metric: MetricWitness, e: Election, tol: float = TAU_METRIC) -> bool:
-    """True iff every stated pair is respected by the metric within ``tol``."""
+    """True iff every stated pair is respected by the metric.
+
+    Exact tables are compared with no slack; float tables within ``tol``
+    times the larger of the two distances (at least 1).
+    """
     if metric.n != e.n or metric.m != e.m:
         raise DataFormatError("metric dimensions do not match the election")
-    stated = [np.argwhere(b).tolist() for b in _relation(e.levels)]
-    for i, j in enumerate(e.ballot_of.tolist()):
-        for a, b in stated[j]:
-            da, db = metric.vc(i, a), metric.vc(i, b)
-            if _is_exact(da) and _is_exact(db):
-                if da > db:
-                    return False
-            elif float(da) > float(db) + tol * max(1.0, abs(float(da)), abs(float(db))):
-                return False
-    return True
+    voter, a, b = np.nonzero(_relation(e.levels)[e.ballot_of])
+    vc = metric.dist[: e.n, e.n :]
+    da, db = vc[voter, a], vc[voter, b]
+    if not metric.exact:
+        db = db + tol * np.maximum(np.maximum(1.0, np.abs(da)), np.abs(db))
+    return not (da > db).any()
 
 
 # -- profile induction -------------------------------------------------------
@@ -723,16 +712,8 @@ def rankings_from_witness(metric: MetricWitness, tiebreak: str = "index_asc") ->
     """
     if tiebreak not in ("index_asc", "index_desc"):
         raise DataFormatError(f"unknown tiebreak {tiebreak!r}")
-    sign = 1 if tiebreak == "index_asc" else -1
-    if isinstance(metric.dist, np.ndarray):
-        block = metric.dist[: metric.n, metric.n :]
-        idx = np.arange(metric.m)
-        return [tuple(int(c) for c in np.lexsort((sign * idx, row))) for row in block]
-    out = []
-    for i in range(metric.n):
-        order = sorted(range(metric.m), key=lambda c: (metric.vc(i, c), sign * c))
-        out.append(tuple(order))
-    return out
+    idx = np.arange(metric.m) * (1 if tiebreak == "index_asc" else -1)
+    return [tuple(np.lexsort((idx, row)).tolist()) for row in metric.dist[: metric.n, metric.n :]]
 
 
 def induce_election(metric: MetricWitness, tiebreak: str = "index_asc") -> Election:

@@ -83,8 +83,6 @@ class ScoreTable:
     candidates: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        voters: list[str] = []
-        candidates: list[str] = []
         seen = set()
         for v, c, s in self.rows:
             if (v, c) in seen:
@@ -92,12 +90,9 @@ class ScoreTable:
             seen.add((v, c))
             if s < 0:
                 raise DataFormatError(f"negative score for voter {v!r}, candidate {c!r}")
-            if v not in voters:
-                voters.append(v)
-            if c not in candidates:
-                candidates.append(c)
-        object.__setattr__(self, "voters", tuple(voters))
-        object.__setattr__(self, "candidates", tuple(candidates))
+        # dict keys keep insertion order, so these number ids by first appearance
+        object.__setattr__(self, "voters", tuple(dict.fromkeys(v for v, _, _ in self.rows)))
+        object.__setattr__(self, "candidates", tuple(dict.fromkeys(c for _, c, _ in self.rows)))
 
 
 def load_csv(path, schema: Schema) -> ScoreTable:

@@ -288,7 +288,7 @@ def decisive_instance(alpha) -> GeneratedInstance:
         [one, one + a, one + a, 0, one + a],
         [one, 0, one + a, one + a, 0],
     ]
-    witness = MetricWitness(2, 3, tuple(map(tuple, d)))
+    witness = MetricWitness(2, 3, d)
     expected = {
         "sc_e": Fraction(1),
         "sc_b": 2 + a,
@@ -381,23 +381,16 @@ def _num_to_json(x):
     return x
 
 
-def _num_from_json(x):
-    if isinstance(x, str) and "/" in x:
-        return Fraction(x)
-    if isinstance(x, list):
-        return [_num_from_json(v) for v in x]
-    return x
-
-
 def witness_to_jsonable(w: MetricWitness) -> dict:
-    table = w.as_array().tolist() if not w.exact else [[_num_to_json(x) for x in row] for row in w.dist]
+    # Fractions as strings; a type test, since isinstance against Fraction (an ABC
+    # subclass) costs several times more per entry of a large float table
+    table = [[str(x) if type(x) is Fraction else x for x in row] for row in w.dist.tolist()]
     return {"n": w.n, "m": w.m, "exact": w.exact, "dist": table}
 
 
 def witness_from_jsonable(obj: dict) -> MetricWitness:
     if obj.get("exact"):
-        table = tuple(tuple(Fraction(x) for x in row) for row in obj["dist"])
-        return MetricWitness(obj["n"], obj["m"], table)
+        return MetricWitness(obj["n"], obj["m"], [[Fraction(x) for x in row] for row in obj["dist"]])
     return MetricWitness(obj["n"], obj["m"], np.asarray(obj["dist"], dtype=float))
 
 

@@ -111,7 +111,6 @@ INFEASIBLE = "infeasible"
 class LinearProgram:
     """Sparse LP in maximisation form: max c.x s.t. A_ub x <= b_ub, A_eq x = b_eq, x >= 0."""
 
-    var_names: list
     objective: np.ndarray
     a_ub: sparse.csr_matrix | None
     b_ub: np.ndarray | None
@@ -122,9 +121,12 @@ class LinearProgram:
 
 @dataclass
 class LpOutcome:
+    """A solved LP: its status and value, and ``x``, the optimal solution
+    vector in the program's column order (None unless optimal)."""
+
     status: str
     value: float
-    witness: dict | None = None
+    x: np.ndarray | None = None
     program: LinearProgram | None = None
 
 
@@ -154,8 +156,7 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
         method="highs",
     )
     if res.status == 0:
-        witness = {name: float(x) for name, x in zip(lp.var_names, res.x)}
-        return LpOutcome(OPTIMAL, -float(res.fun), witness, lp)
+        return LpOutcome(OPTIMAL, -float(res.fun), res.x, lp)
     if res.status == 3:
         return LpOutcome(UNBOUNDED, math.inf, None, lp)
     if res.status == 2:
@@ -194,11 +195,9 @@ def build_metric_lp(e: Election, a: int, b: int, alpha=None) -> LinearProgram:
     covering = stated & ~np.matmul(stated, stated)
 
     nbm = nb * m
-    cpairs = np.array(list(itertools.combinations(range(m), 2)), dtype=np.int64).reshape(-1, 2)
-    ncp = len(cpairs)
+    pa, pb = np.triu_indices(m, 1)  # the candidate pairs p < q, one column each
+    ncp = len(pa)
     nvars = nbm + ncp
-    var_names = [("bc", u, c) for u in range(nb) for c in range(m)]
-    var_names += [("cc", int(p), int(q)) for p, q in cpairs]
 
     obj = np.zeros(nvars)
     obj[np.arange(nb) * m + a] = weight
@@ -226,7 +225,6 @@ def build_metric_lp(e: Election, a: int, b: int, alpha=None) -> LinearProgram:
         emit((base + ts[:, 0], 1.0), (base + ts[:, 1], -float(alpha)))
 
     # voter/candidate-pair triangle rows; d(u,p) <= d(u,q) + y_pq is implied when p > q is stated
-    pa, pb = cpairs[:, 0], cpairs[:, 1]
     triangle = (
         (~stated[:, pa, pb], (1.0, -1.0, -1.0)),
         (~stated[:, pb, pa], (-1.0, 1.0, -1.0)),
@@ -260,7 +258,7 @@ def build_metric_lp(e: Election, a: int, b: int, alpha=None) -> LinearProgram:
         "kind": "metric", "n": n, "m": m, "a": a, "b": b, "alpha": alpha,
         "ballots": nb, "ballot_of": e.ballot_of,
     }
-    return LinearProgram(var_names, obj, a_ub, b_ub, a_eq, b_eq, meta)
+    return LinearProgram(obj, a_ub, b_ub, a_eq, b_eq, meta)
 
 
 def _solve_metric(lp: LinearProgram) -> LpOutcome:
@@ -268,7 +266,7 @@ def _solve_metric(lp: LinearProgram) -> LpOutcome:
     mapped to unbounded, since consistent metrics always exist."""
     out = solve_lp(lp)
     if out.status == INFEASIBLE:
-        probe = LinearProgram(lp.var_names, np.zeros_like(lp.objective), lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq, lp.meta)
+        probe = LinearProgram(np.zeros_like(lp.objective), lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq, lp.meta)
         if solve_lp(probe).status == OPTIMAL:
             return LpOutcome(UNBOUNDED, math.inf, None, lp)
         raise SolverFailureError(f"metric LP reported infeasible for pair ({lp.meta['a']}, {lp.meta['b']})")
@@ -464,10 +462,14 @@ def distortion_table(e: Election, alpha=None) -> DistortionReport:
 def extract_pseudometric(outcome: LpOutcome) -> MetricWitness:
     """Turn an optimal pair-LP solution into a full pseudo-metric witness.
 
-    A merged ballot's distances are copied to every voter casting it, and
+    The first nb * m entries of ``outcome.x`` are the per-ballot blocks of
+    voter-candidate distances, and the rest the candidate pairs p < q in
+    ``np.triu_indices`` order.  Negative solver noise is clipped to 0.  A
+    merged ballot's distances are copied to every voter casting it, and
     those voters are placed at one point.  The other voter-voter distances
     are completed by all-pairs shortest paths, which preserves every solved
-    distance and repairs solver-tolerance triangle slack.
+    distance and repairs solver-tolerance triangle slack.  The witness is a
+    float table.
     """
     if outcome.status != OPTIMAL:
         raise ConfigError(f"cannot extract a witness from a {outcome.status} outcome")
@@ -475,18 +477,14 @@ def extract_pseudometric(outcome: LpOutcome) -> MetricWitness:
     if meta.get("kind") != "metric":
         raise ConfigError("outcome does not come from a metric LP")
     n, m, ballot_of = meta["n"], meta["m"], meta["ballot_of"]
-    size = n + m
-    d = np.full((size, size), np.inf)
+    nbm = meta["ballots"] * m
+    x = np.maximum(outcome.x, 0.0)
+    d = np.full((n + m, n + m), np.inf)
     np.fill_diagonal(d, 0.0)
-    block = np.zeros((meta["ballots"], m))
-    for (kind, p, q), val in outcome.witness.items():
-        v = max(0.0, val)
-        if kind == "bc":
-            block[p, q] = v
-        else:
-            d[n + p, n + q] = d[n + q, n + p] = v
-    d[:n, n:] = block[ballot_of]
+    d[:n, n:] = x[:nbm].reshape(-1, m)[ballot_of]
     d[n:, :n] = d[:n, n:].T
+    upper = np.triu_indices(m, 1)
+    d[n:, n:][upper] = d[n:, n:].T[upper] = x[nbm:]
     d[:n, :n][ballot_of[:, None] == ballot_of[None, :]] = 0.0
     _shortest_paths(d)
-    return MetricWitness(n, m, tuple(tuple(float(x) for x in row) for row in d))
+    return MetricWitness(n, m, d)

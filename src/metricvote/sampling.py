@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import Election, Transcript
 from .errors import ConfigError
-from .mechanisms import comparison_graph, king_vertex, phi_scores, support_matrix
+from .mechanisms import copeland, phi_scores
 
 MODES = ("copeland", "plurality-matching")
 
@@ -74,54 +74,51 @@ def _generator(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _sample(e: Election, plan: SamplePlan, transcript: Transcript | None) -> Election:
-    """The sub-election of a seeded voter draw; the sampled indices are
-    recorded in order when a transcript is given."""
+def _draw(e: Election, plan: SamplePlan) -> np.ndarray:
+    """The voter indices of a seeded draw, in draw order."""
     if not plan.with_replacement and plan.size > e.n:
         raise ConfigError(f"cannot draw {plan.size} voters from {e.n} without replacement")
     rng = _generator(plan.seed)
-    idx = rng.choice(e.n, size=plan.size, replace=plan.with_replacement)
-    if transcript is not None:
-        for i in idx.tolist():
-            transcript.record_sample(i)
-    return e.restrict(idx)
+    return rng.choice(e.n, size=plan.size, replace=plan.with_replacement)
 
 
 def sample_voters(e: Election, plan: SamplePlan) -> tuple[Election, Transcript]:
     """Seeded voter draw; the transcript records the sampled indices in order."""
+    idx = _draw(e, plan)
     transcript = Transcript()
-    return _sample(e, plan, transcript), transcript
+    for i in idx.tolist():
+        transcript.record_sample(i)
+    return e.restrict(idx), transcript
 
 
-def sampled_copeland(e: Election, epsilon: float, delta: float, seed: int, transcript: Transcript | None = None) -> int:
-    """King of the majority tournament of a sampled voter multiset.
+def sampled_copeland(e: Election, epsilon: float, delta: float, seed: int) -> int:
+    """Copeland winner of a sampled voter multiset.
 
-    The sample size is odd and every ballot is a total order, so the
-    support matrix at 1/2 has exactly one edge per candidate pair.
+    This is the king of the sample's majority tournament.  The sample size
+    is odd and every ballot is a total order, so counts[a, b] +
+    counts[b, a] is odd for every pair: no pair ties, and the support
+    matrix at 1/2 is counts > counts.T.  Copeland scores are then twice the
+    out-degrees of that tournament, and both rules take the first
+    candidate of most wins.
     """
     if not e.all_total:
         raise ConfigError("sampled copeland needs total orders")
-    sub = _sample(e, make_plan(epsilon, delta, e.m, "copeland", seed), transcript)
-    return king_vertex(support_matrix(comparison_graph(sub), Fraction(1, 2)))
+    return copeland(e.restrict(_draw(e, make_plan(epsilon, delta, e.m, "copeland", seed))))
 
 
-def sampled_pm(
-    e: Election, epsilon: float, delta: float, seed: int, transcript: Transcript | None = None
-) -> tuple[int, tuple[Fraction, ...]]:
+def sampled_pm(e: Election, epsilon: float, delta: float, seed: int) -> tuple[int, tuple[Fraction, ...]]:
     """Sampled PluralityMatching: the winner and the sampled matching fractions.
 
     The winner is the argmax of the fractions; ties break by index.
     """
     if not e.all_total:
         raise ConfigError("sampled plurality-matching needs total orders")
-    sub = _sample(e, make_plan(epsilon, delta, e.m, "plurality-matching", seed), transcript)
+    sub = e.restrict(_draw(e, make_plan(epsilon, delta, e.m, "plurality-matching", seed)))
     # right-side capacities are the sample's own plurality counts
     phis = phi_scores(sub)
     return phis.index(max(phis)), phis
 
 
-def sampled_plurality_matching(
-    e: Election, epsilon: float, delta: float, seed: int, transcript: Transcript | None = None
-) -> int:
+def sampled_plurality_matching(e: Election, epsilon: float, delta: float, seed: int) -> int:
     """Winner of :func:`sampled_pm`."""
-    return sampled_pm(e, epsilon, delta, seed, transcript)[0]
+    return sampled_pm(e, epsilon, delta, seed)[0]

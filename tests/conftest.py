@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from metricvote import instances as inst
-from metricvote.core import Election, ktop_pairs, mask_voters, truncate_to_ktop
+from metricvote.core import TAU_METRIC, Election, MetricWitness, ktop_pairs, mask_voters, truncate_to_ktop
 from metricvote.mechanisms import MatchingResult
 
 
@@ -82,6 +82,19 @@ def ref_ktop(p, m: int, length: int) -> tuple[int, ...] | None:
     """The first ``length`` candidates by the number stated above them, ties by index; None for 0."""
     order = sorted(range(m), key=lambda c: (sum((d, c) in p for d in range(m)), c))
     return tuple(order[:length]) if length else None
+
+
+def ref_consistent(metric: MetricWitness, e: Election, tol: float = TAU_METRIC) -> bool:
+    """Voter by voter, whether each pair of the voter's pair set puts the nearer
+    candidate first: exactly on exact tables, within ``tol`` times the larger
+    distance (at least 1) on float ones."""
+    for i, p in enumerate(e.prefs):
+        for a, b in p:
+            da, db = metric.vc(i, a), metric.vc(i, b)
+            slack = 0 if metric.exact else tol * max(1.0, abs(da), abs(db))
+            if da > db + slack:
+                return False
+    return True
 
 
 def matching_blocks(r: MatchingResult) -> dict[int, tuple[int, ...]]:

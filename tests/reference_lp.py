@@ -41,7 +41,7 @@ def from_rows(var_names, objective: dict, ub_rows=(), eq_rows=(), meta=None) -> 
 
     a_ub, b_ub = pack(list(ub_rows))
     a_eq, b_eq = pack(list(eq_rows))
-    return LinearProgram(list(var_names), obj, a_ub, b_ub, a_eq, b_eq, meta or {})
+    return LinearProgram(obj, a_ub, b_ub, a_eq, b_eq, meta or {})
 
 
 def _pair_index(m: int) -> dict[tuple[int, int], int]:

@@ -14,7 +14,9 @@ from conftest import (
     is_total,
     prefers,
     ranking,
+    ballot_elections,
     ref_bottom,
+    ref_consistent,
     ref_counts,
     ref_ktop,
     ref_second,
@@ -30,6 +32,7 @@ import metricvote
 from metricvote import instances as inst
 from metricvote import mechanisms, sampling
 from metricvote.core import (
+    TAU_METRIC,
     Election,
     MetricWitness,
     _first_appearance,
@@ -615,6 +618,45 @@ class TestConsistencyAndCost:
         w = MetricWitness(1, 2, ((0, 2, 1), (2, 0, 3), (1, 3, 0)))
         assert check_consistent(w, e)
 
+    def test_check_consistent_matches_reference_on_witnesses(self):
+        for gi in (
+            inst.chain(5),
+            inst.dr_lower_bound(8),
+            inst.ktop_lower_bound(7, 3, Fraction(1, 10)),
+            inst.missing_voters_tight(Fraction(1, 5)),
+            inst.veto_instance(5),
+            inst.decisive_instance(Fraction(1, 2)),
+            inst.hidden_star(5, 2),
+            inst.euclidean(12, 4, 2, seed=3),
+            inst.euclidean(9, 5, 9, seed=8),
+        ):
+            e, w = gi.election, gi.witness
+            assert check_consistent(w, e) and ref_consistent(w, e), gi.generator
+            # move a stated winner a just past its nearest stated loser b
+            i = next(i for i, p in enumerate(e.prefs) if p)
+            a = min(p for p, _ in e.prefs[i])
+            b = min((q for p, q in e.prefs[i] if p == a), key=lambda q: w.vc(i, q))
+            steps = [(Fraction(1, 10**12), False)] if w.exact else [(1e-6, False), (1e-11, True)]
+            for step, kept in steps:
+                table = w.dist.copy()
+                table[i, e.n + a] = table[e.n + a, i] = w.vc(i, b) + step * max(1, w.vc(i, b))
+                moved = MetricWitness(e.n, e.m, table)
+                assert moved.exact == w.exact
+                assert check_consistent(moved, e) == ref_consistent(moved, e) == kept, (gi.generator, step)
+
+    @given(ballot_elections(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_check_consistent_matches_reference_on_random_tables(self, e, seed):
+        rng = np.random.default_rng(seed)
+        size = e.n + e.m
+        ints = rng.integers(0, 3, size=(size, size))
+        # small ints tie often; the float table moves each entry by up to twice the slack
+        exact = MetricWitness(e.n, e.m, ints.astype(object))
+        noisy = MetricWitness(e.n, e.m, ints + rng.uniform(-4e-9, 4e-9, size=(size, size)))
+        assert exact.exact and not noisy.exact
+        for w in (exact, noisy):
+            assert check_consistent(w, e) == ref_consistent(w, e)
+
     def test_colocated_zero_cost(self):
         w = MetricWitness(2, 1, ((0, 0, 0), (0, 0, 0), (0, 0, 0)))
         assert social_cost(w, 0) == 0
@@ -633,26 +675,26 @@ class TestMetricWitnessConstructors:
     def test_from_edges_path_values_and_types(self):
         # voter 0, candidates at points 1..3 along a path of lengths 1/2, 1, 1/3
         w = MetricWitness.from_edges(1, 3, [(0, 1, Fraction(1, 2)), (1, 2, 1), (2, 3, Fraction(1, 3))])
-        assert w.dist[0] == (0, Fraction(1, 2), Fraction(3, 2), Fraction(11, 6))
-        assert w.dist[3] == (Fraction(11, 6), Fraction(4, 3), Fraction(1, 3), 0)
+        assert tuple(w.dist[0]) == (0, Fraction(1, 2), Fraction(3, 2), Fraction(11, 6))
+        assert tuple(w.dist[3]) == (Fraction(11, 6), Fraction(4, 3), Fraction(1, 3), 0)
         assert all(type(x) is Fraction for row in w.dist for x in row)
         w.validate_metric()
 
     def test_from_edges_int_lengths_give_ints(self):
         w = MetricWitness.from_edges(2, 1, [(0, 2, 1), (1, 2, 3)])
-        assert w.dist == ((0, 4, 1), (4, 0, 3), (1, 3, 0))
+        assert w.dist.tolist() == [[0, 4, 1], [4, 0, 3], [1, 3, 0]]
         assert all(type(x) is int for row in w.dist for x in row)
 
     def test_from_edges_zero_length_edge_merges_points(self):
         w = MetricWitness.from_edges(1, 2, [(0, 1, 0), (1, 2, Fraction(5, 2))])
-        assert w.dist[0] == (0, 0, Fraction(5, 2))
+        assert tuple(w.dist[0]) == (0, 0, Fraction(5, 2))
         assert social_cost(w, 0) == 0
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_from_edges_repeated_edge_keeps_shorter(self, order):
         edges = [(0, 1, 5), (1, 0, 2)][::order] + [(1, 2, 1)]
         w = MetricWitness.from_edges(1, 2, edges)
-        assert w.dist[0] == (0, 2, 3)
+        assert tuple(w.dist[0]) == (0, 2, 3)
 
     def test_from_edges_rejects_disconnected_graph(self):
         with pytest.raises(DataFormatError, match="not connected"):
@@ -675,6 +717,12 @@ class TestMetricWitnessConstructors:
             points = np.vstack([voters, cands])
             assert np.array_equal(table, cdist(points, points, metric=metric)), dim
 
+    @pytest.mark.parametrize("norm", [1, 2])
+    @pytest.mark.parametrize("voters", [[(0, 1)], [(0.0, 1.0)]])
+    def test_from_points_rejects_mixed_dimensions(self, voters, norm):
+        with pytest.raises(DataFormatError, match="same number of coordinates"):
+            MetricWitness.from_points(voters, [(1,)], norm=norm)
+
     def test_from_points_exact_input_respects_norm(self):
         voters, cands = [(0, 0)], [(3, 4)]
         assert MetricWitness.from_points(voters, cands).vc(0, 0) == 5.0
@@ -683,6 +731,61 @@ class TestMetricWitnessConstructors:
         assert l1.exact and l1.vc(0, 0) == 7
         # 1-D exact points stay exact under any norm
         assert MetricWitness.from_points([Fraction(1, 2)], [Fraction(2)]).vc(0, 0) == Fraction(3, 2)
+
+
+class TestMetricWitnessTable:
+    def test_exact_entries_give_a_read_only_object_table(self):
+        w = MetricWitness(1, 1, ((0, Fraction(1, 2)), (Fraction(1, 2), 0)))
+        assert w.exact and w.dist.dtype == object and not w.dist.flags.writeable
+        assert [type(x) for x in w.dist.flat] == [int, Fraction, Fraction, int]
+
+    @pytest.mark.parametrize("table", [((0, 1.5), (1.5, 0)), ((0, 1), (1, 0.0)), ((0, Fraction(1, 2)), (0.5, 0))])
+    def test_mixed_nested_tuple_gives_a_read_only_float_table(self, table):
+        w = MetricWitness(1, 1, table)
+        assert not w.exact and w.dist.dtype == np.float64 and not w.dist.flags.writeable
+        assert w.dist.tolist() == [[float(x) for x in row] for row in table]
+
+    def test_float_array_is_kept_without_a_copy(self):
+        table = np.array([[0.0, 2.0], [2.0, 0.0]])
+        assert MetricWitness(1, 1, table).dist is table
+
+    def test_wrong_shape_is_rejected(self):
+        for table in (((0, 1), (1,)), ((0, 1, 2),) * 3, np.zeros((3, 3))):
+            with pytest.raises(DataFormatError, match="2x2"):
+                MetricWitness(1, 1, table)
+
+    @pytest.mark.parametrize("spot", [(0, 2), (0, 0), (1, 2, "one way")])
+    def test_validate_metric_exact_has_no_slack(self, spot):
+        # points 0, 1 and 2 on a line: every entry is exact and the triangle 0-1-2 is tight
+        table = MetricWitness.from_points([0], [1, 2]).dist.copy()
+        table[spot[0], spot[1]] += Fraction(1, 10**12)
+        if len(spot) == 2:
+            table[spot[1], spot[0]] = table[spot[0], spot[1]]
+        with pytest.raises(DataFormatError):
+            MetricWitness(1, 2, table).validate_metric()
+        # in floats the same table is within TAU_METRIC
+        MetricWitness(1, 2, table.astype(np.float64)).validate_metric()
+
+    def test_validate_metric_float_slack_is_tau_metric(self):
+        # slack is TAU_METRIC times the largest entry, here 2
+        for off, ok in ((TAU_METRIC, True), (3 * TAU_METRIC, False)):
+            table = MetricWitness.from_points([0.0], [1.0, 2.0]).dist.copy()
+            table[0, 2] = table[2, 0] = 2 + 2 * off
+            w = MetricWitness(1, 2, table)
+            if ok:
+                w.validate_metric()
+            else:
+                with pytest.raises(DataFormatError, match="triangle"):
+                    w.validate_metric()
+
+    def test_validate_metric_checks_large_exact_tables_in_floats(self):
+        # 81 points: past the exact check's size, so a 1e-12 excess passes
+        table = MetricWitness.from_points(list(range(79)), [79, 80]).dist.copy()
+        table[0, 80] = table[80, 0] = 80 + Fraction(1, 10**12)
+        MetricWitness(79, 2, table.copy()).validate_metric()
+        table[0, 80] = table[80, 0] = 81
+        with pytest.raises(DataFormatError, match="triangle"):
+            MetricWitness(79, 2, table).validate_metric()
 
 
 class TestComparisonGraph:

@@ -1,5 +1,6 @@
 """Generators: every witness is consistent, every expected tag asserted exactly."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -172,7 +173,7 @@ def test_hidden_star_rejects_short_far_ratio_and_no_voters(params):
 
 def test_hidden_star_decimal_far_ratio_is_the_fraction():
     decimal, fraction = inst.hidden_star(5, 2, far_ratio=2.5), inst.hidden_star(5, 2, far_ratio=Fraction(5, 2))
-    assert decimal.witness.dist == fraction.witness.dist
+    assert decimal.witness.dist.tolist() == fraction.witness.dist.tolist()
     assert decimal.expected == fraction.expected == {"chosen": 2, "min_bad_distortion": Fraction(-1, 2)}
 
 
@@ -185,14 +186,39 @@ def test_hidden_star_rejects_non_finite_far_ratio(far_ratio):
 def test_hidden_star_far_ratio_one_is_a_metric():
     gi = inst.hidden_star(4, chosen=1, n=2, far_ratio=1)
     gi.check_witness()
-    assert gi.witness.dist[0] == (0, 2, 1, 1, 1, 1)
+    assert tuple(gi.witness.dist[0]) == (0, 2, 1, 1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("euclidean", {"n": 6, "m": 3, "dim": 1}),
+        ("euclidean", {"n": 6, "m": 3, "dim": 9}),
+        ("chain", {"ell": 4}),
+        ("dr-lower-bound", {"m": 8}),
+        ("dr-lower-bound", {"m": 4, "far_ratio": 2.5}),
+        ("ktop-lower-bound", {"m": 7, "k": 3, "ratio": Fraction(1, 10)}),
+        ("missing-voters-tight", {"epsilon": Fraction(1, 5)}),
+        ("veto", {"m": 5}),
+        ("decisive", {"alpha": Fraction(1, 3)}),
+        ("hidden-star", {"m": 5, "chosen": 2}),
+        ("hidden-star", {"m": 4, "chosen": 1, "far_ratio": 2.5}),
+    ],
+)
+def test_every_sidecar_witness_round_trips(name, params):
+    gi = inst.generate(name, params, seed=4)
+    side = json.loads(json.dumps(instance_sidecar(gi)))
+    w = witness_from_jsonable(side["witness"])
+    assert w.exact == gi.witness.exact == (name != "euclidean")
+    assert w.dist.tolist() == gi.witness.dist.tolist()
+    assert inst.generate("impartial-culture", {"n": 3, "m": 2}, seed=4).witness is None
 
 
 def test_generate_dispatch_and_sidecar_roundtrip():
     gi = inst.generate("chain", {"ell": 3})
     side = instance_sidecar(gi)
     w2 = witness_from_jsonable(side["witness"])
-    assert w2.exact and w2.dist == gi.witness.dist
+    assert w2.exact and w2.dist.tolist() == gi.witness.dist.tolist()
     gi2 = inst.generate("euclidean", {"n": 5, "m": 3, "dim": 2}, seed=1)
     side2 = witness_to_jsonable(gi2.witness)
     w3 = witness_from_jsonable(side2)
@@ -203,7 +229,7 @@ def test_generate_dispatch_and_sidecar_roundtrip():
     ktop = inst.generate("ktop-lower-bound", {"m": 7, "k": 3, "ratio": Fraction(1, 10)})
     table = instance_sidecar(ktop)["witness"]["dist"]
     assert all(type(x) is str for row in table for x in row) and "1/10" in table[1]
-    assert witness_from_jsonable(witness_to_jsonable(ktop.witness)).dist == ktop.witness.dist
+    assert witness_from_jsonable(witness_to_jsonable(ktop.witness)).dist.tolist() == ktop.witness.dist.tolist()
     with pytest.raises(ConfigError):
         inst.generate("euclidean", {"n": 5, "m": 3, "dim": 2})  # seed required
     with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
 """Pair LPs, Minimax, the alpha-decisive variant, and witness extraction."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from unittest.mock import patch
@@ -69,7 +70,7 @@ class TestMetricLpConstruction:
         e = Election(1, 2, (frozenset({(0, 1)}),))
         lp = build_full(e, 0, 1)
         # one voter, two candidates: three distinct pair variables
-        assert len(lp.var_names) == 3
+        assert len(lp.objective) == 3
         out = solve_lp(lp)
         assert out.status == OPTIMAL and close(out.value, 1.0)
 
@@ -114,6 +115,17 @@ class TestWitnessExtraction:
         w.validate_metric()
         assert check_consistent(w, e)
         assert close(social_cost(w, 0) / social_cost(w, 1), out.value)
+
+    def test_reads_ballot_blocks_then_candidate_pairs_from_x(self):
+        # ballots (0, 1, 2) for voters 0 and 2 and (2, 1, 0) for voter 1: x holds the
+        # two ballot blocks, then y01, y02 and y12; the -1e-12 is clipped to 0
+        e = Election.from_rankings([(0, 1, 2), (2, 1, 0), (0, 1, 2)], 3)
+        out = solve_metric_lp(e, 0, 2)
+        x = np.array([1.0, 2.0, 3.0, 2.0, 1.0, -1e-12, 1.0, 2.0, 1.0])
+        d = extract_pseudometric(dataclasses.replace(out, x=x)).dist
+        assert d[:3, 3:].tolist() == [[1, 2, 3], [2, 1, 0], [1, 2, 3]]
+        assert d[3:, 3:].tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        assert d[:3, :3].tolist() == [[0, 3, 0], [3, 0, 3], [0, 3, 0]]
 
     def test_merged_points_share_rows(self):
         e = Election.from_rankings([(0, 1, 2)], 3)

@@ -9,7 +9,8 @@ from conftest import matching_blocks
 from metricvote import instances as inst
 from metricvote.core import Election
 from metricvote.errors import ConfigError
-from metricvote.mechanisms import build_domination_graph, copeland, max_matching, phi_scores
+from metricvote.core import comparison_graph
+from metricvote.mechanisms import build_domination_graph, copeland, king_vertex, max_matching, phi_scores, support_matrix
 from metricvote.sampling import (
     SamplePlan,
     make_plan,
@@ -124,6 +125,15 @@ class TestSampledCopeland:
         e = Election(2, 3, (frozenset({(0, 1), (0, 2)}), frozenset()))
         with pytest.raises(ConfigError):
             sampled_copeland(e, 1, 0.1, 0)
+
+    def test_equals_king_of_sampled_majority_tournament(self):
+        # an odd sample of total orders draws no pair, so Copeland and the king agree
+        for i in range(40):
+            e = inst.impartial_culture(9 + i % 7, 3 + i % 6, seed=900 + i).election
+            for seed in range(5):
+                sub, _ = sample_voters(e, make_plan(4, 0.2, e.m, "copeland", seed))
+                king = king_vertex(support_matrix(comparison_graph(sub), Fraction(1, 2)))
+                assert sampled_copeland(e, 4, 0.2, seed) == king, (i, seed)
 
 
 class TestSampledPluralityMatching:
