@@ -24,7 +24,6 @@ from .core import (
     induce_election,
     mask_voters,
     realized_distortion,
-    scores,
     social_cost,
     social_costs,
     transitive_closure,
@@ -42,7 +41,6 @@ from .lp import (
     extract_pseudometric,
     minimax,
     solve_lp,
-    solve_metric_lp,
 )
 from .mechanisms import (
     DominationGraph,
@@ -58,7 +56,6 @@ from .mechanisms import (
     max_matching,
     plurality_matching,
     run_dr,
-    support_matrix,
 )
 from .sampling import (
     SamplePlan,

@@ -126,13 +126,15 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     bits = max(int(rows.max(initial=0)).bit_length(), 1)
     # compacted keys stay below len(rows), so a shifted key plus a block fits in 63 bits
     width = max((63 - len(rows).bit_length()) // bits, 1)
-    weights = np.int64(1) << (bits * np.arange(width, dtype=np.int64))
     key = np.zeros(len(rows), dtype=np.int64)
     for lo in range(0, rows.shape[1], width):
-        block = rows[:, lo : lo + width]
         if lo:
-            key = np.unique(key, return_inverse=True)[1].reshape(-1)
-        key = (key << (bits * block.shape[1])) | (block @ weights[: block.shape[1]])
+            key = np.unique(key, return_inverse=True)[1].reshape(-1).astype(np.int64, copy=False)
+        # shift-and-or, last column first so the block's first column takes the lowest
+        # bits; an integer matmul with the bit weights runs without BLAS and is slower
+        for column in rows[:, lo : lo + width].T[::-1]:
+            key <<= bits
+            key |= column
     return key
 
 
@@ -316,18 +318,24 @@ class Election:
         """Build an election from total orders (best candidate first).
 
         ``rankings`` is a sequence of rankings or a 2-D integer array with
-        one ranking per row.
+        one ranking per row.  A sequence is read with one ``np.array``; an
+        entry that is not an integer, such as a float or a string, gives it
+        a dtype that is not an integer one, which raises :class:`DataFormatError`.
         """
-        if not (isinstance(rankings, np.ndarray) and rankings.ndim == 2 and rankings.dtype.kind in "iu"):
-            rankings = list(rankings)
-            lens = np.fromiter(map(len, rankings), dtype=np.intp, count=len(rankings))
-            if m is None:
-                m = int(max((max(r) for r in rankings if len(r)), default=-1)) + 1
-            short = np.flatnonzero(lens != m)
-            if len(short):
-                raise DataFormatError(f"voter {short[0]}: ranking must list all {m} candidates")
-            flat = itertools.chain.from_iterable(rankings)
-            rankings = np.fromiter(flat, dtype=np.int64, count=len(rankings) * m).reshape(len(rankings), m)
+        if not isinstance(rankings, np.ndarray):
+            rows = list(rankings)
+            try:
+                rankings = np.array(rows) if rows else np.zeros((0, m or 0), dtype=np.int64)
+            except ValueError:  # rows of unequal lengths
+                lens = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+                if m is None:
+                    m = int(max(max(r) for r in rows if len(r))) + 1
+                short = np.flatnonzero(lens != m)
+                if len(short):
+                    raise DataFormatError(f"voter {short[0]}: ranking must list all {m} candidates") from None
+                rankings = np.empty(0, dtype=object)  # no row is short, so some entry is a sequence
+        if rankings.ndim != 2 or (rankings.size and rankings.dtype.kind not in "iu"):
+            raise DataFormatError("rankings must be rows of integer candidate ids")
         if m is None:
             m = int(rankings.max()) + 1 if rankings.size else 0
         if rankings.shape[1] != m:
@@ -394,11 +402,6 @@ class Election:
         """Per ballot with a top, the only candidate at level 1, or -1."""
         return np.where(self._top >= 0, _sole(self.levels == 1), -1)
 
-    @functools.cached_property
-    def _bottom(self) -> np.ndarray:
-        """Per ballot, the only candidate at level m - 1, or -1."""
-        return _sole(self.levels == self.m - 1)
-
     def _per_ballot(self, values: np.ndarray, i: int) -> int | None:
         v = int(values[self.ballot_of[i]])
         return None if v < 0 else v
@@ -463,25 +466,15 @@ def mask_voters(e: Election, voters: Iterable[int]) -> Election:
     return Election._of(e.n, e.m, levels[cast[first]], ballot_of, np.where(gone, 0, e.listed))
 
 
-# -- comparison graph and scores ------------------------------------------
+# -- comparison graph and plurality counts ----------------------------------
 
 
 @dataclass(frozen=True)
 class ComparisonGraph:
-    """Per-ordered-pair support counts; weights are exact rationals over n."""
+    """Per-ordered-pair support counts out of ``n`` voters."""
 
     n: int
     counts: tuple[tuple[int, ...], ...]
-
-    def weight(self, a: int, b: int) -> Fraction:
-        return Fraction(self.counts[a][b], self.n)
-
-    def coverage(self, a: int, b: int) -> Fraction:
-        return Fraction(self.counts[a][b] + self.counts[b][a], self.n)
-
-    @property
-    def m(self) -> int:
-        return len(self.counts)
 
 
 def _pair_counts(e: Election) -> np.ndarray:
@@ -496,45 +489,12 @@ def comparison_graph(e: Election) -> ComparisonGraph:
     return ComparisonGraph(e.n, tuple(map(tuple, _pair_counts(e).tolist())))
 
 
-def _count_voters(e: Election, per_ballot: np.ndarray) -> tuple[int, ...]:
-    """Voters per candidate, given one candidate (or -1 for none) per ballot."""
-    counts = np.zeros(e.m, dtype=np.int64)
-    keep = per_ballot >= 0
-    np.add.at(counts, per_ballot[keep], e.multiplicity[keep])
-    return tuple(counts.tolist())
-
-
 def plurality_counts(e: Election) -> tuple[int, ...]:
     """Voters whose unique top is each candidate; voters without one count for none."""
-    return _count_voters(e, e._top)
-
-
-@dataclass(frozen=True)
-class Scores:
-    plurality: tuple[int, ...]
-    veto: tuple[int, ...]
-    topk_coverage: tuple[Fraction, ...]
-
-
-def _listed_ranks(e: Election) -> tuple[np.ndarray, np.ndarray]:
-    """Voters per distinct (ballot, list length) pair, ``count`` (g,), and each
-    candidate's position in the pair's top list, ``rank`` (g, m), -1 if unlisted."""
-    keys, count = np.unique(e.ballot_of * (e.m + 1) + e.listed, return_counts=True)
-    ballot, length = np.divmod(keys, e.m + 1)
-    rank = e.levels[ballot].astype(np.intp)
-    return count, np.where(rank < length[:, None], rank, -1)
-
-
-def scores(e: Election) -> Scores:
-    """Plurality and veto counts plus per-candidate k-top coverage.
-
-    Voters without a unique top (resp. bottom) contribute to neither
-    plurality (resp. veto); the source model defines these counts only for
-    total orders, so this zero-contribution rule is a documented choice.
-    """
-    count, rank = _listed_ranks(e)
-    coverage = tuple(Fraction(c, max(e.n, 1)) for c in (count @ (rank >= 0)).tolist())
-    return Scores(plurality_counts(e), _count_voters(e, e._bottom), coverage)
+    counts = np.zeros(e.m, dtype=np.int64)
+    keep = e._top >= 0
+    np.add.at(counts, e._top[keep], e.multiplicity[keep])
+    return tuple(counts.tolist())
 
 
 # -- metrics ----------------------------------------------------------------

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Election, _listed_ranks
+from .core import Election
 from .errors import ConfigError, DataFormatError
 
 #: Contest scoring weights: 12 points to the top choice, down to 1 for the
@@ -170,6 +170,9 @@ def positional_score(e: Election, rule: ScoringRule) -> tuple[tuple[int, ...], i
     # one weight per rank position, and 0 past the weights (and at rank -1, unlisted)
     weight = np.zeros(e.m + 1, dtype=np.int64)
     weight[: min(len(rule.weights), e.m)] = rule.weights[: e.m]
-    count, rank = _listed_ranks(e)
-    totals = (count @ weight[rank]).tolist()
+    # voters per distinct (ballot, list length) pair, and each candidate's rank in its list
+    keys, count = np.unique(e.ballot_of * (e.m + 1) + e.listed, return_counts=True)
+    ballot, length = np.divmod(keys, e.m + 1)
+    rank = e.levels[ballot].astype(np.intp)
+    totals = (count @ weight[np.where(rank < length[:, None], rank, -1)]).tolist()
     return tuple(totals), totals.index(max(totals))

@@ -389,8 +389,9 @@ def witness_to_jsonable(w: MetricWitness) -> dict:
 
 
 def witness_from_jsonable(obj: dict) -> MetricWitness:
-    if obj.get("exact"):
-        return MetricWitness(obj["n"], obj["m"], [[Fraction(x) for x in row] for row in obj["dist"]])
+    if obj.get("exact"):  # ints load as written, Fractions from their strings
+        table = [[x if type(x) is int else Fraction(x) for x in row] for row in obj["dist"]]
+        return MetricWitness(obj["n"], obj["m"], table)
     return MetricWitness(obj["n"], obj["m"], np.asarray(obj["dist"], dtype=float))
 
 

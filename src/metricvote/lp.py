@@ -31,6 +31,12 @@ triangle row over all point triples, lives in the test suite
 (``tests/reference_lp.py``), which checks that both programs agree on
 status, value and witness soundness.
 
+One path builds and solves a pair LP: ``distortion_pair`` calls
+``build_metric_lp``, then ``solve_lp`` (through this module's ``linprog``),
+and re-checks a reported infeasibility before reading it as +inf.  Callers
+that need the solution vector, as ``extract_pseudometric`` does, call
+``solve_lp(build_metric_lp(...))`` themselves.
+
 Two outputs share one set of rules.  ``distortion_table`` solves all
 m(m - 1) pair LPs; ``minimax`` returns only the winner, its value and its
 worst opponent, and solves only the pair LPs that certified bounds
@@ -261,28 +267,23 @@ def build_metric_lp(e: Election, a: int, b: int, alpha=None) -> LinearProgram:
     return LinearProgram(obj, a_ub, b_ub, a_eq, b_eq, meta)
 
 
-def _solve_metric(lp: LinearProgram) -> LpOutcome:
-    """Solve a built pair LP; a reported infeasibility is re-checked and
-    mapped to unbounded, since consistent metrics always exist."""
-    out = solve_lp(lp)
-    if out.status == INFEASIBLE:
-        probe = LinearProgram(np.zeros_like(lp.objective), lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq, lp.meta)
-        if solve_lp(probe).status == OPTIMAL:
-            return LpOutcome(UNBOUNDED, math.inf, None, lp)
-        raise SolverFailureError(f"metric LP reported infeasible for pair ({lp.meta['a']}, {lp.meta['b']})")
-    return out
-
-
-def solve_metric_lp(e: Election, a: int, b: int, alpha=None) -> LpOutcome:
-    """Build and solve the pair LP of a against b."""
-    return _solve_metric(build_metric_lp(e, a, b, alpha=alpha))
-
-
 def distortion_pair(e: Election, a: int, b: int, alpha=None) -> float:
-    """Worst-case SC(a)/SC(b) over consistent metrics; +inf when unbounded."""
+    """Worst-case SC(a)/SC(b) over consistent metrics; +inf when unbounded.
+
+    Consistent metrics always exist, so a reported infeasibility is
+    re-checked with a zero objective and read as unbounded; if the re-check
+    finds no feasible point either, the solver has failed.
+    """
     if a == b:
         return 1.0
-    return solve_metric_lp(e, a, b, alpha=alpha).value
+    lp = build_metric_lp(e, a, b, alpha=alpha)
+    out = solve_lp(lp)
+    if out.status != INFEASIBLE:
+        return out.value
+    probe = LinearProgram(np.zeros_like(lp.objective), lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq, lp.meta)
+    if solve_lp(probe).status == OPTIMAL:
+        return math.inf
+    raise SolverFailureError(f"metric LP reported infeasible for pair ({a}, {b})")
 
 
 def ratio_bound(e: Election) -> np.ndarray:

@@ -17,39 +17,26 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    ComparisonGraph,
-    Election,
-    Transcript,
-    _first_appearance,
-    _pair_counts,
-    _row_keys,
-    comparison_graph,
-    plurality_counts,
-    scores,
-)
+from .core import Election, Transcript, _first_appearance, _pair_counts, _row_keys, plurality_counts
 from .errors import ConfigError, CoverageError, TheoremFalsificationError
 
-#: Majority tie handling: with "high_index_wins" (default) the smaller
-#: candidate index loses a tied comparison.  The chain lower-bound
-#: construction needs exactly this rule.
-TIEBREAKS = ("high_index_wins", "low_index_wins")
 
+def majority_oracle(e: Election, a: int, b: int) -> int:
+    """Return the pairwise loser between a and b; abstainers count for neither.
 
-def majority_oracle(e: Election, a: int, b: int, tiebreak: str = "high_index_wins") -> int:
-    """Return the pairwise loser between a and b; abstainers count for neither."""
+    The smaller candidate index loses a tied comparison; the chain
+    lower-bound construction needs exactly this rule.
+    """
     if a == b:
         raise ConfigError("oracle needs distinct candidates")
     if not (0 <= a < e.m and 0 <= b < e.m):
         raise ConfigError(f"candidates ({a}, {b}) out of range")
-    if tiebreak not in TIEBREAKS:
-        raise ConfigError(f"unknown tiebreak {tiebreak!r}")
     na, nb = int(e.pair_counts[a, b]), int(e.pair_counts[b, a])
     if na > nb:
         return b
     if nb > na:
         return a
-    return min(a, b) if tiebreak == "high_index_wins" else max(a, b)
+    return min(a, b)
 
 
 def _make_pairs(survivors: list[int], pairing: str, rng) -> list[tuple[int, int]]:
@@ -109,28 +96,13 @@ def domination_root(
     return survivors[0], transcript
 
 
-def run_dr(
-    e: Election,
-    pairing: str = "input",
-    seed: int | None = None,
-    schedule=None,
-    tiebreak: str = "high_index_wins",
-) -> tuple[int, Transcript]:
+def run_dr(e: Election, pairing: str = "input", seed: int | None = None, schedule=None) -> tuple[int, Transcript]:
     """DominationRoot on an election via the majority oracle."""
-    oracle = lambda a, b: majority_oracle(e, a, b, tiebreak=tiebreak)
+    oracle = lambda a, b: majority_oracle(e, a, b)
     return domination_root(range(e.m), oracle, pairing=pairing, seed=seed, schedule=schedule)
 
 
-# -- tournaments and support matrices ----------------------------------------
-
-
-def support_matrix(g: ComparisonGraph, tau) -> np.ndarray:
-    """(m, m) bool matrix: entry (a, b) iff a tau fraction of the voters prefer a to b.
-
-    Exact for any rational (or float) tau > 0: counts are integers, so
-    count >= tau * n holds iff count >= ceil(tau * n).
-    """
-    return np.array(g.counts, dtype=np.int64) >= math.ceil(Fraction(tau) * g.n)
+# -- kings --------------------------------------------------------------------
 
 
 def _two_hop(adj: np.ndarray) -> np.ndarray:
@@ -141,11 +113,11 @@ def _two_hop(adj: np.ndarray) -> np.ndarray:
 def king_vertex(adj: np.ndarray) -> int:
     """A vertex reaching every other in at most two hops.
 
-    ``adj`` is an (m, m) bool adjacency matrix, such as :func:`support_matrix`
-    returns.  Takes the maximum out-degree vertex, the lowest index among
-    equals (a king in any digraph containing a tournament), and verifies
-    reachability; failure would falsify the king theorem and raises
-    accordingly.
+    ``adj`` is an (m, m) bool adjacency matrix, such as ``Election.pair_counts``
+    thresholded at a vote count.  Takes the maximum out-degree vertex, the
+    lowest index among equals (a king in any digraph containing a
+    tournament), and verifies reachability; failure would falsify the king
+    theorem and raises accordingly.
     """
     v = int(np.argmax(adj.sum(axis=1)))
     if not _two_hop(adj)[v].all():
@@ -211,17 +183,21 @@ def _check_exactly_k(e: Election, k: int) -> None:
 def ktop_rule(e: Election, k: int) -> int:
     """Winner under k-top ballots: a 2-hop king at support threshold k/(3m).
 
-    Candidates are scanned by descending k-top coverage, then index; the
-    guarantee says a king always exists, so exhausting the scan raises a
-    falsification error.
+    The support digraph has an edge a -> b when at least k/(3m) of the
+    voters state a > b; counts are integers, so that holds iff the count is
+    at least ceil(k n / (3m)).  Candidates are scanned by descending k-top
+    coverage, the voters listing them, then index.  Every list has exactly
+    k candidates, at levels 0..k-1, so coverage counts the levels below k.
+    The guarantee says a king always exists, so exhausting the scan raises
+    a falsification error.
     """
     _check_exactly_k(e, k)
-    kings = _two_hop(support_matrix(comparison_graph(e), Fraction(k, 3 * e.m))).all(axis=1)
-    coverage = scores(e).topk_coverage
-    for c in sorted(range(e.m), key=lambda c: (-coverage[c], c)):
-        if kings[c]:
-            return c
-    raise TheoremFalsificationError(f"no 2-hop king at threshold {k}/(3*{e.m})")
+    support = _pair_counts(e) >= math.ceil(Fraction(k, 3 * e.m) * e.n)
+    order = np.argsort(-(e.multiplicity @ (e.levels < k)), kind="stable")
+    kings = order[_two_hop(support).all(axis=1)[order]]
+    if len(kings) == 0:
+        raise TheoremFalsificationError(f"no 2-hop king at threshold {k}/(3*{e.m})")
+    return int(kings[0])
 
 
 # -- plurality matching -------------------------------------------------------

@@ -10,13 +10,15 @@ small-instance code: the program has O((n + m)^3) rows.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 from scipy import sparse
 
 from metricvote.core import Election
-from metricvote.lp import LinearProgram, LpOutcome, _alpha_rows, _solve_metric
+from metricvote.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpOutcome, _alpha_rows, solve_lp
 
 
 def from_rows(var_names, objective: dict, ub_rows=(), eq_rows=(), meta=None) -> LinearProgram:
@@ -80,5 +82,12 @@ def build_full(e: Election, a: int, b: int, alpha=None) -> LinearProgram:
 
 
 def solve_full(e: Election, a: int, b: int, alpha=None) -> LpOutcome:
-    """Solve the reference pair LP with the library's infeasibility re-check."""
-    return _solve_metric(build_full(e, a, b, alpha))
+    """Solve the reference pair LP with the infeasibility re-check of
+    ``lp.distortion_pair``: an infeasible report on a feasible program is unbounded."""
+    lp = build_full(e, a, b, alpha)
+    out = solve_lp(lp)
+    if out.status == INFEASIBLE:
+        probe = dataclasses.replace(lp, objective=np.zeros_like(lp.objective))
+        if solve_lp(probe).status == OPTIMAL:
+            return LpOutcome(UNBOUNDED, math.inf, None, lp)
+    return out

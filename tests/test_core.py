@@ -36,6 +36,7 @@ from metricvote.core import (
     Election,
     MetricWitness,
     _first_appearance,
+    _row_keys,
     check_consistent,
     comparison_graph,
     election_from_text,
@@ -44,7 +45,6 @@ from metricvote.core import (
     ktop_pairs,
     mask_voters,
     plurality_counts,
-    scores,
     social_cost,
     transitive_closure,
     truncate_to_ktop,
@@ -291,11 +291,8 @@ class TestBallotTensor:
         assert e.pair_counts.tolist() == counts
         if n:
             assert comparison_graph(e).counts == tuple(map(tuple, counts))
-        s = scores(e)
-        assert s.plurality == tuple(tops.count(c) for c in range(m))
-        assert s.veto == tuple(bottoms.count(c) for c in range(m))
-        listed = [c for t in e.ktop if t is not None for c in t]
-        assert s.topk_coverage == tuple(Fraction(listed.count(c), max(n, 1)) for c in range(m))
+        assert plurality_counts(e) == tuple(tops.count(c) for c in range(m))
+        assert veto_counts(e) == [bottoms.count(c) for c in range(m)]
         for a, b in itertools.permutations(range(m), 2):
             na, nb = counts[a][b], counts[b][a]
             assert majority_oracle(e, a, b) == (b if na > nb else a if nb > na else min(a, b))
@@ -349,8 +346,6 @@ class TestListedAnnotation:
         assert e.listed.tolist() == [len(a) if a else 0 for a in ref]
         assert [ranking(e, i) for i in range(n)] == [a if a and len(a) == m else None for a in ref]
 
-        listed = [c for a in ref if a for c in a]
-        assert scores(e).topk_coverage == tuple(Fraction(listed.count(c), max(n, 1)) for c in range(m))
         weights = (5, 3, 2)
         unlisted = [i for i, (a, p) in enumerate(zip(ref, prefs)) if a is None and p]
         if unlisted:
@@ -391,8 +386,8 @@ class TestListedAnnotation:
 
 
 class TestPerBallotFields:
-    """Top, second, bottom and totality, computed on first use, against
-    references read from the pair sets (``conftest.ref_*``)."""
+    """Top, second and totality, computed on first use, against references
+    read from the pair sets (``conftest.ref_*``)."""
 
     @given(routed_elections())
     @settings(max_examples=150, deadline=None)
@@ -407,13 +402,11 @@ class TestPerBallotFields:
         m = e.m
         total = [len(p) == m * (m - 1) // 2 for p in prefs]
         tops = [ref_top(p, m) for p in prefs]
-        bottoms = [ref_bottom(p, m) for p in prefs]
         assert e.prefs == tuple(prefs)
         assert e.listed.tolist() == [len(a) if a else m if t else 0 for a, t in zip(ann, total)]
         assert [(e.top(i), e.second(i)) for i in range(e.n)] == [(t, ref_second(p, m)) for t, p in zip(tops, prefs)]
         assert e.all_total == all(total)
         assert plurality_counts(e) == tuple(tops.count(c) for c in range(m))
-        assert scores(e).veto == tuple(bottoms.count(c) for c in range(m))
 
     def test_unannotated_total_orders_are_listed_in_full(self):
         rankings = [(2, 1, 0), (0, 1, 2)]
@@ -422,7 +415,7 @@ class TestPerBallotFields:
         assert e.ktop == (*rankings, None)
 
     def test_wait_for_first_use(self):
-        fields = {"_top", "_second", "_bottom", "_total"}
+        fields = {"_top", "_second", "_total"}
         e = Election.from_rankings([(0, 1, 2), (2, 1, 0), (0, 1, 2)], 3)
         for built in (e, e.restrict([1, 0]), truncate_to_ktop(e, 2)):
             assert not fields & set(vars(built))
@@ -486,6 +479,24 @@ class TestBallotConstruction:
             with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
                 Election.from_rankings(np.array(rankings), m)
 
+    @pytest.mark.parametrize(
+        "rankings, m",
+        [
+            ([[0, 1.5, 2]], 3),
+            ([[0, 1.5, 2]], None),
+            ([[0, 1, 2], [2, 1.0, 0]], 3),
+            ([["0", "1", "2"]], 3),
+            (["01", "10"], 2),
+            (["01", "10"], None),
+            (np.array([[0.0, 1.0, 2.0]]), 3),
+            ([0, 1, 2], 3),
+        ],
+    )
+    def test_from_rankings_rejects_non_integer_entries(self, rankings, m):
+        # floats were truncated and strings read digit by digit
+        with pytest.raises(DataFormatError, match="^rankings must be rows of integer candidate ids$"):
+            Election.from_rankings(rankings, m)
+
     def test_from_ktop_equals_pair_sets(self):
         # the 3-top and the 4-top list (0, 1, 2[, 3]) state the same pairs
         lists = [(2, 0), (1,), (2, 0), (), (0, 1, 2), (0, 1, 2, 3), (3,)]
@@ -537,6 +548,24 @@ class TestBallotConstruction:
         first, got = _first_appearance(keys)
         assert got.tolist() == group
         assert first.tolist() == [group.index(g) for g in range(len(number))]
+
+    @pytest.mark.parametrize("dtype, high", [(bool, 1), (np.uint8, 3), (np.uint8, 15), (np.uint8, 255)])
+    @pytest.mark.parametrize("n, width", [(0, 4), (1, 1), (7, 9), (300, 20), (2000, 70)])
+    def test_row_keys_equal_python_packing(self, dtype, high, n, width):
+        # each block packs its first column into the lowest bits, on top of the rank of the
+        # key so far among its distinct values; the widest rows span several blocks
+        rows = np.random.default_rng(n * width + high).integers(0, high + 1, (n, width)).astype(dtype)
+        bits = max(int(rows.max(initial=0)).bit_length(), 1)
+        per = max((63 - n.bit_length()) // bits, 1)
+        keys = [0] * n
+        for lo in range(0, width, per):
+            if lo:
+                rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+                keys = [rank[k] for k in keys]
+            for i, row in enumerate(rows[:, lo : lo + per].tolist()):
+                keys[i] = (keys[i] << (bits * len(row))) | sum(int(v) << (bits * c) for c, v in enumerate(row))
+        got = _row_keys(rows)
+        assert got.dtype == np.int64 and got.tolist() == keys
 
     @pytest.mark.parametrize("dtype, high", [(bool, 1), (np.uint8, 15)])
     def test_first_appearance_wide_rows(self, dtype, high):
@@ -792,12 +821,12 @@ class TestComparisonGraph:
     def test_unanimous(self):
         e = Election.from_rankings([(0, 1)] * 3, 2)
         g = comparison_graph(e)
-        assert g.weight(0, 1) == 1 and g.weight(1, 0) == 0
+        assert g.n == 3 and g.counts == ((0, 3), (0, 0))
 
     def test_partial_support(self):
         e = Election(2, 2, (frozenset({(0, 1)}), frozenset()))
         g = comparison_graph(e)
-        assert g.weight(0, 1) == Fraction(1, 2) and g.weight(1, 0) == 0
+        assert g.n == 2 and g.counts == ((0, 1), (0, 0))
 
     @given(small_election())
     @settings(max_examples=40)
@@ -807,7 +836,7 @@ class TestComparisonGraph:
         g = comparison_graph(e)
         for a in range(e.m):
             for b in range(a + 1, e.m):
-                assert g.weight(a, b) + g.weight(b, a) == 1
+                assert g.counts[a][b] + g.counts[b][a] == g.n
 
     def test_pair_counts_cached_and_read_only(self):
         e = Election.from_rankings([(0, 1, 2), (2, 0, 1), (0, 1, 2)], 3)
@@ -836,29 +865,30 @@ class TestComparisonGraph:
                     assert g.counts[a][b] == sum(1 for i in range(e.n) if prefers(e, i, a, b))
 
 
+def veto_counts(e: Election) -> list[int]:
+    """Voters stating each candidate below every other one: level m - 1 puts it alone at the bottom."""
+    return (e.multiplicity @ (e.levels == e.m - 1)).tolist()
+
+
 class TestScores:
     def test_veto_instance_scores(self):
-        gi = inst.veto_instance(4)
-        s = scores(gi.election)
-        assert s.plurality[0] == 0 and s.veto[0] == 1
+        e = inst.veto_instance(4).election
+        assert plurality_counts(e)[0] == 0 and veto_counts(e)[0] == 1
 
     def test_unanimous_plurality(self):
         e = Election.from_rankings([(1, 0, 2)] * 4, 3)
-        assert scores(e).plurality == (0, 4, 0)
+        assert plurality_counts(e) == (0, 4, 0)
 
     def test_disjoint_blocks_zero_coverage(self):
-        gi = inst.ktop_lower_bound(5, 2, Fraction(1, 100))
-        s = scores(gi.election)
-        assert s.topk_coverage[4] == 0  # the centre candidate is in nobody's list
-        assert sum(s.topk_coverage) == 2  # k
+        e = inst.ktop_lower_bound(5, 2, Fraction(1, 100)).election
+        assert all(len(t) == 2 and 4 not in t for t in e.ktop)  # the centre candidate is in nobody's list
 
     @given(small_election())
     @settings(max_examples=40)
     def test_total_order_sums(self, e):
         if e.n == 0:
             return
-        s = scores(e)
-        assert sum(s.plurality) == e.n and sum(s.veto) == e.n
+        assert sum(plurality_counts(e)) == e.n and sum(veto_counts(e)) == e.n
 
 
 class TestTextFormat:

@@ -8,7 +8,7 @@ import pytest
 from conftest import prefers
 
 from metricvote import instances as inst
-from metricvote.core import Election, election_from_text, election_to_text, scores
+from metricvote.core import Election, election_from_text, election_to_text, plurality_counts
 from metricvote.dataio import (
     EUROVISION_WEIGHTS,
     F1_WEIGHTS,
@@ -150,7 +150,7 @@ class TestPositionalScore:
             e = inst.impartial_culture(11, 4, seed=seed).election
             weights = ScoringRule((1,) + (0,) * 3)
             totals, _ = positional_score(e, weights)
-            assert totals == scores(e).plurality
+            assert totals == plurality_counts(e)
 
 
 class TestRoundTrips:

@@ -10,8 +10,8 @@ from metricvote import instances as inst
 from metricvote.core import (
     check_consistent,
     comparison_graph,
+    plurality_counts,
     realized_distortion,
-    scores,
     social_cost,
 )
 from metricvote.errors import ConfigError
@@ -138,11 +138,11 @@ def test_veto_instance_properties(m):
     assert social_cost(gi.witness, 0) == m
     for b in range(1, m):
         assert social_cost(gi.witness, b) == 3 * m - 4
-    g = comparison_graph(gi.election)
-    for b in range(1, m):
-        assert g.weight(0, b) == Fraction(m - 2, m)
-    s = scores(gi.election)
-    assert s.plurality[0] == 0 and s.veto[0] == 1
+    e = gi.election
+    g = comparison_graph(e)
+    assert g.n == m and all(g.counts[0][b] == m - 2 for b in range(1, m))
+    # candidate 0 tops no ballot and is alone at the bottom (level m - 1) of one
+    assert plurality_counts(e)[0] == 0 and int(e.multiplicity @ (e.levels[:, 0] == m - 1)) == 1
 
 
 @pytest.mark.parametrize("alpha", [Fraction(0), Fraction(3, 10), Fraction(1, 2), Fraction(1)])
@@ -212,6 +212,16 @@ def test_every_sidecar_witness_round_trips(name, params):
     assert w.exact == gi.witness.exact == (name != "euclidean")
     assert w.dist.tolist() == gi.witness.dist.tolist()
     assert inst.generate("impartial-culture", {"n": 3, "m": 2}, seed=4).witness is None
+
+
+def test_exact_int_table_loads_as_ints():
+    # an int table was loaded as Fractions: social costs turned into Fractions and were written back as "4"
+    gi = inst.veto_instance(4)
+    side = json.loads(json.dumps(witness_to_jsonable(gi.witness)))
+    w = witness_from_jsonable(side)
+    assert [type(x) for x in w.dist.flat] == [type(x) for x in gi.witness.dist.flat] == [int] * 64
+    assert type(social_cost(w, 0)) is type(social_cost(gi.witness, 0)) is int
+    assert witness_to_jsonable(w) == side
 
 
 def test_generate_dispatch_and_sidecar_roundtrip():

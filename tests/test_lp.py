@@ -22,7 +22,6 @@ from metricvote.lp import (
     TAU_LP,
     UNBOUNDED,
     _row_value,
-    _solve_metric,
     _winner,
     build_metric_lp,
     distortion_of,
@@ -32,7 +31,6 @@ from metricvote.lp import (
     minimax,
     ratio_bound,
     solve_lp,
-    solve_metric_lp,
     value_floor,
 )
 from metricvote.mechanisms import phi_scores
@@ -58,11 +56,25 @@ class TestSolver:
         lp = from_rows(["x"], {}, ub_rows=[({"x": 1.0}, -1.0)])
         assert solve_lp(lp).status == INFEASIBLE
 
-    def test_infeasible_metric_lp_is_solver_failure(self):
+    def test_infeasible_metric_lp_is_solver_failure(self, monkeypatch):
         # the re-check finds no feasible point either, so this is no unbounded pair LP
-        lp = from_rows(["x"], {"x": 1.0}, ub_rows=[({"x": 1.0}, -1.0)], meta={"a": 0, "b": 1})
+        infeasible = from_rows(["x"], {"x": 1.0}, ub_rows=[({"x": 1.0}, -1.0)])
+        monkeypatch.setattr(lp, "build_metric_lp", lambda e, a, b, alpha=None: infeasible)
         with pytest.raises(SolverFailureError, match=r"pair \(0, 1\)"):
-            _solve_metric(lp)
+            distortion_pair(Election.from_rankings([(0, 1)], 2), 0, 1)
+
+    def test_reported_infeasibility_with_a_feasible_point_is_unbounded(self, monkeypatch):
+        # consistent metrics always exist, so an infeasible report on a feasible LP means unbounded
+        e = Election.from_rankings([(0, 1), (1, 0)], 2)
+        real, statuses = lp.solve_lp, []
+
+        def report_infeasible_first(program):
+            out = real(program)
+            statuses.append(out.status)
+            return dataclasses.replace(out, status=INFEASIBLE) if len(statuses) == 1 else out
+
+        monkeypatch.setattr(lp, "solve_lp", report_infeasible_first)
+        assert distortion_pair(e, 0, 1) == math.inf and statuses == [OPTIMAL, OPTIMAL]
 
 
 class TestMetricLpConstruction:
@@ -76,7 +88,7 @@ class TestMetricLpConstruction:
 
     def test_alpha_zero_pins_top(self):
         e = Election.from_rankings([(0, 1, 2), (2, 1, 0)], 3)
-        out = solve_metric_lp(e, 0, 2, alpha=0.0)
+        out = solve_lp(build_metric_lp(e, 0, 2, alpha=0.0))
         assert out.status == OPTIMAL
         w = extract_pseudometric(out)
         for i in range(2):
@@ -110,7 +122,7 @@ class TestDistortionPair:
 class TestWitnessExtraction:
     def test_tightness_on_split_instance(self):
         e = Election.from_rankings([(0, 1), (1, 0)], 2)
-        out = solve_metric_lp(e, 0, 1)
+        out = solve_lp(build_metric_lp(e, 0, 1))
         w = extract_pseudometric(out)
         w.validate_metric()
         assert check_consistent(w, e)
@@ -120,7 +132,7 @@ class TestWitnessExtraction:
         # ballots (0, 1, 2) for voters 0 and 2 and (2, 1, 0) for voter 1: x holds the
         # two ballot blocks, then y01, y02 and y12; the -1e-12 is clipped to 0
         e = Election.from_rankings([(0, 1, 2), (2, 1, 0), (0, 1, 2)], 3)
-        out = solve_metric_lp(e, 0, 2)
+        out = solve_lp(build_metric_lp(e, 0, 2))
         x = np.array([1.0, 2.0, 3.0, 2.0, 1.0, -1e-12, 1.0, 2.0, 1.0])
         d = extract_pseudometric(dataclasses.replace(out, x=x)).dist
         assert d[:3, 3:].tolist() == [[1, 2, 3], [2, 1, 0], [1, 2, 3]]
@@ -129,7 +141,7 @@ class TestWitnessExtraction:
 
     def test_merged_points_share_rows(self):
         e = Election.from_rankings([(0, 1, 2)], 3)
-        out = solve_metric_lp(e, 0, 1)
+        out = solve_lp(build_metric_lp(e, 0, 1))
         w = extract_pseudometric(out)
         a = w.as_array()
         size = a.shape[0]
@@ -140,7 +152,7 @@ class TestWitnessExtraction:
 
     def test_rejects_non_optimal(self):
         e = Election(1, 2, (frozenset({(0, 1)}),))
-        out = solve_metric_lp(e, 1, 0)
+        out = solve_lp(build_metric_lp(e, 1, 0))
         assert out.status == UNBOUNDED
         with pytest.raises(ConfigError):
             extract_pseudometric(out)
@@ -420,12 +432,12 @@ class TestValueFloor:
 
 
 def _assert_matches_full(e, a, b, alpha=None):
-    out = solve_metric_lp(e, a, b, alpha=alpha)
     ref = solve_full(e, a, b, alpha=alpha)
-    assert out.status == ref.status
-    if out.status != OPTIMAL:
+    assert close(distortion_pair(e, a, b, alpha=alpha), ref.value, TAU_LP)
+    if ref.status != OPTIMAL:
         return
-    assert close(out.value, ref.value, TAU_LP)
+    out = solve_lp(build_metric_lp(e, a, b, alpha=alpha))
+    assert out.status == OPTIMAL and close(out.value, ref.value, TAU_LP)
     w = extract_pseudometric(out)
     w.validate_metric()
     assert check_consistent(w, e)
@@ -472,7 +484,7 @@ class TestReducedLpMatchesFull:
     def test_witness_expands_merged_ballots(self):
         rankings = [(0, 1, 2), (2, 1, 0), (0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 1, 2)]
         e = Election.from_rankings(rankings, 3)
-        out = solve_metric_lp(e, 2, 0)
+        out = solve_lp(build_metric_lp(e, 2, 0))
         assert out.status == OPTIMAL
         w = extract_pseudometric(out)
         d = w.as_array()
@@ -495,7 +507,4 @@ class TestReducedLpProperty:
             for b in range(e.m):
                 if a == b:
                     continue
-                out = solve_metric_lp(e, a, b)
-                ref = solve_full(e, a, b)
-                assert out.status == ref.status
-                assert close(out.value, ref.value, TAU_LP)
+                assert close(distortion_pair(e, a, b), solve_full(e, a, b).value, TAU_LP)
