@@ -36,6 +36,12 @@ of m - 1 and m candidates state the same pairs.  ``Election.prefs`` and
 ``Election.ktop`` are derived, cached per-voter views; mechanisms read the
 arrays instead, and the pair counts every tournament rule and the LP bound
 start from are cached once as ``Election.pair_counts``.
+
+Large electorates are read and counted a block of voters or ballots at a
+time (``_BLOCK``): rankings given as lists are read as bytes, and their
+levels, the pair counts and the matching tables of
+``mechanisms._matched_by_cut`` are built block by block, so no int64 or
+float64 temporary holds one entry per voter and candidate.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ import itertools
 import math
 from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -119,6 +125,21 @@ def _check_pair_sets(n: int, m: int, prefs, ktop) -> None:
                 raise DataFormatError(f"voter {i}: k-top annotation does not match pair set")
 
 
+#: Entries per block in the loops over a (voter or ballot, candidate) table:
+#: ``_levels_from_rankings``, ``Election.pair_counts`` and
+#: ``mechanisms._matched_by_cut`` take ``_BLOCK // m`` rows at a time.  Their
+#: int64 and float64 temporaries then hold 2**16 entries, 0.5 MiB, whatever
+#: the electorate's size, where whole-table ones took 80 MB each at 10**6
+#: voters and 10 candidates.
+_BLOCK = 1 << 16
+
+
+def _blocks(rows: int, m: int, least: int = 1) -> Iterator[slice]:
+    """Consecutive slices covering ``range(rows)``, ``max(_BLOCK // m, least)`` rows each."""
+    step = max(_BLOCK // m, least)
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
+
+
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """Int64 keys, equal exactly for equal rows of a 2-D array of small
     non-negative integers: each block of columns is packed into the bits of
@@ -142,6 +163,8 @@ def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group equal entries, or equal rows via :func:`_row_keys`, by first appearance.
 
     Returns the index of each group's first row and the group of every row.
+    Every temporary has one entry per row or group, so each is dropped as
+    soon as it has been read: at 10**6 rows they hold 8 MB each.
     """
     if keys.ndim == 2:
         keys = _row_keys(keys)
@@ -151,13 +174,60 @@ def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ordered = keys[perm]
     new = np.ones(len(keys), dtype=bool)
     new[1:] = ordered[1:] != ordered[:-1]
+    del keys, ordered
     first = np.minimum.reduceat(perm, np.flatnonzero(new))
     order = np.argsort(first)
     number = np.empty_like(order)
     number[order] = np.arange(len(order))
+    first = first[order]
+    del order
+    run = np.cumsum(new)
+    del new
+    run -= 1
     group = np.empty_like(perm)
-    group[perm] = number[np.cumsum(new) - 1]
-    return first[order], group
+    group[perm] = number[run]
+    return first, group
+
+
+def _byte_rows(rows: list) -> np.ndarray | None:
+    """Lists or tuples of one length read through ``bytes`` as one (n, width) uint8 array.
+
+    ``bytes`` takes integers in [0, 256) only, so where it succeeds
+    ``np.array`` would have read the same ids, in an integer dtype, unless
+    every entry is a bool: then it reads bools, which are rejected.  Rows
+    whose first entry is a bool are therefore left to ``np.array``, as are
+    other row types, such as sets, whose iteration order is no ranking.
+    Returns None when the read does not apply.
+    """
+    if not rows or not set(map(type, rows)) <= {list, tuple} or len(set(map(len, rows))) != 1:
+        return None
+    if not rows[0] or isinstance(rows[0][0], bool):
+        return None
+    try:
+        flat = bytes(itertools.chain.from_iterable(rows))
+    except (TypeError, ValueError):  # an entry that is not an int in [0, 256)
+        return None
+    return np.frombuffer(flat, dtype=np.uint8).reshape(len(rows), -1)
+
+
+def _array_rows(rows: list, m: int | None) -> np.ndarray:
+    """Rows read with one ``np.array``; rows of unequal lengths raise :class:`DataFormatError`."""
+    if not rows:
+        return np.zeros((0, m or 0), dtype=np.int64)
+    try:
+        return np.array(rows)
+    except ValueError:  # rows of unequal lengths
+        pass
+    try:
+        lens = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        if m is None:
+            m = int(max(max(r) for r in rows if len(r))) + 1
+    except TypeError:  # a row without a length, or ids that do not compare
+        raise DataFormatError("rankings must be rows of integer candidate ids") from None
+    short = np.flatnonzero(lens != m)
+    if len(short):
+        raise DataFormatError(f"voter {short[0]}: ranking must list all {m} candidates")
+    return np.empty(0, dtype=object)  # no row is short, so some entry is a sequence
 
 
 def _levels_from_lists(lists: Sequence[Sequence[int]], m: int) -> np.ndarray:
@@ -188,16 +258,18 @@ def _levels_from_rankings(rows: np.ndarray, m: int) -> np.ndarray:
     """Per-voter level vectors of total orders given as an (n, m) integer array."""
     if m < 1:
         raise DataFormatError("need n >= 0 and m >= 1")
-    bad = (rows < 0) | (rows >= m)
-    if bad.any():
+    if rows.size and (rows.min() < 0 or rows.max() >= m):
+        bad = (rows < 0) | (rows >= m)
         raise DataFormatError(f"voter {np.argmax(bad.any(axis=1))}: k-top entry out of range")
     level = np.full(rows.shape, m, dtype=np.min_scalar_type(m))
-    # one flat scatter, faster than the 2-D fancy index: entry (i, rows[i, p]) gets p
-    spots = rows + np.arange(0, rows.size, m)[:, None]
-    level.reshape(-1)[spots.reshape(-1)] = np.tile(np.arange(m, dtype=level.dtype), len(rows))
-    # every row names m candidates in range, so a candidate left out means a repeated one
-    if (level == m).any():
-        raise DataFormatError("k-top list contains duplicates")
+    for block in _blocks(len(rows), m):
+        chunk, out = rows[block], level[block]
+        # one flat scatter, faster than the 2-D fancy index: entry (i, chunk[i, p]) gets p
+        spots = chunk + np.arange(0, chunk.size, m)[:, None]
+        out.reshape(-1)[spots.reshape(-1)] = np.tile(np.arange(m, dtype=level.dtype), len(chunk))
+        # every row names m candidates in range, so a candidate left out means a repeated one
+        if (out == m).any():
+            raise DataFormatError("k-top list contains duplicates")
     return level
 
 
@@ -318,31 +390,29 @@ class Election:
         """Build an election from total orders (best candidate first).
 
         ``rankings`` is a sequence of rankings or a 2-D integer array with
-        one ranking per row.  A sequence is read with one ``np.array``; an
-        entry that is not an integer, such as a float or a string, gives it
-        a dtype that is not an integer one, which raises :class:`DataFormatError`.
+        one ranking per row.  Lists and tuples of ids below 256 are read as
+        bytes (see :func:`_byte_rows`); any other sequence is read with one
+        ``np.array``, and an entry that is not an integer, such as a float
+        or a string, gives it a dtype that is not an integer one, which
+        raises :class:`DataFormatError`.  The level vectors are then
+        written a block of voters at a time.
         """
         if not isinstance(rankings, np.ndarray):
-            rows = list(rankings)
-            try:
-                rankings = np.array(rows) if rows else np.zeros((0, m or 0), dtype=np.int64)
-            except ValueError:  # rows of unequal lengths
-                lens = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-                if m is None:
-                    m = int(max(max(r) for r in rows if len(r))) + 1
-                short = np.flatnonzero(lens != m)
-                if len(short):
-                    raise DataFormatError(f"voter {short[0]}: ranking must list all {m} candidates") from None
-                rankings = np.empty(0, dtype=object)  # no row is short, so some entry is a sequence
+            rows = rankings if isinstance(rankings, list) else list(rankings)
+            rankings = _byte_rows(rows)
+            if rankings is None:
+                rankings = _array_rows(rows, m)
         if rankings.ndim != 2 or (rankings.size and rankings.dtype.kind not in "iu"):
             raise DataFormatError("rankings must be rows of integer candidate ids")
         if m is None:
             m = int(rankings.max()) + 1 if rankings.size else 0
         if rankings.shape[1] != m:
             raise DataFormatError(f"voter 0: ranking must list all {m} candidates")
+        n = len(rankings)
         levels = _levels_from_rankings(rankings, m)
+        del rankings  # a list's byte copy need not outlive its levels
         first, ballot_of = _first_appearance(levels)
-        return cls._of(len(rankings), m, levels[first], ballot_of, np.full(len(rankings), m))
+        return cls._of(n, m, levels[first], ballot_of, np.full(n, m))
 
     @classmethod
     def from_ktop(cls, lists: Sequence[Sequence[int]], m: int) -> "Election":
@@ -370,13 +440,18 @@ class Election:
     def pair_counts(self) -> np.ndarray:
         """Read-only (m, m) int64 array: entry (a, b) counts the voters stating a > b.
 
-        Row a compares level a with every level, one column of the
-        transposed levels at a time; the float products are exact, since
+        A block of ballots at a time (see ``_BLOCK``), row a compares level
+        a with every level, one column of the block's transposed levels at
+        a time, weighted by multiplicity; the float sums are exact, since
         every count is an integer below 2**53.
         """
-        columns = np.ascontiguousarray(self.levels.T)
-        weight = self.multiplicity.astype(np.float64)
-        counts = np.array([(row < columns) @ weight for row in columns]).astype(np.int64)
+        counts = np.zeros((self.m, self.m))
+        for block in _blocks(len(self.levels), self.m):
+            columns = np.ascontiguousarray(self.levels[block].T)
+            weight = self.multiplicity[block].astype(np.float64)
+            for a, row in enumerate(columns):
+                counts[a] += (row < columns) @ weight
+        counts = counts.astype(np.int64)
         counts.setflags(write=False)
         return counts
 

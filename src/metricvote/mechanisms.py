@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Election, Transcript, _first_appearance, _pair_counts, _row_keys, plurality_counts
+from .core import Election, Transcript, _blocks, _first_appearance, _pair_counts, _row_keys, plurality_counts
 from .errors import ConfigError, CoverageError, TheoremFalsificationError
 
 
@@ -360,21 +360,27 @@ def _matched_by_cut(e: Election, capacities: Sequence[int]) -> np.ndarray:
     lies inside K (see :func:`phi_scores`).  Each neighbourhood is an m-bit
     key: bit c is set when the ballot states a > c, and bit a always is.
     Per focal candidate, one table over the 2**m subsets starts from the
-    singleton capacities minus the voter count of every key, and a
-    subset-sum (zeta) transform over the m bits turns it into
-    cap(K) - F_a(K) in place.  The counts are float sums of multiplicities,
-    exact below 2**53, as in :attr:`Election.pair_counts`.
+    singleton capacities, the voter count of every key is subtracted a
+    block of ballots at a time, and a subset-sum (zeta) transform over the
+    m bits turns it into cap(K) - F_a(K) in place.  The counts are float
+    sums of multiplicities, exact below 2**53, as in
+    :attr:`Election.pair_counts`.
     """
     m = e.m
     bit = 1 << np.arange(m)
-    columns = np.ascontiguousarray(e.levels.T)
     key_type = np.min_scalar_type((1 << m) - 1)
-    keys = np.empty(columns.shape, dtype=key_type)
-    keys[:] = bit[:, None]
-    for c in range(m):
-        keys += (columns < columns[c]) * key_type.type(bit[c])
-    table = -np.array([np.bincount(key, weights=e.multiplicity, minlength=1 << m) for key in keys], dtype=np.int64)
-    table[:, bit] += _clipped(capacities, e.n)
+    table = np.zeros((m, 1 << m), dtype=np.int64)
+    table[:, bit] = _clipped(capacities, e.n)
+    # a block holds at least 2**m ballots, so its m bincounts cost no more than its keys
+    for block in _blocks(len(e.levels), m, least=1 << m):
+        columns = np.ascontiguousarray(e.levels[block].T)
+        keys = np.empty(columns.shape, dtype=key_type)
+        keys[:] = bit[:, None]
+        for c in range(m):
+            keys += (columns < columns[c]) * key_type.type(bit[c])
+        weight = e.multiplicity[block].astype(np.float64)
+        for row, key in zip(table, keys):
+            row -= np.bincount(key, weights=weight, minlength=1 << m).astype(np.int64)
     flat = table.reshape(-1)
     for b in range(m):
         pairs = flat.reshape(-1, 2, 1 << b)
