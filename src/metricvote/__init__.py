@@ -41,6 +41,7 @@ from .lp import (
     extract_pseudometric,
     minimax,
     solve_lp,
+    solve_pair,
 )
 from .mechanisms import (
     DominationGraph,

@@ -7,7 +7,8 @@ diagonal is implicit.
 
 The program has one block of m voter-candidate distances per distinct
 ballot, a row of ``Election.levels``, in the election's ballot order, and
-one distance per candidate pair.  It emits these rows:
+one distance y_pq per candidate pair of the a-b star: the 2m - 3 pairs that
+contain a or b, in ``np.triu_indices`` order.  It emits these rows:
 
 * ``SC(b) = 1`` and the objective ``SC(a)``, each block weighted by
   ``Election.multiplicity``, the number of voters casting its ballot.
@@ -17,25 +18,73 @@ one distance per candidate pair.  It emits these rows:
 * ``d(u,p) <= d(u,q)`` for the covering pairs only: stated pairs p > q with
   no r such that p > r > q.  Exact: every other stated pair is a chain of
   covering pairs, so transitivity implies its row.
-* ``y_pq <= d(u,p) + d(u,q)`` for every ballot and candidate pair, and
+* ``y_pq <= d(u,p) + d(u,q)`` for every ballot and star pair, and
   ``d(u,p) <= d(u,q) + y_pq`` in each direction the ballot does not state.
   Exact: when p > q is stated, ``d(u,p) <= d(u,q)`` and ``y_pq >= 0``
   already imply the dropped row.
 * the alpha-decisive rows ``d(u,top) <= alpha * d(u,second)``, if asked.
-* the three triangle rows of every candidate triple.
 
 No row touches two voters: voter-voter distances appear in no objective
 or ordering row and can always be completed by shortest paths afterwards.
-The reference program, with one variable per point pair and every
-triangle row over all point triples, lives in the test suite
-(``tests/reference_lp.py``), which checks that both programs agree on
-status, value and witness soundness.
+The full program adds the voter rows of every other candidate pair and the
+three triangle rows of every candidate triple.  The star program keeps a
+subset of its rows, so it is a relaxation and its value is at least the
+full value.  The reference program, with one variable per point pair and
+every triangle row over all point triples, lives in the test suite
+(``tests/reference_lp.py``), which checks that both agree on status, value
+and witness soundness.
 
-One path builds and solves a pair LP: ``distortion_pair`` calls
+**Certificate.**  ``solve_pair`` accepts an optimal star solution only when,
+for every left-out pair {p, q}, its distances satisfy
+
+    max_u |d(u,p) - d(u,q)| <= min_u (d(u,p) + d(u,q)) + TAU_LP / n
+
+over the ballot blocks u.  The pairs that fail get their rows and column
+and the program is solved again, in one loop; once every pair is in, none
+is left to fail.
+
+* **A passing certificate proves the value.**  Give each left-out pair a
+  y_pq between the two sides, so every voter row holds for every pair.
+  Replace y by its shortest-path closure y' over the candidates.  Since
+  y' <= y, the rows ``y <= d(u,p) + d(u,q)`` still hold; along a path
+  p = r_0, ..., r_k = q the triangle inequality on |.| gives
+  ``sum y >= sum |d(u,r_i) - d(u,r_i+1)| >= |d(u,p) - d(u,q)|``, so the
+  other rows hold too, and y' satisfies every candidate triangle.  So the
+  star optimum with y' is feasible for the full program, with the same
+  objective, and the two values are equal.  The same closure shows that
+  the triangle rows are implied once every pair is in, so the loop's last
+  program is exact without them.
+* **The tolerance is TAU_LP / n.**  SC(b) = 1 over n voters, so 1/n is the
+  mean voter distance to b.  A certificate failing by delta <= TAU_LP / n is
+  repaired by adding delta/2 to every voter-candidate distance: ordering
+  rows and each |d(u,p) - d(u,q)| stay as they are, each d(u,p) + d(u,q)
+  gains delta.  Without alpha the repaired point, rescaled, is feasible for
+  the full program with ratio (V + n delta/2)/(1 + n delta/2) >=
+  V - (V - 1) TAU_LP / 2 for the star value V, so V is within TAU_LP of
+  the full value.  The shift can break alpha rows; with alpha set the
+  tolerance is the same, below the 1e-7 feasibility tolerance HiGHS allows
+  on the rows it did solve.
+* **Unboundedness agrees.**  ``ratio_bound``'s proof uses only rows of the
+  pair {a, b}, so it bounds the star program too.  If the full program is
+  unbounded, so is its relaxation.  If the star program is unbounded, some
+  feasible point of its homogeneous rows has SC(b) = 0 < SC(a).  Every
+  weight is positive, so d(u,b) = 0 on every block, and the rows of each
+  star pair {b, q} read ``d(u,q) <= y_bq <= d(u,q)`` (when q > b is stated
+  and the row is dropped, d(u,q) <= d(u,b) = 0): every voter is at y_bq
+  from q.  The star metric centred on b, with the voters and b at one point
+  and each q at y_bq from it, has these distances, so it is consistent, and
+  adding multiples of it to a feasible point of the full program raises
+  SC(a) without bound.
+* **Witnesses.**  ``extract_pseudometric`` fills the pairs it did not solve
+  by shortest paths.  A path p - u - q through a voter is at least
+  min_u (d(u,p) + d(u,q)), the largest y_pq the certificate allows, so the
+  closure keeps every solved voter-candidate distance, up to the tolerance.
+
+One path builds and solves a pair LP: ``solve_pair`` calls
 ``build_metric_lp``, then ``solve_lp`` (through this module's ``linprog``),
-and re-checks a reported infeasibility before reading it as +inf.  Callers
-that need the solution vector, as ``extract_pseudometric`` does, call
-``solve_lp(build_metric_lp(...))`` themselves.
+re-checks a reported infeasibility before reading it as +inf, and runs the
+certificate.  ``distortion_pair`` returns its value; callers that need the
+solution vector, as ``extract_pseudometric`` does, call ``solve_pair``.
 
 Two outputs share one set of rules.  ``distortion_table`` solves all
 m(m - 1) pair LPs; ``minimax`` returns only the winner, its value and its
@@ -92,7 +141,6 @@ imports ``scipy.sparse`` and ``linprog`` imports the solver when called.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
@@ -186,8 +234,15 @@ def _alpha_rows(e: Election, alpha, voters) -> list[tuple[int, int]]:
     return rows
 
 
-def build_metric_lp(e: Election, a: int, b: int, alpha=None) -> LinearProgram:
-    """LP whose value is the worst consistent cost ratio of a against b."""
+def build_metric_lp(e: Election, a: int, b: int, alpha=None, *, pairs=None) -> LinearProgram:
+    """The star program of the pair (a, b): its value is the worst consistent
+    cost ratio of a against b once ``solve_pair`` has certified it.
+
+    ``pairs`` is a bool mask over the candidate pairs p < q in
+    ``np.triu_indices`` order, naming the pairs that get voter rows and a
+    y column; None gives the 2m - 3 pairs that contain a or b.  It is kept
+    as ``meta["pairs"]``.
+    """
     from scipy import sparse
 
     if a == b:
@@ -201,7 +256,10 @@ def build_metric_lp(e: Election, a: int, b: int, alpha=None) -> LinearProgram:
     covering = stated & ~np.matmul(stated, stated)
 
     nbm = nb * m
-    pa, pb = np.triu_indices(m, 1)  # the candidate pairs p < q, one column each
+    pa, pb = np.triu_indices(m, 1)
+    if pairs is None:
+        pairs = np.isin(pa, (a, b)) | np.isin(pb, (a, b))
+    pa, pb = pa[pairs], pb[pairs]  # the candidate pairs kept, one column each
     ncp = len(pa)
     nvars = nbm + ncp
 
@@ -240,15 +298,6 @@ def build_metric_lp(e: Election, a: int, b: int, alpha=None) -> LinearProgram:
         u, k = np.nonzero(keep)
         emit((u * m + pa[k], sp), (u * m + pb[k], sq), (nbm + k, sy))
 
-    # candidate triangle rows over every triple p < q < r
-    pair_col = np.zeros((m, m), dtype=np.int64)
-    pair_col[pa, pb] = nbm + np.arange(ncp)
-    x, y, z = np.array(list(itertools.combinations(range(m), 3)), dtype=np.int64).reshape(-1, 3).T
-    ypq, ypr, yqr = pair_col[x, y], pair_col[x, z], pair_col[y, z]
-    emit((ypq, 1.0), (ypr, -1.0), (yqr, -1.0))
-    emit((ypr, 1.0), (ypq, -1.0), (yqr, -1.0))
-    emit((yqr, 1.0), (ypq, -1.0), (ypr, -1.0))
-
     a_ub = sparse.csr_matrix(
         (np.concatenate(val_parts), (np.concatenate(row_parts), np.concatenate(col_parts))),
         shape=(nrows, nvars),
@@ -262,28 +311,56 @@ def build_metric_lp(e: Election, a: int, b: int, alpha=None) -> LinearProgram:
 
     meta = {
         "kind": "metric", "n": n, "m": m, "a": a, "b": b, "alpha": alpha,
-        "ballots": nb, "ballot_of": e.ballot_of,
+        "ballots": nb, "ballot_of": e.ballot_of, "pairs": pairs,
     }
     return LinearProgram(obj, a_ub, b_ub, a_eq, b_eq, meta)
 
 
-def distortion_pair(e: Election, a: int, b: int, alpha=None) -> float:
-    """Worst-case SC(a)/SC(b) over consistent metrics; +inf when unbounded.
+def _uncertified(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
+    """The left-out pairs whose certificate fails, as a mask like ``meta["pairs"]``.
 
-    Consistent metrics always exist, so a reported infeasibility is
-    re-checked with a zero objective and read as unbounded; if the re-check
-    finds no feasible point either, the solver has failed.
+    A pair {p, q} passes when max_u |d(u,p) - d(u,q)| <= min_u (d(u,p) +
+    d(u,q)) + TAU_LP / n over the ballot blocks of ``x``.
     """
+    meta = lp.meta
+    m = meta["m"]
+    d = x[: meta["ballots"] * m].reshape(-1, m)
+    pa, pb = np.triu_indices(m, 1)
+    gap = np.abs(d[:, pa] - d[:, pb]).max(axis=0) - (d[:, pa] + d[:, pb]).min(axis=0)
+    return ~meta["pairs"] & (gap > TAU_LP / meta["n"])
+
+
+def solve_pair(e: Election, a: int, b: int, alpha=None) -> LpOutcome:
+    """The pair LP of (a, b), solved over the star program and certified.
+
+    An optimal answer is returned only once ``_uncertified`` finds no
+    failing pair; otherwise the failing pairs' rows are added and the
+    program solved again.  Consistent metrics always exist, so a reported
+    infeasibility is re-checked with a zero objective and read as
+    unbounded; if the re-check finds no feasible point either, the solver
+    has failed.
+    """
+    lp = build_metric_lp(e, a, b, alpha=alpha)
+    while True:
+        out = solve_lp(lp)
+        if out.status == INFEASIBLE:
+            probe = LinearProgram(np.zeros_like(lp.objective), lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq, lp.meta)
+            if solve_lp(probe).status == OPTIMAL:
+                return LpOutcome(UNBOUNDED, math.inf, None, lp)
+            raise SolverFailureError(f"metric LP reported infeasible for pair ({a}, {b})")
+        if out.status != OPTIMAL:
+            return out
+        left = _uncertified(lp, out.x)
+        if not left.any():
+            return out
+        lp = build_metric_lp(e, a, b, alpha=alpha, pairs=lp.meta["pairs"] | left)
+
+
+def distortion_pair(e: Election, a: int, b: int, alpha=None) -> float:
+    """Worst-case SC(a)/SC(b) over consistent metrics; +inf when unbounded."""
     if a == b:
         return 1.0
-    lp = build_metric_lp(e, a, b, alpha=alpha)
-    out = solve_lp(lp)
-    if out.status != INFEASIBLE:
-        return out.value
-    probe = LinearProgram(np.zeros_like(lp.objective), lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq, lp.meta)
-    if solve_lp(probe).status == OPTIMAL:
-        return math.inf
-    raise SolverFailureError(f"metric LP reported infeasible for pair ({a}, {b})")
+    return solve_pair(e, a, b, alpha=alpha).value
 
 
 def ratio_bound(e: Election) -> np.ndarray:
@@ -464,13 +541,14 @@ def extract_pseudometric(outcome: LpOutcome) -> MetricWitness:
     """Turn an optimal pair-LP solution into a full pseudo-metric witness.
 
     The first nb * m entries of ``outcome.x`` are the per-ballot blocks of
-    voter-candidate distances, and the rest the candidate pairs p < q in
-    ``np.triu_indices`` order.  Negative solver noise is clipped to 0.  A
-    merged ballot's distances are copied to every voter casting it, and
-    those voters are placed at one point.  The other voter-voter distances
-    are completed by all-pairs shortest paths, which preserves every solved
-    distance and repairs solver-tolerance triangle slack.  The witness is a
-    float table.
+    voter-candidate distances, and the rest the candidate pairs p < q that
+    ``meta["pairs"]`` names, in ``np.triu_indices`` order.  Negative solver
+    noise is clipped to 0.  A merged ballot's distances are copied to every
+    voter casting it, and those voters are placed at one point.  The other
+    voter-voter distances and the candidate pairs left out are completed by
+    all-pairs shortest paths, which preserves every solved distance of a
+    certified solution (module docstring) and repairs solver-tolerance
+    triangle slack.  The witness is a float table.
     """
     if outcome.status != OPTIMAL:
         raise ConfigError(f"cannot extract a witness from a {outcome.status} outcome")
@@ -484,8 +562,8 @@ def extract_pseudometric(outcome: LpOutcome) -> MetricWitness:
     np.fill_diagonal(d, 0.0)
     d[:n, n:] = x[:nbm].reshape(-1, m)[ballot_of]
     d[n:, :n] = d[:n, n:].T
-    upper = np.triu_indices(m, 1)
-    d[n:, n:][upper] = d[n:, n:].T[upper] = x[nbm:]
+    pa, pb = (k[meta["pairs"]] for k in np.triu_indices(m, 1))
+    d[n:, n:][pa, pb] = d[n:, n:][pb, pa] = x[nbm:]
     d[:n, :n][ballot_of[:, None] == ballot_of[None, :]] = 0.0
     _shortest_paths(d)
     return MetricWitness(n, m, d)

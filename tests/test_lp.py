@@ -7,7 +7,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from conftest import ballot_elections, ktop_elections, partial_order_elections
+from conftest import ballot_elections, ktop_elections
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_lp import build_full, from_rows, solve_full
@@ -21,6 +21,7 @@ from metricvote.lp import (
     OPTIMAL,
     TAU_LP,
     UNBOUNDED,
+    LpOutcome,
     _row_value,
     _winner,
     build_metric_lp,
@@ -31,6 +32,7 @@ from metricvote.lp import (
     minimax,
     ratio_bound,
     solve_lp,
+    solve_pair,
     value_floor,
 )
 from metricvote.mechanisms import phi_scores
@@ -436,7 +438,7 @@ def _assert_matches_full(e, a, b, alpha=None):
     assert close(distortion_pair(e, a, b, alpha=alpha), ref.value, TAU_LP)
     if ref.status != OPTIMAL:
         return
-    out = solve_lp(build_metric_lp(e, a, b, alpha=alpha))
+    out = solve_pair(e, a, b, alpha=alpha)
     assert out.status == OPTIMAL and close(out.value, ref.value, TAU_LP)
     w = extract_pseudometric(out)
     w.validate_metric()
@@ -457,7 +459,8 @@ class TestSoundnessAgainstBruteForce:
 
 class TestReducedLpMatchesFull:
     """The pruned builder (merged ballots, covering-pair ordering rows, no
-    implied triangle rows) is exact: it agrees with the reference program of
+    implied triangle rows, voter rows for the a-b star), certified by
+    ``solve_pair``, is exact: it agrees with the reference program of
     ``reference_lp``."""
 
     def test_small_lp_corpus(self, small_lp_corpus):
@@ -474,12 +477,16 @@ class TestReducedLpMatchesFull:
     def test_reduced_shape(self):
         e = Election.from_rankings([(0, 1, 2, 3)] * 5 + [(3, 2, 1, 0)] * 3, 4)
         lp = build_metric_lp(e, 0, 3)
-        # two ballots of 4 distances, plus 6 candidate pairs
-        assert lp.a_ub.shape[1] == 2 * 4 + 6
-        # per ballot: 3 covering rows + 6 pairs x 2 triangle rows; then 4 triples x 3 rows
-        assert lp.a_ub.shape[0] == 2 * (3 + 12) + 12
+        # two ballots of 4 distances, plus the 5 star pairs 01, 02, 03, 13, 23; 12 is left out
+        assert lp.meta["pairs"].tolist() == [True, True, True, False, True, True]
+        assert lp.a_ub.shape[1] == 2 * 4 + 5
+        # per ballot: 3 covering rows + 5 pairs x 2 voter rows (one direction is stated); no triangles
+        assert lp.a_ub.shape[0] == 2 * (3 + 10)
         assert lp.objective[0] == 5.0 and lp.objective[4] == 3.0
         assert lp.a_eq[0, 3] == 5.0 and lp.a_eq[0, 7] == 3.0
+        # re-solved with the left-out pair added: 6 pair columns, 2 more voter rows per ballot
+        full = build_metric_lp(e, 0, 3, pairs=np.ones(6, dtype=bool))
+        assert full.a_ub.shape == (2 * (3 + 12), 2 * 4 + 6)
 
     def test_witness_expands_merged_ballots(self):
         rankings = [(0, 1, 2), (2, 1, 0), (0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 1, 2)]
@@ -498,8 +505,79 @@ class TestReducedLpMatchesFull:
         assert close(social_cost(w, 2) / social_cost(w, 0), out.value)
 
 
+class TestStarProgram:
+    """``distortion_pair`` solves the a-b star and certifies it against the
+    left-out rows; it agrees with the reference program of ``reference_lp``."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            inst.dr_lower_bound(8),
+            inst.ktop_lower_bound(7, 2, 10),
+            inst.veto_instance(6),
+            inst.hidden_star(5, 2),
+            inst.missing_voters_tight(Fraction(1, 3)),
+            inst.chain(5),
+        ],
+        ids=["dr-lower-bound", "ktop-lower-bound", "veto", "hidden-star", "missing-voters-tight", "chain"],
+    )
+    def test_equals_full_on_adversarial_instances(self, g):
+        e = g.election
+        for a in range(e.m):
+            for b in range(e.m):
+                if a != b:
+                    assert close(distortion_pair(e, a, b), solve_full(e, a, b).value, TAU_LP)
+
+    def test_failing_certificate_resolves(self, monkeypatch):
+        # the star alone gives 4 with the alpha rows; the left-out pairs' rows bring it to the full 3
+        e = Election.from_rankings([(3, 2, 1, 0), (3, 1, 0, 2)], 4)
+        assert close(solve_lp(build_metric_lp(e, 0, 1, alpha=0.5)).value, 4.0, TAU_LP)
+        assert close(solve_full(e, 0, 1, alpha=0.5).value, 3.0, TAU_LP)
+        real, programs = lp.solve_lp, []
+
+        def count(program):
+            programs.append(program)
+            return real(program)
+
+        monkeypatch.setattr(lp, "solve_lp", count)
+        assert close(distortion_pair(e, 0, 1, alpha=0.5), 3.0, TAU_LP)
+        assert len(programs) == 2 and programs[1].meta["pairs"].sum() > programs[0].meta["pairs"].sum()
+
+    @pytest.mark.parametrize("scale, solves", [(1.01, 2), (0.99, 1)])
+    def test_certificate_tolerance(self, monkeypatch, scale, solves):
+        # left-out pair {2, 3}: ballot 0 has |d(u,2) - d(u,3)| = 1, ballot 1 has
+        # d(u,2) + d(u,3) = 1 - delta, so the certificate fails by delta; n = 2
+        e = Election.from_rankings([(0, 1, 2, 3), (3, 2, 1, 0)], 4)
+        delta = scale * TAU_LP / e.n
+        x = np.concatenate([[1.0, 1.0, 0.0, 1.0], [1.0, 1.0, (1 - delta) / 2, (1 - delta) / 2], np.ones(5)])
+        real, programs = lp.solve_lp, []
+
+        def crafted_first(program):
+            programs.append(program)
+            return LpOutcome(OPTIMAL, 2.0, x, program) if len(programs) == 1 else real(program)
+
+        monkeypatch.setattr(lp, "solve_lp", crafted_first)
+        value = distortion_pair(e, 0, 1)
+        assert programs[0].meta["pairs"].tolist() == [True, True, True, True, True, False]
+        assert len(programs) == solves
+        if solves == 1:
+            assert value == 2.0
+        else:
+            assert programs[1].meta["pairs"].all() and close(value, solve_full(e, 0, 1).value, TAU_LP)
+
+    def test_witness_fills_left_out_pairs(self, euclidean_corpus):
+        g = next(g for g in euclidean_corpus if g.election.m >= 6 and g.election.n <= 40)
+        e = g.election
+        out = solve_pair(e, 0, 1)
+        assert out.status == OPTIMAL and not out.program.meta["pairs"].all()
+        w = extract_pseudometric(out)
+        w.validate_metric()
+        assert check_consistent(w, e)
+        assert close(social_cost(w, 0) / social_cost(w, 1), out.value)
+
+
 class TestReducedLpProperty:
-    @given(partial_order_elections())
+    @given(ballot_elections())
     @settings(max_examples=60, deadline=None)
     @example(Election(3, 3, (frozenset({(0, 1), (2, 1)}),) * 2 + (frozenset(),)))
     def test_reduced_value_equals_full(self, e):
