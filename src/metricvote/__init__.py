@@ -26,7 +26,6 @@ from .core import (
     realized_distortion,
     social_cost,
     social_costs,
-    transitive_closure,
     truncate_to_ktop,
 )
 from .lp import (

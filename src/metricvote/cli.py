@@ -7,8 +7,11 @@ header and contains no timestamps, so a rerun with the same seed and
 * 0 success;
 * 2 configuration error (``ConfigError``);
 * 3 data error: a malformed or missing input (``DataFormatError``,
-  ``PreferenceCycleError``, ``FileNotFoundError``), or an input that fails
-  a rule's pairwise-coverage precondition (``CoverageError``);
+  ``FileNotFoundError``), such as an election file that does not parse
+  (elections are read from rankings, top lists or text, and text
+  expresses every election) or a sidecar witness that does not fit its
+  election, or an input that fails a rule's pairwise-coverage
+  precondition (``CoverageError``);
 * 4 theorem falsification: a guaranteed structure was not found
   (``TheoremFalsificationError``).
 """
@@ -25,16 +28,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .core import (
+    check_consistent,
     election_from_text,
     election_to_text,
     mask_voters,
     realized_distortion,
     truncate_to_ktop,
 )
-from .dataio import EUROVISION_WEIGHTS, F1_WEIGHTS, ScoringRule, load_csv, parse_schema, positional_score, scores_to_election
-from .errors import ConfigError, CoverageError, DataFormatError, PreferenceCycleError, TheoremFalsificationError
+from .dataio import EUROVISION_WEIGHTS, F1_WEIGHTS, ScoreTable, ScoringRule, load_csv, parse_schema, positional_score, scores_to_election
+from .errors import ConfigError, CoverageError, DataFormatError, TheoremFalsificationError
 from .instances import GeneratedInstance, generate, instance_sidecar, witness_from_jsonable
 from .lp import distortion_of, distortion_table, minimax
 from .mechanisms import balanced_rule, conjecture_probe, copeland, ktop_rule, plurality_matching, run_dr
@@ -114,6 +120,9 @@ def _load_instance(args) -> GeneratedInstance:
             obj = json.loads(sidecar.read_text(encoding="utf-8"))
             if obj.get("witness"):
                 witness = witness_from_jsonable(obj["witness"])
+                # check_consistent raises DataFormatError itself when n or m differ
+                if not check_consistent(witness, e):
+                    raise DataFormatError(f"{sidecar}: witness contradicts a preference the election states")
             if obj.get("schedule"):
                 schedule = tuple(tuple(tuple(p) for p in rnd) for rnd in obj["schedule"])
         return GeneratedInstance(e, witness, "file", {"path": args.infile}, schedule=schedule)
@@ -258,8 +267,6 @@ def _sweep_missing_row(task):
 
 
 def cmd_sweep_missing(args) -> int:
-    import numpy as np
-
     try:
         grid = [float(x) for x in args.epsilon_grid.split(",")]
     except ValueError as exc:
@@ -361,8 +368,6 @@ def cmd_ingest(args) -> int:
         unknown = dropped - set(table.candidates)
         if unknown:
             raise DataFormatError(f"--drop names not in the table: {sorted(unknown)}")
-        from .dataio import ScoreTable
-
         table = ScoreTable(tuple(r for r in table.rows if r[1] not in dropped))
     e = scores_to_election(table)
     base = Path(args.out)
@@ -484,7 +489,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataFormatError, PreferenceCycleError, FileNotFoundError) as exc:
+    except (DataFormatError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except CoverageError as exc:

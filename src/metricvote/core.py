@@ -3,11 +3,11 @@
 Candidates and voters are 0-based integers throughout.  A voter's stated
 preferences are a weak order: the candidates fall into ranked groups, every
 candidate is stated above every candidate of a lower group, and candidates
-of one group are not compared.  As a set of ordered pairs ``(a, b)``
-meaning "a is (weakly) closer than b" it is closed under transitivity.
-Total rankings, k-top ballots (the omitted candidates form one last
-group), score-derived lists and silent voters are all weak orders; a pair
-set that is not one, such as {(0, 1)} with m = 3, is rejected.
+of one group are not compared.  Elections are built from total rankings
+(``Election.from_rankings``), ordered top lists (``Election.from_ktop``,
+the omitted candidates forming one last group) or the line format
+(``election_from_text``), whose ``=`` ties express any weak order, silent
+voters included: every election has a text that reads back equal.
 
 An :class:`Election` stores every distinct ballot once, as three read-only
 arrays:
@@ -55,74 +55,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataFormatError, PreferenceCycleError
+from .errors import DataFormatError
 
 #: Relative tolerance for metric checks (triangle inequality, consistency).
 TAU_METRIC = 1e-9
-
-
-def transitive_closure(pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    """Smallest transitively closed superset of ``pairs``.
-
-    Idempotent and monotone in its input.  Raises
-    :class:`PreferenceCycleError` if the closure would violate
-    irreflexivity or antisymmetry.
-    """
-    adj: dict[int, set[int]] = {}
-    for p, q in pairs:
-        if p == q:
-            raise PreferenceCycleError(f"reflexive pair ({p}, {p})")
-        adj.setdefault(p, set()).add(q)
-    out = []
-    for start, direct in adj.items():
-        seen: set[int] = set()
-        stack = list(direct)
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            stack.extend(adj.get(u, ()))
-        if start in seen:
-            raise PreferenceCycleError(f"preference cycle through candidate {start}")
-        out.extend((start, q) for q in seen)
-    return frozenset(out)
-
-
-def ktop_pairs(order: Sequence[int], m: int) -> frozenset[tuple[int, int]]:
-    """Expand an ordered k-top list into its pair set.
-
-    Listed candidates are ranked among themselves in list order and above
-    every omitted candidate; omitted candidates stay mutually incomparable.
-    """
-    order = list(order)
-    listed = set(order)
-    if len(listed) != len(order):
-        raise DataFormatError("k-top list contains duplicates")
-    omitted = [c for c in range(m) if c not in listed]
-    pairs = []
-    for pos, a in enumerate(order):
-        pairs.extend((a, b) for b in order[pos + 1 :])
-        pairs.extend((a, c) for c in omitted)
-    return frozenset(pairs)
-
-
-def _check_pair_sets(n: int, m: int, prefs, ktop) -> None:
-    if n < 0 or m < 1:
-        raise DataFormatError("need n >= 0 and m >= 1")
-    if len(prefs) != n or len(ktop) != n:
-        raise DataFormatError("prefs/ktop length must equal n")
-    for i, p in enumerate(prefs):
-        for a, b in p:
-            if not (0 <= a < m and 0 <= b < m):
-                raise DataFormatError(f"voter {i}: candidate pair ({a}, {b}) out of range")
-        if transitive_closure(p) != p:
-            raise PreferenceCycleError(f"voter {i}: pair set is not transitively closed")
-        if ktop[i] is not None:
-            if not all(0 <= c < m for c in ktop[i]):
-                raise DataFormatError(f"voter {i}: k-top entry out of range")
-            if ktop_pairs(ktop[i], m) != p:
-                raise DataFormatError(f"voter {i}: k-top annotation does not match pair set")
 
 
 #: Entries per block in the loops over a (voter or ballot, candidate) table:
@@ -273,21 +209,6 @@ def _levels_from_rankings(rows: np.ndarray, m: int) -> np.ndarray:
     return level
 
 
-def _is_weak(levels: np.ndarray) -> np.ndarray:
-    """Per row, whether every entry equals the number of smaller entries in the row.
-
-    Let entry c count the candidates a closed pair set states above c.  A
-    stated a > b puts everything above a above b too, so each entry is at
-    most the number of smaller entries, with equality everywhere exactly
-    when the set is a weak order.
-    """
-    low = np.sort(levels, axis=1)
-    new = np.ones(low.shape, dtype=bool)
-    new[:, 1:] = low[:, 1:] != low[:, :-1]
-    below = np.maximum.accumulate(np.where(new, np.arange(low.shape[1]), 0), axis=1)
-    return (low == below).all(axis=1)
-
-
 def _relation(levels: np.ndarray) -> np.ndarray:
     """The (u, m, m) bool relation of level vectors: entry [j, a, b] says ballot j states a > b."""
     return levels[:, :, None] < levels[:, None, :]
@@ -301,36 +222,17 @@ def _sole(mask: np.ndarray) -> np.ndarray:
 class Election:
     """An election: ``n`` voters and ``m`` candidates with weak-order ballots.
 
-    ``Election(n, m, prefs, ktop)`` takes one pair set per voter and checks
-    every set for range, closure and being a weak order
-    (:class:`DataFormatError`, naming the voter, otherwise).  The ballots
-    are then stored once each as level vectors (see the module docstring);
-    ``restrict``, ``mask_voters``, ``truncate_to_ktop`` and the ``from_*``
-    constructors build the arrays directly.
+    Built from rankings (``from_rankings``), top lists (``from_ktop``) or
+    text (:func:`election_from_text`, which reads back every election
+    :func:`election_to_text` writes), and by ``restrict``, ``mask_voters``
+    and ``truncate_to_ktop`` from another election; each writes the level
+    arrays of the module docstring directly.
 
-    ``ktop[i]`` optionally records that voter i's information arrived as an
-    ordered top list (its pair set must equal the k-top expansion); only its
-    length is stored, in ``listed``.  Voters with a total order and no list
-    are canonically annotated with their complete ranking (``listed[i] == m``).
+    ``listed[i]`` is the length of voter i's ordered top list, 0 when the
+    voter's information did not arrive as a list.  Voters with a total
+    order and no list are canonically annotated with their complete
+    ranking (``listed[i] == m``).
     """
-
-    def __init__(self, n: int, m: int, prefs, ktop=None) -> None:
-        prefs = tuple(frozenset(p) for p in prefs)
-        if ktop is None:
-            ktop = (None,) * n
-        ktop = tuple(tuple(t) if t is not None else None for t in ktop)
-        _check_pair_sets(n, m, prefs, ktop)
-        index: dict[frozenset, int] = {}
-        ballot_of = np.fromiter((index.setdefault(p, len(index)) for p in prefs), dtype=np.intp, count=len(prefs))
-        sizes = [len(p) for p in index]
-        below = np.fromiter((b for p in index for _, b in p), dtype=np.intp, count=sum(sizes))
-        # each candidate's level: the candidates stated above it
-        owner = np.repeat(np.arange(len(index)), sizes)
-        levels = np.bincount(owner * m + below, minlength=len(index) * m).reshape(-1, m)
-        odd = np.flatnonzero(~_is_weak(levels))
-        if len(odd):
-            raise DataFormatError(f"voter {np.argmax(ballot_of == odd[0])}: pair set is not a weak order")
-        self._fill(n, m, levels, ballot_of, [0 if t is None else len(t) for t in ktop])
 
     @classmethod
     def _of(cls, n: int, m: int, levels: np.ndarray, ballot_of: np.ndarray, listed) -> "Election":

@@ -5,10 +5,6 @@ class ToolkitError(Exception):
     """Base class for all toolkit errors."""
 
 
-class PreferenceCycleError(ToolkitError, ValueError):
-    """Raised when stated preferences violate antisymmetry (contain a cycle)."""
-
-
 class DataFormatError(ToolkitError, ValueError):
     """Raised on malformed input files (election text, CSV tables)."""
 

@@ -221,13 +221,7 @@ def missing_voters_tight(epsilon) -> GeneratedInstance:
     n_mid, n_missing = int(n_mid), int(n_missing)
     n_b = n - n_mid - n_missing
 
-    prefs = (
-        [frozenset({(0, 1)})] * n_mid
-        + [frozenset({(1, 0)})] * n_b
-        + [frozenset()] * n_missing
-    )
-    ktop = [(0, 1)] * n_mid + [(1, 0)] * n_b + [None] * n_missing
-    e = Election(n, 2, tuple(prefs), tuple(ktop))
+    e = Election.from_ktop([(0, 1)] * n_mid + [(1, 0)] * n_b + [()] * n_missing, 2)
     voters = [Fraction(1, 2)] * n_mid + [Fraction(1)] * (n_b + n_missing)
     witness = MetricWitness.from_points(voters, [Fraction(0), Fraction(1)])
     expected = {

@@ -221,17 +221,16 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
 # -- metric LP construction --------------------------------------------------
 
 
-def _alpha_rows(e: Election, alpha, voters) -> list[tuple[int, int]]:
-    """(top, second) of each listed voter, for the rows d(i, top) <= alpha * d(i, second)."""
+def _alpha_rows(e: Election, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """Per ballot, (top, second), for the rows d(i, top) <= alpha * d(i, second)."""
     if not 0 <= alpha <= 1:
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
-    rows = []
-    for i in voters:
-        t, s = e.top(i), e.second(i)
-        if t is None or s is None:
-            raise ConfigError(f"voter {i} has no identified top and second choice")
-        rows.append((t, s))
-    return rows
+    lacking = np.flatnonzero(e._second < 0)  # a ballot without a top has no second either
+    if len(lacking):
+        # ballots are numbered by first appearance: the first such ballot's first voter comes first
+        voter = int(np.argmax(e.ballot_of == lacking[0]))
+        raise ConfigError(f"voter {voter} has no identified top and second choice")
+    return e._top, e._second
 
 
 def build_metric_lp(e: Election, a: int, b: int, alpha=None, *, pairs=None) -> LinearProgram:
@@ -283,10 +282,9 @@ def build_metric_lp(e: Election, a: int, b: int, alpha=None, *, pairs=None) -> L
     u, p, q = np.nonzero(covering)
     emit((u * m + p, 1.0), (u * m + q, -1.0))
     if alpha is not None:
-        first = np.unique(e.ballot_of, return_index=True)[1]  # a voter casting each ballot
-        ts = np.array(_alpha_rows(e, alpha, first.tolist()), dtype=np.int64).reshape(-1, 2)
+        top, second = _alpha_rows(e, alpha)
         base = np.arange(nb) * m
-        emit((base + ts[:, 0], 1.0), (base + ts[:, 1], -float(alpha)))
+        emit((base + top, 1.0), (base + second, -float(alpha)))
 
     # voter/candidate-pair triangle rows; d(u,p) <= d(u,q) + y_pq is implied when p > q is stated
     triangle = (

@@ -28,9 +28,6 @@ from .core import Election, Transcript
 from .errors import ConfigError
 from .mechanisms import copeland, phi_scores
 
-MODES = ("copeland", "plurality-matching")
-
-
 def sample_size(epsilon: float, delta: float, m: int, mode: str) -> int:
     """Published sample-size formula for the requested mode."""
     if not 0 < epsilon <= 4:

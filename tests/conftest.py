@@ -7,7 +7,8 @@ import pytest
 from hypothesis import strategies as st
 
 from metricvote import instances as inst
-from metricvote.core import TAU_METRIC, Election, MetricWitness, ktop_pairs, mask_voters, truncate_to_ktop
+from metricvote.core import TAU_METRIC, Election, MetricWitness, election_from_text, mask_voters, truncate_to_ktop
+from metricvote.errors import DataFormatError
 from metricvote.mechanisms import MatchingResult
 
 
@@ -23,6 +24,11 @@ def _size_plan(rng: np.random.Generator) -> list[tuple[int, int, int]]:
     plan.append((200, 16, 2))  # both bounds realised
     plan.append((197, 13, 3))
     return plan
+
+
+def election_of(m: int, lines) -> Election:
+    """The election read from the line format with these ballot lines, one per voter."""
+    return election_from_text(f"{len(lines)} {m}\n" + "".join(f"{line}\n" for line in lines))
 
 
 def ranking(e: Election, i: int) -> tuple[int, ...] | None:
@@ -53,6 +59,30 @@ def is_total(e: Election, i: int) -> bool:
 
 
 # -- references read from pair sets alone ---------------------------------------
+
+
+def ktop_pairs(order, m: int) -> frozenset[tuple[int, int]]:
+    """Expand an ordered k-top list into its pair set.
+
+    Listed candidates are ranked among themselves in list order and above
+    every omitted candidate; omitted candidates stay mutually incomparable.
+    """
+    order = list(order)
+    listed = set(order)
+    if len(listed) != len(order):
+        raise DataFormatError("k-top list contains duplicates")
+    omitted = [c for c in range(m) if c not in listed]
+    pairs = []
+    for pos, a in enumerate(order):
+        pairs.extend((a, b) for b in order[pos + 1 :])
+        pairs.extend((a, c) for c in omitted)
+    return frozenset(pairs)
+
+
+def ref_ballots(prefs) -> list[int]:
+    """Each voter's ballot, numbering distinct pair sets by their first voter."""
+    number: dict = {}
+    return [number.setdefault(p, len(number)) for p in prefs]
 
 
 def ref_top(p, m: int) -> int | None:
@@ -139,12 +169,14 @@ def small_lp_corpus():
 
 
 @st.composite
-def weak_order(draw, m: int) -> tuple[frozenset, tuple[int, ...] | None]:
-    """(pair set, top list or None): a random weak order over m candidates,
-    an ordered partition drawn as a permutation cut into groups.  Ties and
-    the silent ballot (one group) are included.  When every group but the
-    last is a single candidate the ballot is a k-top list, which is
-    sometimes given as an annotation."""
+def weak_order(draw, m: int, annotate: bool = True) -> tuple[frozenset, tuple[int, ...] | None, str]:
+    """(pair set, top list or None, ballot line): a random weak order over m
+    candidates, an ordered partition drawn as a permutation cut into groups.
+    Ties and the silent ballot (one group) are included.  When every group
+    but the last is a single candidate the ballot is a k-top list, which is
+    sometimes given as an annotation, unless ``annotate`` is False.  The line
+    is the list when there is one, the groups joined by ``=`` and ``>``
+    otherwise."""
     perm = draw(st.permutations(range(m)))
     cuts = draw(st.lists(st.booleans(), min_size=m - 1, max_size=m - 1))
     groups = [[perm[0]]]
@@ -155,32 +187,33 @@ def weak_order(draw, m: int) -> tuple[frozenset, tuple[int, ...] | None]:
             groups[-1].append(c)
     pairs = frozenset((a, b) for gi, g in enumerate(groups) for a in g for h in groups[gi + 1 :] for b in h)
     listed = [g[0] for g in groups[:-1]]
-    if all(len(g) == 1 for g in groups[:-1]) and listed and draw(st.booleans()):
+    if annotate and all(len(g) == 1 for g in groups[:-1]) and listed and draw(st.booleans()):
         if len(groups[-1]) == 1 and draw(st.booleans()):
             listed.append(groups[-1][0])  # lists of m - 1 and m candidates state the same pairs
         assert ktop_pairs(listed, m) == pairs
-        return pairs, tuple(listed)
-    return pairs, None
+        return pairs, tuple(listed), " > ".join(map(str, listed))
+    return pairs, None, " > ".join(" = ".join(map(str, g)) for g in groups)
 
 
 @st.composite
 def weak_order_profiles(draw):
-    """(m, pair sets, top lists): random weak orders (ties, k-top lists and
-    empty ballots included), cast by voters drawn with repetition from a
-    small pool of ballots."""
+    """(m, pair sets, top lists, ballot lines): random weak orders (ties,
+    k-top lists and empty ballots included), cast by voters drawn with
+    repetition from a small pool of ballots."""
     m = draw(st.integers(2, 4))
     pool = [draw(weak_order(m)) for _ in range(draw(st.integers(1, 3)))]
     voters = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=5))
     if not draw(st.booleans()):
         voters.append(voters[0])  # a repeated ballot, so merging applies
-    return m, tuple(pool[i][0] for i in voters), tuple(pool[i][1] for i in voters)
+    cast = [pool[i] for i in voters]
+    return m, tuple(b[0] for b in cast), tuple(b[1] for b in cast), tuple(b[2] for b in cast)
 
 
 @st.composite
 def partial_order_elections(draw):
-    """Elections of :func:`weak_order_profiles`, built from their pair sets."""
-    m, prefs, ktop = draw(weak_order_profiles())
-    return Election(len(prefs), m, prefs, ktop)
+    """Elections of :func:`weak_order_profiles`, read from their ballot lines."""
+    m, _, _, lines = draw(weak_order_profiles())
+    return election_of(m, lines)
 
 
 @st.composite

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from metricvote.core import Election
-from metricvote.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpOutcome, _alpha_rows, solve_lp
+from metricvote.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpOutcome, solve_lp
 
 
 def from_rows(var_names, objective: dict, ub_rows=(), eq_rows=(), meta=None) -> LinearProgram:
@@ -70,7 +70,8 @@ def build_full(e: Election, a: int, b: int, alpha=None) -> LinearProgram:
         for p, q in e.prefs[i]:
             ub_rows.append(({var_names[vi(i, n + p)]: 1.0, var_names[vi(i, n + q)]: -1.0}, 0.0))
     if alpha is not None:
-        for i, (t, s) in enumerate(_alpha_rows(e, alpha, range(n))):
+        for i in range(n):
+            t, s = e.top(i), e.second(i)
             ub_rows.append(({var_names[vi(i, n + t)]: 1.0, var_names[vi(i, n + s)]: -float(alpha)}, 0.0))
     for p, q, r in itertools.combinations(range(size), 3):
         for x, y, z in ((p, q, r), (p, r, q), (q, r, p)):

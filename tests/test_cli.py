@@ -80,6 +80,30 @@ class TestRun:
         assert float(doc["realized_distortion"]) == 7.0
         assert len(doc["transcript"]) == 7
 
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            ("swap", "euc.json: witness contradicts a preference the election states"),
+            ("drop", "metric dimensions do not match the election"),
+        ],
+    )
+    def test_sidecar_witness_must_fit_the_election(self, tmp_path, capsys, tamper, message):
+        base = tmp_path / "euc"
+        run(["gen", "--generator", "euclidean", "--params", "n=6,m=3,dim=2", "--seed", 3, "--out", base])
+        args = ["run", "--mechanism", "copeland", "--in", base.with_suffix(".elec"), "--out", tmp_path / "x.json"]
+        assert run(args) == 0
+        doc = json.loads(base.with_suffix(".json").read_text())
+        dist = doc["witness"]["dist"]
+        if tamper == "swap":  # voter 0's distances to candidates 0 and 1 trade places
+            dist[0][6], dist[0][7] = dist[0][7], dist[0][6]
+            dist[6][0], dist[7][0] = dist[7][0], dist[6][0]
+        else:  # voter 0 dropped
+            doc["witness"].update(n=5, dist=[row[1:] for row in dist[1:]])
+        base.with_suffix(".json").write_text(json.dumps(doc))
+        assert run(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.rstrip().endswith(message)
+
     def test_missing_instance_is_config_error(self, tmp_path):
         assert run(["run", "--mechanism", "copeland", "--out", tmp_path / "x.json"]) == 2
 

@@ -1,15 +1,18 @@
 """Generators: every witness is consistent, every expected tag asserted exactly."""
 
+import argparse
 import json
 from fractions import Fraction
 
 import pytest
 from conftest import ranking
 
+from metricvote import cli
 from metricvote import instances as inst
 from metricvote.core import (
     check_consistent,
     comparison_graph,
+    election_to_text,
     plurality_counts,
     realized_distortion,
     social_cost,
@@ -205,12 +208,17 @@ def test_hidden_star_far_ratio_one_is_a_metric():
         ("hidden-star", {"m": 4, "chosen": 1, "far_ratio": 2.5}),
     ],
 )
-def test_every_sidecar_witness_round_trips(name, params):
+def test_every_sidecar_witness_round_trips(name, params, tmp_path):
     gi = inst.generate(name, params, seed=4)
     side = json.loads(json.dumps(instance_sidecar(gi)))
     w = witness_from_jsonable(side["witness"])
     assert w.exact == gi.witness.exact == (name != "euclidean")
     assert w.dist.tolist() == gi.witness.dist.tolist()
+    # read back with its election file, as the CLI reads it, the witness passes the CLI's check
+    (tmp_path / "x.elec").write_text(election_to_text(gi.election))
+    (tmp_path / "x.json").write_text(json.dumps(side))
+    loaded = cli._load_instance(argparse.Namespace(infile=str(tmp_path / "x.elec")))
+    assert loaded.witness.dist.tolist() == w.dist.tolist() and check_consistent(loaded.witness, loaded.election)
     assert inst.generate("impartial-culture", {"n": 3, "m": 2}, seed=4).witness is None
 
 

@@ -7,7 +7,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from conftest import ballot_elections, ktop_elections
+from conftest import ballot_elections, election_of, ktop_elections
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_lp import build_full, from_rows, solve_full
@@ -81,7 +81,7 @@ class TestSolver:
 
 class TestMetricLpConstruction:
     def test_single_voter_shape(self):
-        e = Election(1, 2, (frozenset({(0, 1)}),))
+        e = Election.from_rankings([(0, 1)], 2)
         lp = build_full(e, 0, 1)
         # one voter, two candidates: three distinct pair variables
         assert len(lp.objective) == 3
@@ -97,18 +97,19 @@ class TestMetricLpConstruction:
             assert w.vc(i, e.top(i)) <= 1e-7
 
     def test_alpha_needs_top_and_second(self):
-        e = Election(1, 3, (frozenset({(0, 2), (1, 2)}),))
-        with pytest.raises(ConfigError):
+        # voter 3 has a top but no second, and voter 4 neither; voter 0's ballot is cast again
+        e = election_of(3, ["0 > 1 > 2", "1 > 0 > 2", "0 > 1 > 2", "2 > 0 = 1", "0 = 1 > 2"])
+        with pytest.raises(ConfigError, match="^voter 3 has no identified top and second choice$"):
             build_metric_lp(e, 0, 1, alpha=0.5)
 
     def test_empty_prefs_lp_still_solves(self):
-        e = Election(2, 2, (frozenset(), frozenset()))
+        e = election_of(2, ["", ""])
         assert distortion_pair(e, 0, 1) == math.inf
 
 
 class TestDistortionPair:
     def test_one_voter_pair_values(self):
-        e = Election(1, 2, (frozenset({(0, 1)}),))
+        e = Election.from_rankings([(0, 1)], 2)
         assert close(distortion_pair(e, 0, 1), 1.0)
         assert distortion_pair(e, 1, 0) == math.inf
 
@@ -153,7 +154,7 @@ class TestWitnessExtraction:
                     assert (abs(a[i] - a[j]) <= 1e-7).all()
 
     def test_rejects_non_optimal(self):
-        e = Election(1, 2, (frozenset({(0, 1)}),))
+        e = Election.from_rankings([(0, 1)], 2)
         out = solve_lp(build_metric_lp(e, 1, 0))
         assert out.status == UNBOUNDED
         with pytest.raises(ConfigError):
@@ -193,7 +194,7 @@ class TestMinimax:
             assert minimax(e).winner == minimax(e, alpha=1.0).winner
 
     def test_report_serialises_infinities(self):
-        e = Election(1, 2, (frozenset({(0, 1)}),))
+        e = Election.from_rankings([(0, 1)], 2)
         doc = distortion_table(e).to_json_dict()
         assert doc["values"][1][0] == "inf"
         assert doc["winner"] == 0
@@ -313,7 +314,7 @@ class TestBranchAndBound:
         assert _row_value(0, {2: math.inf, 1: math.inf}) == (math.inf, 1)
 
     def test_bound_values(self):
-        e = Election(3, 3, (frozenset({(0, 1), (2, 1)}), frozenset({(0, 1), (2, 1)}), frozenset()))
+        e = election_of(3, ["0 = 2 > 1", "0 = 2 > 1", ""])
         bound = ratio_bound(e)
         assert close(bound[0, 1], 1 + 2 * (3 - 2) / 2, 1e-12)
         assert bound[1, 0] == math.inf and bound[0, 2] == math.inf
@@ -379,17 +380,17 @@ class TestValueFloor:
         split = Election.from_rankings([(0, 1), (1, 0)], 2)
         assert value_floor(split).tolist() == [3.0, 3.0]
         # voters 0, 1 state 0 = 2 > 1 and voter 2 is silent: s = (2, 0, 2), t = (3, 1, 3)
-        e = Election(3, 3, (frozenset({(0, 1), (2, 1)}), frozenset({(0, 1), (2, 1)}), frozenset()))
+        e = election_of(3, ["0 = 2 > 1", "0 = 2 > 1", ""])
         assert value_floor(e).tolist() == [math.inf, math.inf, math.inf]
-        e = Election(2, 3, (frozenset({(0, 1), (0, 2)}), frozenset({(0, 1), (2, 1)})))
+        e = election_of(3, ["0 > 1 = 2", "0 = 2 > 1"])
         # s = (2, 0, 1); t = (2, 0, 1): g = (inf, 1, 1 + 2 * 1/1)
         assert value_floor(e).tolist() == [3.0, math.inf, math.inf]
 
     def test_silent_and_degenerate_elections(self):
-        silent = Election(3, 3, (frozenset(),) * 3)
+        silent = election_of(3, [""] * 3)
         assert value_floor(silent).tolist() == [math.inf] * 3
         assert distortion_table(silent).per_candidate == (math.inf,) * 3
-        assert value_floor(Election(0, 3, ())).tolist() == [1.0] * 3
+        assert value_floor(election_of(3, [])).tolist() == [1.0] * 3
         assert value_floor(Election.from_rankings([(0,)], 1)).tolist() == [1.0]
 
     def test_below_largest_bound_on_euclidean_corpus(self, euclidean_corpus):
@@ -579,7 +580,7 @@ class TestStarProgram:
 class TestReducedLpProperty:
     @given(ballot_elections())
     @settings(max_examples=60, deadline=None)
-    @example(Election(3, 3, (frozenset({(0, 1), (2, 1)}),) * 2 + (frozenset(),)))
+    @example(election_of(3, ["0 = 2 > 1", "0 = 2 > 1", ""]))
     def test_reduced_value_equals_full(self, e):
         for a in range(e.m):
             for b in range(e.m):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import ballot_elections, matching_blocks
+from conftest import ballot_elections, election_of, matching_blocks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
@@ -130,7 +130,7 @@ class TestMajorityOracle:
             assert majority_oracle(gi.election, t, t - 1) == t - 1
 
     def test_abstainers_count_for_neither(self):
-        e = Election(3, 3, (frozenset({(0, 1), (2, 1)}), frozenset(), frozenset()))
+        e = election_of(3, ["0 = 2 > 1", "", ""])
         assert majority_oracle(e, 0, 1) == 1
 
     def test_candidate_out_of_range(self):
@@ -263,7 +263,7 @@ class TestCopeland:
 
     def test_missing_pair_error(self):
         # no voter compares 0 and 2
-        e = Election(2, 3, (frozenset({(0, 1), (2, 1)}), frozenset({(1, 0), (1, 2)})))
+        e = election_of(3, ["0 = 2 > 1", "1 > 0 = 2"])
         with pytest.raises(CoverageError):
             copeland(e)
 
@@ -287,14 +287,14 @@ class TestBalancedRule:
             assert is_two_hop_king(e.m, reference_edges(comparison_graph(e), Fraction(1, 2)), w)
 
     def test_coverage_error_names_pair(self):
-        e = Election(2, 3, (frozenset({(0, 1), (2, 1)}), frozenset({(1, 0), (1, 2)})))
+        e = election_of(3, ["0 = 2 > 1", "1 > 0 = 2"])
         with pytest.raises(CoverageError) as exc:
             balanced_rule(e, 0.5)
         assert exc.value.pair in {(0, 2), (1, 2)}
 
     def test_two_candidates_partial(self):
         # half the voters compared the pair, majority for candidate 0
-        e = Election(4, 2, (frozenset({(0, 1)}), frozenset({(0, 1)}), frozenset(), frozenset()))
+        e = election_of(2, ["0 > 1", "0 > 1", "", ""])
         assert balanced_rule(e, 0.5) == 0
 
 
@@ -310,7 +310,7 @@ class TestKtopRule:
         assert ktop_rule(e, 3) == 0
 
     def test_requires_annotations(self):
-        e = Election(1, 3, (frozenset({(0, 1), (2, 1)}),))
+        e = election_of(3, ["0 = 2 > 1"])
         with pytest.raises(ConfigError):
             ktop_rule(e, 1)
 
@@ -457,8 +457,8 @@ class TestMatchingMatchesPerVoterReference:
 
     def test_distinct_ballots_share_a_neighbourhood(self):
         # both ballots give focal 0 the row {0, 1}, so their three voters form one class
-        p, q = frozenset({(2, 0), (2, 1), (0, 1)}), frozenset({(0, 1), (2, 1)})
-        e = Election(4, 3, (p, q, frozenset({(1, 0), (1, 2)}), q))
+        p, q = "2 > 0 > 1", "0 = 2 > 1"
+        e = election_of(3, [p, q, "1 > 0 = 2", q])
         g = build_domination_graph(e, 0, (0, 2, 1))
         assert np.array_equal(g.neighbourhoods[0], g.neighbourhoods[1])
         r = max_matching(g)
@@ -519,7 +519,7 @@ class TestPhiScoresOneNetwork:
         # only candidate 2 has capacity, and only the focal 2 reaches it
         assert phi_scores(e) == (0, 0, 1)
         assert plurality_matching(e) == (2, (0, 0, 1))
-        partial = Election(1, 3, (frozenset({(1, 0), (1, 2)}),))
+        partial = election_of(3, ["1 > 0 = 2"])
         assert phi_scores(partial, (1, 1, 0)) == (1, 1, 0)
 
     def test_no_voters(self):

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from conftest import matching_blocks
+from conftest import election_of, matching_blocks
 
 from metricvote import instances as inst
 from metricvote.core import Election
@@ -122,7 +122,7 @@ class TestSampledCopeland:
         assert copeland(sub) == copeland(e)
 
     def test_requires_total_orders(self):
-        e = Election(2, 3, (frozenset({(0, 1), (0, 2)}), frozenset()))
+        e = election_of(3, ["0 > 1 = 2", ""])
         with pytest.raises(ConfigError):
             sampled_copeland(e, 1, 0.1, 0)
 
