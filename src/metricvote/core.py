@@ -234,6 +234,9 @@ class Election:
     ranking (``listed[i] == m``).
     """
 
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build an Election with from_rankings, from_ktop or election_from_text")
+
     @classmethod
     def _of(cls, n: int, m: int, levels: np.ndarray, ballot_of: np.ndarray, listed) -> "Election":
         """Election from distinct, used level vectors numbered by first appearance."""

@@ -7,8 +7,9 @@ diagonal is implicit.
 
 The program has one block of m voter-candidate distances per distinct
 ballot, a row of ``Election.levels``, in the election's ballot order, and
-one distance y_pq per candidate pair of the a-b star: the 2m - 3 pairs that
-contain a or b, in ``np.triu_indices`` order.  It emits these rows:
+one distance y_pq per kept candidate pair, in ``np.triu_indices`` order.
+The pairs kept are the b-star, the m - 1 pairs that contain b, and any
+pairs the certificate below adds.  It emits these rows:
 
 * ``SC(b) = 1`` and the objective ``SC(a)``, each block weighted by
   ``Election.multiplicity``, the number of voters casting its ballot.
@@ -18,7 +19,7 @@ contain a or b, in ``np.triu_indices`` order.  It emits these rows:
 * ``d(u,p) <= d(u,q)`` for the covering pairs only: stated pairs p > q with
   no r such that p > r > q.  Exact: every other stated pair is a chain of
   covering pairs, so transitivity implies its row.
-* ``y_pq <= d(u,p) + d(u,q)`` for every ballot and star pair, and
+* ``y_pq <= d(u,p) + d(u,q)`` for every ballot and kept pair, and
   ``d(u,p) <= d(u,q) + y_pq`` in each direction the ballot does not state.
   Exact: when p > q is stated, ``d(u,p) <= d(u,q)`` and ``y_pq >= 0``
   already imply the dropped row.
@@ -27,14 +28,14 @@ contain a or b, in ``np.triu_indices`` order.  It emits these rows:
 No row touches two voters: voter-voter distances appear in no objective
 or ordering row and can always be completed by shortest paths afterwards.
 The full program adds the voter rows of every other candidate pair and the
-three triangle rows of every candidate triple.  The star program keeps a
-subset of its rows, so it is a relaxation and its value is at least the
-full value.  The reference program, with one variable per point pair and
-every triangle row over all point triples, lives in the test suite
+three triangle rows of every candidate triple.  A program over some of the
+pairs keeps a subset of its rows, so it is a relaxation and its value is at
+least the full value.  The reference program, with one variable per point
+pair and every triangle row over all point triples, lives in the test suite
 (``tests/reference_lp.py``), which checks that both agree on status, value
 and witness soundness.
 
-**Certificate.**  ``solve_pair`` accepts an optimal star solution only when,
+**Certificate.**  ``solve_pair`` accepts an optimal solution only when,
 for every left-out pair {p, q}, its distances satisfy
 
     max_u |d(u,p) - d(u,q)| <= min_u (d(u,p) + d(u,q)) + TAU_LP / n
@@ -50,7 +51,7 @@ is left to fail.
   p = r_0, ..., r_k = q the triangle inequality on |.| gives
   ``sum y >= sum |d(u,r_i) - d(u,r_i+1)| >= |d(u,p) - d(u,q)|``, so the
   other rows hold too, and y' satisfies every candidate triangle.  So the
-  star optimum with y' is feasible for the full program, with the same
+  optimum with y' is feasible for the full program, with the same
   objective, and the two values are equal.  The same closure shows that
   the triangle rows are implied once every pair is in, so the loop's last
   program is exact without them.
@@ -60,21 +61,22 @@ is left to fail.
   rows and each |d(u,p) - d(u,q)| stay as they are, each d(u,p) + d(u,q)
   gains delta.  Without alpha the repaired point, rescaled, is feasible for
   the full program with ratio (V + n delta/2)/(1 + n delta/2) >=
-  V - (V - 1) TAU_LP / 2 for the star value V, so V is within TAU_LP of
+  V - (V - 1) TAU_LP / 2 for the solved value V, so V is within TAU_LP of
   the full value.  The shift can break alpha rows; with alpha set the
   tolerance is the same, below the 1e-7 feasibility tolerance HiGHS allows
   on the rows it did solve.
 * **Unboundedness agrees.**  ``ratio_bound``'s proof uses only rows of the
-  pair {a, b}, so it bounds the star program too.  If the full program is
-  unbounded, so is its relaxation.  If the star program is unbounded, some
-  feasible point of its homogeneous rows has SC(b) = 0 < SC(a).  Every
-  weight is positive, so d(u,b) = 0 on every block, and the rows of each
-  star pair {b, q} read ``d(u,q) <= y_bq <= d(u,q)`` (when q > b is stated
-  and the row is dropped, d(u,q) <= d(u,b) = 0): every voter is at y_bq
-  from q.  The star metric centred on b, with the voters and b at one point
-  and each q at y_bq from it, has these distances, so it is consistent, and
-  adding multiples of it to a feasible point of the full program raises
-  SC(a) without bound.
+  pair {a, b}, which the b-star keeps, so it bounds every program solved.
+  If the full program is unbounded, so is each relaxation.  If a solved
+  program is unbounded, some feasible point of its homogeneous rows has
+  SC(b) = 0 < SC(a).  Every weight is positive, so d(u,b) = 0 on every
+  block, and the rows of each pair {b, q}, all of which the b-star keeps,
+  read ``d(u,q) <= y_bq <= d(u,q)`` (when q > b is stated and the row is
+  dropped, d(u,q) <= d(u,b) = 0): every voter is at y_bq from q.  The star
+  metric centred on b, with the voters and b at one point and each q at
+  y_bq from it, has these distances, so it is consistent, and adding
+  multiples of it to a feasible point of the full program raises SC(a)
+  without bound.
 * **Witnesses.**  ``extract_pseudometric`` fills the pairs it did not solve
   by shortest paths.  A path p - u - q through a voter is at least
   min_u (d(u,p) + d(u,q)), the largest y_pq the certificate allows, so the
@@ -234,13 +236,13 @@ def _alpha_rows(e: Election, alpha) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_metric_lp(e: Election, a: int, b: int, alpha=None, *, pairs=None) -> LinearProgram:
-    """The star program of the pair (a, b): its value is the worst consistent
-    cost ratio of a against b once ``solve_pair`` has certified it.
+    """The reduced program of the pair (a, b): its value is the worst
+    consistent cost ratio of a against b once ``solve_pair`` has certified it.
 
     ``pairs`` is a bool mask over the candidate pairs p < q in
     ``np.triu_indices`` order, naming the pairs that get voter rows and a
-    y column; None gives the 2m - 3 pairs that contain a or b.  It is kept
-    as ``meta["pairs"]``.
+    y column; None gives the b-star, the m - 1 pairs that contain b.  It is
+    kept as ``meta["pairs"]``.
     """
     from scipy import sparse
 
@@ -257,7 +259,7 @@ def build_metric_lp(e: Election, a: int, b: int, alpha=None, *, pairs=None) -> L
     nbm = nb * m
     pa, pb = np.triu_indices(m, 1)
     if pairs is None:
-        pairs = np.isin(pa, (a, b)) | np.isin(pb, (a, b))
+        pairs = (pa == b) | (pb == b)
     pa, pb = pa[pairs], pb[pairs]  # the candidate pairs kept, one column each
     ncp = len(pa)
     nvars = nbm + ncp
@@ -329,7 +331,7 @@ def _uncertified(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
 
 
 def solve_pair(e: Election, a: int, b: int, alpha=None) -> LpOutcome:
-    """The pair LP of (a, b), solved over the star program and certified.
+    """The pair LP of (a, b), solved over the b-star and certified.
 
     An optimal answer is returned only once ``_uncertified`` finds no
     failing pair; otherwise the failing pairs' rows are added and the

@@ -174,6 +174,11 @@ def check_arrays(e, prefs, ann):
 
 
 class TestElection:
+    @pytest.mark.parametrize("args", [(), (2, 2, [frozenset()] * 2)])
+    def test_direct_construction_is_a_type_error(self, args):
+        with pytest.raises(TypeError, match="from_rankings, from_ktop or election_from_text"):
+            Election(*args)
+
     def test_total_orders_get_canonical_annotation(self):
         # the total order 2 > 1 > 0, stored without a list
         e = Election._of(1, 3, np.array([[2, 1, 0]]), np.array([0]), [0])

@@ -133,13 +133,15 @@ class TestWitnessExtraction:
 
     def test_reads_ballot_blocks_then_candidate_pairs_from_x(self):
         # ballots (0, 1, 2) for voters 0 and 2 and (2, 1, 0) for voter 1: x holds the
-        # two ballot blocks, then y01, y02 and y12; the -1e-12 is clipped to 0
+        # two ballot blocks, then y02 and y12, the b-star of b = 2; the -1e-12 is
+        # clipped to 0, and the left-out y01 is the shortest path 3
         e = Election.from_rankings([(0, 1, 2), (2, 1, 0), (0, 1, 2)], 3)
         out = solve_lp(build_metric_lp(e, 0, 2))
-        x = np.array([1.0, 2.0, 3.0, 2.0, 1.0, -1e-12, 1.0, 2.0, 1.0])
+        assert out.program.meta["pairs"].tolist() == [False, True, True]
+        x = np.array([1.0, 2.0, 3.0, 2.0, 1.0, -1e-12, 2.0, 1.0])
         d = extract_pseudometric(dataclasses.replace(out, x=x)).dist
         assert d[:3, 3:].tolist() == [[1, 2, 3], [2, 1, 0], [1, 2, 3]]
-        assert d[3:, 3:].tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        assert d[3:, 3:].tolist() == [[0, 3, 2], [3, 0, 1], [2, 1, 0]]
         assert d[:3, :3].tolist() == [[0, 3, 0], [3, 0, 3], [0, 3, 0]]
 
     def test_merged_points_share_rows(self):
@@ -460,7 +462,7 @@ class TestSoundnessAgainstBruteForce:
 
 class TestReducedLpMatchesFull:
     """The pruned builder (merged ballots, covering-pair ordering rows, no
-    implied triangle rows, voter rows for the a-b star), certified by
+    implied triangle rows, voter rows for the b-star), certified by
     ``solve_pair``, is exact: it agrees with the reference program of
     ``reference_lp``."""
 
@@ -478,14 +480,14 @@ class TestReducedLpMatchesFull:
     def test_reduced_shape(self):
         e = Election.from_rankings([(0, 1, 2, 3)] * 5 + [(3, 2, 1, 0)] * 3, 4)
         lp = build_metric_lp(e, 0, 3)
-        # two ballots of 4 distances, plus the 5 star pairs 01, 02, 03, 13, 23; 12 is left out
-        assert lp.meta["pairs"].tolist() == [True, True, True, False, True, True]
-        assert lp.a_ub.shape[1] == 2 * 4 + 5
-        # per ballot: 3 covering rows + 5 pairs x 2 voter rows (one direction is stated); no triangles
-        assert lp.a_ub.shape[0] == 2 * (3 + 10)
+        # two ballots of 4 distances, plus the 3 b-star pairs 03, 13, 23; 01, 02 and 12 are left out
+        assert lp.meta["pairs"].tolist() == [False, False, True, False, True, True]
+        assert lp.a_ub.shape[1] == 2 * 4 + 3
+        # per ballot: 3 covering rows + 3 pairs x 2 voter rows (one direction is stated); no triangles
+        assert lp.a_ub.shape[0] == 2 * (3 + 6)
         assert lp.objective[0] == 5.0 and lp.objective[4] == 3.0
         assert lp.a_eq[0, 3] == 5.0 and lp.a_eq[0, 7] == 3.0
-        # re-solved with the left-out pair added: 6 pair columns, 2 more voter rows per ballot
+        # re-solved with the left-out pairs added: 6 pair columns, 6 more voter rows per ballot
         full = build_metric_lp(e, 0, 3, pairs=np.ones(6, dtype=bool))
         assert full.a_ub.shape == (2 * (3 + 12), 2 * 4 + 6)
 
@@ -506,9 +508,22 @@ class TestReducedLpMatchesFull:
         assert close(social_cost(w, 2) / social_cost(w, 0), out.value)
 
 
+def _record_programs(monkeypatch) -> list:
+    """The programs ``lp.solve_lp`` is called on from here on, in call order."""
+    real, programs = lp.solve_lp, []
+
+    def record(program):
+        programs.append(program)
+        return real(program)
+
+    monkeypatch.setattr(lp, "solve_lp", record)
+    return programs
+
+
 class TestStarProgram:
-    """``distortion_pair`` solves the a-b star and certifies it against the
-    left-out rows; it agrees with the reference program of ``reference_lp``."""
+    """``distortion_pair`` solves the b-star, the pairs that contain b, and
+    certifies it against the left-out rows; it agrees with the reference
+    program of ``reference_lp``."""
 
     @pytest.mark.parametrize(
         "g",
@@ -530,27 +545,22 @@ class TestStarProgram:
                     assert close(distortion_pair(e, a, b), solve_full(e, a, b).value, TAU_LP)
 
     def test_failing_certificate_resolves(self, monkeypatch):
-        # the star alone gives 4 with the alpha rows; the left-out pairs' rows bring it to the full 3
+        # the b-star alone gives 4.5 with the alpha rows; the left-out pairs' rows bring it to the full 3
         e = Election.from_rankings([(3, 2, 1, 0), (3, 1, 0, 2)], 4)
-        assert close(solve_lp(build_metric_lp(e, 0, 1, alpha=0.5)).value, 4.0, TAU_LP)
+        assert close(solve_lp(build_metric_lp(e, 0, 1, alpha=0.5)).value, 4.5, TAU_LP)
         assert close(solve_full(e, 0, 1, alpha=0.5).value, 3.0, TAU_LP)
-        real, programs = lp.solve_lp, []
-
-        def count(program):
-            programs.append(program)
-            return real(program)
-
-        monkeypatch.setattr(lp, "solve_lp", count)
+        programs = _record_programs(monkeypatch)
         assert close(distortion_pair(e, 0, 1, alpha=0.5), 3.0, TAU_LP)
         assert len(programs) == 2 and programs[1].meta["pairs"].sum() > programs[0].meta["pairs"].sum()
 
     @pytest.mark.parametrize("scale, solves", [(1.01, 2), (0.99, 1)])
     def test_certificate_tolerance(self, monkeypatch, scale, solves):
         # left-out pair {2, 3}: ballot 0 has |d(u,2) - d(u,3)| = 1, ballot 1 has
-        # d(u,2) + d(u,3) = 1 - delta, so the certificate fails by delta; n = 2
+        # d(u,2) + d(u,3) = 1 - delta, so the certificate fails by delta; n = 2.
+        # The other left-out pairs {0, 2} and {0, 3} pass with room to spare.
         e = Election.from_rankings([(0, 1, 2, 3), (3, 2, 1, 0)], 4)
         delta = scale * TAU_LP / e.n
-        x = np.concatenate([[1.0, 1.0, 0.0, 1.0], [1.0, 1.0, (1 - delta) / 2, (1 - delta) / 2], np.ones(5)])
+        x = np.concatenate([[1.0, 1.0, 0.0, 1.0], [1.0, 1.0, (1 - delta) / 2, (1 - delta) / 2], np.ones(3)])
         real, programs = lp.solve_lp, []
 
         def crafted_first(program):
@@ -559,12 +569,30 @@ class TestStarProgram:
 
         monkeypatch.setattr(lp, "solve_lp", crafted_first)
         value = distortion_pair(e, 0, 1)
-        assert programs[0].meta["pairs"].tolist() == [True, True, True, True, True, False]
+        assert programs[0].meta["pairs"].tolist() == [True, False, False, True, True, False]
         assert len(programs) == solves
         if solves == 1:
             assert value == 2.0
         else:
-            assert programs[1].meta["pairs"].all() and close(value, solve_full(e, 0, 1).value, TAU_LP)
+            assert programs[1].meta["pairs"].tolist() == [True, False, False, True, True, True]
+            assert close(value, solve_full(e, 0, 1).value, TAU_LP)
+
+    def test_resolves_on_masked_and_ktop_profiles(self, monkeypatch):
+        # silent voters and short top lists make the b-star certificate fail more often
+        programs = _record_programs(monkeypatch)
+        rng = np.random.default_rng(21)
+        resolved = 0
+        for i in range(6):
+            n, m = int(rng.integers(4, 13)), int(rng.integers(4, 7))
+            e = inst.impartial_culture(n, m, seed=900 + i).election
+            for elec in (mask_voters(e, range(0, n, 3)), truncate_to_ktop(e, int(rng.integers(1, m)))):
+                for a in range(m):
+                    for b in range(m):
+                        if a != b:
+                            before = len(programs)
+                            assert close(distortion_pair(elec, a, b), solve_full(elec, a, b).value, TAU_LP)
+                            resolved += len(programs) - before > 1
+        assert resolved >= 1
 
     def test_witness_fills_left_out_pairs(self, euclidean_corpus):
         g = next(g for g in euclidean_corpus if g.election.m >= 6 and g.election.n <= 40)
