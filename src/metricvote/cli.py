@@ -239,13 +239,18 @@ def _sweep_k_row(task):
 
 
 def cmd_sweep_k(args) -> int:
-    rows = []
     include_ktop = args.mechanism == "minimax+ktop"
+    heads, tasks = [], []
     for real in range(args.trials):
         seed = args.seed + real
         gi = generate("impartial-culture", {"n": args.n, "m": args.m}, seed)
-        tasks = [(gi.election, k, include_ktop) for k in range(1, args.m + 1)]
-        rows += [[real, seed, *row] for row in _pmap(_sweep_k_row, tasks, args.jobs)]
+        heads += [[real, seed]] * args.m
+        tasks += [(gi.election, k, include_ktop) for k in range(1, args.m + 1)]
+    # one pool for every realization; the largest k has the largest LPs, so it goes first
+    order = sorted(range(len(tasks)), key=lambda t: -tasks[t][1])
+    rows = [None] * len(tasks)
+    for t, row in zip(order, _pmap(_sweep_k_row, [tasks[t] for t in order], args.jobs)):
+        rows[t] = heads[t] + row
     columns = ["realization", "seed", "k", "winner", "distortion"]
     if include_ktop:
         columns += ["ktop_winner", "ktop_distortion"]

@@ -229,9 +229,11 @@ class Election:
     arrays of the module docstring directly.
 
     ``listed[i]`` is the length of voter i's ordered top list, 0 when the
-    voter's information did not arrive as a list.  Voters with a total
-    order and no list are canonically annotated with their complete
-    ranking (``listed[i] == m``).
+    voter's information did not arrive as a list.  At m = 1 every ballot,
+    the silent one included, is the total order (0,), so every voter is
+    annotated with it (``listed[i] == 1``).  At m >= 2 a ballot without a
+    list is never total: a line of ``>`` alone is read as a list, and a
+    masked voter is silent.
     """
 
     def __init__(self, *args, **kwargs):
@@ -245,7 +247,7 @@ class Election:
         return e
 
     def _fill(self, n, m, levels, ballot_of, listed) -> None:
-        """Store the read-only arrays, counting ``multiplicity`` and canonicalising ``listed``."""
+        """Store the read-only arrays, counting ``multiplicity``; at m = 1, annotate every voter with its list."""
         levels = np.ascontiguousarray(levels, dtype=np.min_scalar_type(m))
         ballot_of = np.ascontiguousarray(ballot_of, dtype=np.intp)
         multiplicity = np.bincount(ballot_of, minlength=len(levels))
@@ -253,11 +255,8 @@ class Election:
         fields = {"n": n, "m": m, "levels": levels, "multiplicity": multiplicity, "ballot_of": ballot_of}
         for name, value in fields.items():
             object.__setattr__(self, name, value)
-        # canonical annotation for total orders; restrict and truncate_to_ktop pass
-        # entries that are already canonical, so only a 0 needs the check
-        unlisted = listed == 0
-        if unlisted.any():
-            listed[unlisted & self._total[ballot_of]] = m
+        if m == 1:
+            listed[:] = 1
         for arr in (levels, ballot_of, multiplicity, listed):
             arr.setflags(write=False)
         object.__setattr__(self, "listed", listed)

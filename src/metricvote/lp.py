@@ -9,7 +9,10 @@ The program has one block of m voter-candidate distances per distinct
 ballot, a row of ``Election.levels``, in the election's ballot order, and
 one distance y_pq per kept candidate pair, in ``np.triu_indices`` order.
 The pairs kept are the b-star, the m - 1 pairs that contain b, and any
-pairs the certificate below adds.  It emits these rows:
+pairs the certificate below adds.  With ``alpha`` set they are every pair
+from the start: the alpha rows make the b-star's certificate fail on
+nearly every pair, which would solve each pair twice.  It emits these
+rows:
 
 * ``SC(b) = 1`` and the objective ``SC(a)``, each block weighted by
   ``Election.multiplicity``, the number of voters casting its ballot.
@@ -85,13 +88,14 @@ is left to fail.
 One path builds and solves a pair LP: ``solve_pair`` calls
 ``build_metric_lp``, then ``solve_lp`` (through this module's ``linprog``),
 re-checks a reported infeasibility before reading it as +inf, and runs the
-certificate.  ``distortion_pair`` returns its value; callers that need the
-solution vector, as ``extract_pseudometric`` does, call ``solve_pair``.
+certificate.  ``distortion_pair`` returns its value, and raises witness
+floors (below) when given a floor array; callers that need the solution
+vector, as ``extract_pseudometric`` does, call ``solve_pair``.
 
-Two outputs share one set of rules.  ``distortion_table`` solves all
-m(m - 1) pair LPs; ``minimax`` returns only the winner, its value and its
-worst opponent, and solves only the pair LPs that certified bounds
-cannot rule out:
+Two outputs share one set of rules.  ``distortion_table`` solves every
+pair LP that the closed form below does not settle; ``minimax`` returns
+only the winner, its value and its worst opponent, and solves only the
+pair LPs that certified bounds cannot rule out:
 
 * **Bound.** Let c voters state a > b.  Each of them gives
   d(a,b) <= 2 d(i,b) and d(i,a) <= d(i,b); every other voter j has
@@ -106,19 +110,43 @@ cannot rule out:
   the rest, and states no X candidate above a non-X one, so each pair it
   states is at equal distance or puts the nearer candidate first.  So
   this line pseudo-metric is consistent, and with ``far`` voters at 2 and
-  ``mid`` voters at 1 it gives SC(a)/SC(b) = 1 + 2 far/mid.  X = {a} and
-  X = V - {b} give a closed-form lower bound on each candidate's value
-  (``value_floor``).  A candidate is dropped before any LP when its floor
-  times (1 - TAU_LP) is strictly above the least value found so far.
-  With ``alpha`` set the floor is 1: a voter at 1 is as far from its top
-  as from its second choice, which the alpha rows forbid once alpha < 1.
+  ``mid`` voters at 1 it gives SC(a)/SC(b) = 1 + 2 far/mid.  Let s_a count
+  the voters stating a above anything, and t_b those stating nothing above
+  b, silent voters included.  X = {a} has the s_a voters as ``mid`` and
+  gives 1 + 2(n - s_a)/s_a against every b; X = V - {b} has the t_b voters
+  as ``far`` and gives 1 + 2 t_b/(n - t_b) for every a.  Their larger is
+  the pair floor F(a, b) (``pair_floor``), and its row maximum bounds each
+  candidate's value (``value_floor``).  With ``alpha`` set the floor is 1:
+  a voter at 1 is as far from its top as from its second choice, which the
+  alpha rows forbid once alpha < 1.
+* **Closed form.**  F(a, b) <= V(a, b) <= B*(a, b) for the pair value V
+  and ``ratio_bound``'s B*.  So where F(a, b) >= B*(a, b) (1 - TAU_LP), V
+  lies in [F, F / (1 - TAU_LP)], and F(a, b) is taken as the pair's value
+  with no LP (``_settled``), by ``minimax``, ``distortion_of`` and
+  ``distortion_table`` alike, so all three read the same number.  Let c
+  voters state a > b.  If c = s_a then F >= 1 + 2(n - c)/c = B(a, b), and
+  if c = n - t_b likewise, so the pair is settled.  On top-1
+  ballots every voter stating anything states its top above every other
+  candidate, so c = s_a on every pair: no LP is solved, and the value of
+  a is 2n/n_a - 1 for the n_a voters topping a.  Off with ``alpha``.
+* **Witness floors.**  An optimal pair LP's solution is certified, so its
+  voter-candidate distances d extend to a consistent pseudo-metric (see
+  the certificate).  Its social costs sc = ``multiplicity`` @ d give
+  SC(c)/SC(d) <= V(c, d) for every c and d, so max_d sc(c)/sc(d) is a floor
+  on each candidate's value.  ``minimax`` passes its floors to
+  ``distortion_pair``, which raises them in place after each LP.
+  SC(b) = 1 sets the scale, and denominators below TAU_LP are skipped, so
+  rounding in a near-zero cost cannot inflate a ratio.  The witness
+  satisfies the alpha rows, so these floors hold with ``alpha`` set too.
+* **Drop.**  A candidate is dropped, before or during its scan, as soon as
+  the larger of its floor and its running maximum, times (1 - TAU_LP), is
+  strictly above the least value found so far.
 * **Search.** Candidates are visited by ascending largest bound, and each
-  candidate's opponents by descending bound, ties by index.  The scan of a
-  candidate stops once its running maximum is inf, or once the next bound
-  times (1 + TAU_LP), which covers solver noise, is strictly below
-  (``_strictly_less``) the running maximum.  A candidate is dropped as soon
-  as its running maximum times (1 - TAU_LP) is strictly above the least
-  value found so far.
+  candidate's opponents by descending bound, ties by index: a settled pair
+  is read from its closed form, any other solved.  The scan of a candidate
+  stops once its running maximum is inf, or once the next bound times
+  (1 + TAU_LP), which covers solver noise, is strictly below
+  (``_strictly_less``) the running maximum.
 * **Candidate value.** Read the candidate itself (value 1) and then its
   opponents by index; the value is the first of these entries that is not
   strictly below the largest, and the worst opponent is that entry's
@@ -129,10 +157,11 @@ cannot rule out:
 * **Winner.** The smallest candidate c such that the least value is not
   strictly below c's value.
 
-Both rules are functions of the values, not of the visiting order.  A
-skipped opponent is strictly below its row's largest.  A dropped
-candidate, whether by its running maximum or by its floor, is strictly
-above the least value, since its value is at least its floor up to solver
+Both rules are functions of the values, not of the visiting order, and a
+settled pair has one value wherever it is read.  A skipped opponent is
+strictly below its row's largest.  A dropped candidate, whether by its
+running maximum, its two-cluster floor or a witness floor, is strictly
+above the least value, since its value is at least each floor up to solver
 noise.  So neither can change a value, a worst opponent or the winner:
 ``minimax`` agrees with ``distortion_table`` exactly, not only within
 ``TAU_LP``.
@@ -241,8 +270,8 @@ def build_metric_lp(e: Election, a: int, b: int, alpha=None, *, pairs=None) -> L
 
     ``pairs`` is a bool mask over the candidate pairs p < q in
     ``np.triu_indices`` order, naming the pairs that get voter rows and a
-    y column; None gives the b-star, the m - 1 pairs that contain b.  It is
-    kept as ``meta["pairs"]``.
+    y column; None gives the b-star, the m - 1 pairs that contain b, or
+    every pair when ``alpha`` is set.  It is kept as ``meta["pairs"]``.
     """
     from scipy import sparse
 
@@ -259,7 +288,7 @@ def build_metric_lp(e: Election, a: int, b: int, alpha=None, *, pairs=None) -> L
     nbm = nb * m
     pa, pb = np.triu_indices(m, 1)
     if pairs is None:
-        pairs = (pa == b) | (pb == b)
+        pairs = np.full(len(pa), True) if alpha is not None else (pa == b) | (pb == b)
     pa, pb = pa[pairs], pb[pairs]  # the candidate pairs kept, one column each
     ncp = len(pa)
     nvars = nbm + ncp
@@ -356,11 +385,20 @@ def solve_pair(e: Election, a: int, b: int, alpha=None) -> LpOutcome:
         lp = build_metric_lp(e, a, b, alpha=alpha, pairs=lp.meta["pairs"] | left)
 
 
-def distortion_pair(e: Election, a: int, b: int, alpha=None) -> float:
-    """Worst-case SC(a)/SC(b) over consistent metrics; +inf when unbounded."""
+def distortion_pair(e: Election, a: int, b: int, alpha=None, *, floor: np.ndarray | None = None) -> float:
+    """Worst-case SC(a)/SC(b) over consistent metrics; +inf when unbounded.
+
+    ``floor``, an (m,) array of lower bounds on the candidates' values, is
+    raised in place to an optimal solution's witness ratios, max over d of
+    SC(c)/SC(d) for each c, skipping SC(d) < TAU_LP (module docstring).
+    """
     if a == b:
         return 1.0
-    return solve_pair(e, a, b, alpha=alpha).value
+    out = solve_pair(e, a, b, alpha=alpha)
+    if floor is not None and out.status == OPTIMAL:
+        sc = e.multiplicity @ np.maximum(out.x[: len(e.levels) * e.m].reshape(-1, e.m), 0.0)
+        np.maximum(floor, sc / sc[sc >= TAU_LP].min(), out=floor)
+    return out.value
 
 
 def ratio_bound(e: Election) -> np.ndarray:
@@ -388,26 +426,37 @@ def _cluster_ratio(far: np.ndarray, mid: np.ndarray) -> np.ndarray:
     return np.where(mid > 0, 1 + 2 * far / np.where(mid > 0, mid, 1), np.where(far > 0, np.inf, 1.0))
 
 
-def value_floor(e: Election) -> np.ndarray:
-    """Certified lower bounds on every candidate's value (its row maximum), as an (m,) array.
+def pair_floor(e: Election) -> np.ndarray:
+    """Certified lower bounds F(a, b) on every pair LP value without alpha, as an (m, m) array.
 
-    The two-cluster metric of the module docstring with X = {a} has as
-    ``mid`` voters the s_a voters stating a above anything; with
-    X = V - {b}, for any b != a, its ``far`` voters are the t_b voters
-    stating nothing above b, silent voters included.  So the value of a is
-    at least max(1, 1 + 2(n - s_a)/s_a, max over b != a of
-    1 + 2 t_b/(n - t_b)).  With one candidate there is no opponent and the
-    floor is 1.
+    F(a, b) = max(1 + 2(n - s_a)/s_a, 1 + 2 t_b/(n - t_b)), the two
+    two-cluster metrics of the module docstring: s_a counts the voters
+    stating a above anything, and t_b those stating nothing above b,
+    silent voters included.  The diagonal is 1.
     """
-    m = e.m
-    if m < 2:
-        return np.ones(m)
     levels, weight = e.levels, e.multiplicity
     # a ballot states a above something iff a's level is below its highest, and nothing above level 0
     s = weight @ (levels < levels.max(axis=1, keepdims=True))
     t = weight @ (levels == 0)
-    g = np.where(np.eye(m, dtype=bool), 1.0, _cluster_ratio(t, e.n - t))
-    return np.maximum(_cluster_ratio(e.n - s, s), g.max(axis=1))
+    floor = np.maximum(_cluster_ratio(e.n - s, s)[:, None], _cluster_ratio(t, e.n - t))
+    np.fill_diagonal(floor, 1.0)
+    return floor
+
+
+def value_floor(e: Election) -> np.ndarray:
+    """Certified lower bounds on every candidate's value, as an (m,) array:
+    the row maxima of ``pair_floor``, 1 with one candidate."""
+    return pair_floor(e).max(axis=1)
+
+
+def _settled(e: Election, bound: np.ndarray, alpha) -> np.ndarray:
+    """The pair values known without an LP, as an (m, m) array: ``pair_floor``
+    where it is at least ``bound`` narrowed by TAU_LP and ``alpha`` is None
+    (module docstring), NaN elsewhere."""
+    if alpha is not None:
+        return np.full(bound.shape, np.nan)
+    floor = pair_floor(e)
+    return np.where(floor >= bound * (1 - TAU_LP), floor, np.nan)
 
 
 def _strictly_less(x: float, y: float) -> bool:
@@ -432,15 +481,20 @@ def _winner(values: dict[int, float]) -> int:
     return min(c for c, v in values.items() if not _strictly_less(low, v))
 
 
-def _scan(e: Election, a: int, bound: np.ndarray, alpha, cutoff: float = math.inf) -> tuple[float, int] | None:
-    """``_row_value`` of ``a`` from the pair LPs its bounds cannot rule out.
+def _scan(
+    e: Election, a: int, bound: np.ndarray, settled: np.ndarray, floor: np.ndarray, alpha, cutoff: float = math.inf
+) -> tuple[float, int] | None:
+    """``_row_value`` of ``a`` from the pairs its bounds cannot rule out.
 
-    Opponents are solved by descending bound (then index).  The scan stops
-    once the running maximum is inf, or once the next bound, widened by
-    ``TAU_LP`` for solver noise, is strictly below the running maximum: no
-    remaining pair can then come within ``TAU_LP`` of the row's largest.
-    Returns None as soon as the running maximum, narrowed by ``TAU_LP``, is
-    strictly above ``cutoff``: the value of ``a`` is then strictly above it.
+    Opponents are read by descending bound (then index): from ``settled``
+    where it has a value, else by their LP, which raises ``floor`` in
+    place.  The scan stops once the running maximum
+    is inf, or once the next bound, widened by ``TAU_LP`` for solver noise,
+    is strictly below the running maximum: no remaining pair can then come
+    within ``TAU_LP`` of the row's largest.  Returns None, before an LP,
+    once the larger of the running maximum and ``floor[a]``, narrowed by
+    ``TAU_LP``, is strictly above ``cutoff``: the value of ``a`` is then
+    strictly above it.
     """
     solved, top = {}, 1.0
     for b in np.argsort(-bound[a], kind="stable").tolist():
@@ -448,16 +502,19 @@ def _scan(e: Election, a: int, bound: np.ndarray, alpha, cutoff: float = math.in
             continue
         if math.isinf(top) or _strictly_less(bound[a, b] * (1 + TAU_LP), top):
             break
-        solved[b] = distortion_pair(e, a, b, alpha=alpha)
+        solved[b] = float(settled[a, b])
+        if math.isnan(solved[b]):
+            if _strictly_less(cutoff, max(top, floor[a]) * (1 - TAU_LP)):
+                return None
+            solved[b] = distortion_pair(e, a, b, alpha=alpha, floor=floor)
         top = max(top, solved[b])
-        if _strictly_less(cutoff, top * (1 - TAU_LP)):
-            return None
     return _row_value(a, solved)
 
 
 def distortion_of(e: Election, a: int, alpha=None) -> tuple[float, int]:
     """Candidate a's worst-case ratio over all opponents, with the attaining opponent."""
-    return _scan(e, a, ratio_bound(e), alpha)
+    bound = ratio_bound(e)
+    return _scan(e, a, bound, _settled(e, bound, alpha), np.ones(e.m), alpha)
 
 
 @dataclass(frozen=True)
@@ -472,24 +529,24 @@ class MinimaxResult:
 def minimax(e: Election, alpha=None) -> MinimaxResult:
     """Instance-optimal rule: the candidate whose worst-case ratio is least.
 
-    Branch and bound over ``ratio_bound`` and ``value_floor``, as the
-    module docstring sets out: candidates are visited by ascending largest
-    bound; one whose floor is strictly above the least value found so far
-    is dropped with no LP, and one is dropped during its scan as soon as
-    its value must be strictly above it.  The result equals the winner and
-    its entries in ``distortion_table``.  With ``alpha`` set this is the
-    alpha-decisive variant, searched without the floor; ``alpha = 1``
-    coincides with the plain rule.
+    Branch and bound over ``ratio_bound``, the settled pairs and the
+    floors, as the module docstring sets out: candidates are visited by
+    ascending largest bound, and one is dropped, before or during its
+    scan, as soon as its value must be strictly above the least value found
+    so far.  The floors start at ``value_floor`` and each solved LP's
+    witness raises them.  The result equals the winner and its entries in
+    ``distortion_table``.  With ``alpha`` set this is the alpha-decisive
+    variant, searched with witness floors only; ``alpha = 1`` coincides
+    with the plain rule.
     """
     if e.m < 1:
         raise ConfigError("minimax needs at least one candidate")
     bound = ratio_bound(e)
+    settled = _settled(e, bound, alpha)
     floor = value_floor(e) if alpha is None else np.ones(e.m)
     rows, incumbent = {}, math.inf
     for a in np.argsort(bound.max(axis=1), kind="stable").tolist():
-        if _strictly_less(incumbent, floor[a] * (1 - TAU_LP)):
-            continue
-        row = _scan(e, a, bound, alpha, cutoff=incumbent)
+        row = _scan(e, a, bound, settled, floor, alpha, cutoff=incumbent)
         if row is not None:
             rows[a] = row
             incumbent = min(incumbent, row[0])
@@ -520,16 +577,19 @@ class DistortionReport:
 
 
 def distortion_table(e: Election, alpha=None) -> DistortionReport:
-    """Every pair LP value, each candidate's value and worst opponent, and
-    the winner, under the same rules as ``minimax``."""
+    """Every pair value, each candidate's value and worst opponent, and the
+    winner, under the same rules as ``minimax``: settled pairs take their
+    closed form, and every other pair its LP."""
     m = e.m
     if m < 1:
         raise ConfigError("distortion_table needs at least one candidate")
+    settled = _settled(e, ratio_bound(e), alpha)
     values = [[1.0] * m for _ in range(m)]
     for a in range(m):
         for b in range(m):
             if a != b:
-                values[a][b] = distortion_pair(e, a, b, alpha=alpha)
+                v = float(settled[a, b])
+                values[a][b] = distortion_pair(e, a, b, alpha=alpha) if math.isnan(v) else v
     rows = [_row_value(a, {b: v for b, v in enumerate(values[a]) if b != a}) for a in range(m)]
     winner = _winner({a: value for a, (value, _) in enumerate(rows)})
     return DistortionReport(

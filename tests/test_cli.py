@@ -209,6 +209,32 @@ class TestSweeps:
         assert [l for l in texts[1] if l != "# jobs=1"] == [l for l in texts[2] if l != "# jobs=2"]
         assert len(texts[1]) == len(texts[2]) == len([l for l in texts[2] if l != "# jobs=2"]) + 1
 
+    def test_sweep_k_one_pool_for_every_realization(self, tmp_path, monkeypatch):
+        pools, dispatched = [], []
+        real_pool, real_pmap = cli.ProcessPoolExecutor, cli._pmap
+
+        def pool(*args, **kwargs):
+            pools.append(kwargs)
+            return real_pool(*args, **kwargs)
+
+        def pmap(fn, tasks, jobs):
+            dispatched.append([k for _, k, _ in tasks])
+            return real_pmap(fn, tasks, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(cli, "_pmap", pmap)
+        argv = ["sweep-k", "--n", 7, "--m", 3, "--trials", 3, "--seed", 2, "--out"]
+        texts = {}
+        for jobs in (1, 2):
+            out = tmp_path / f"j{jobs}.csv"
+            assert run(argv + [out, "--jobs", jobs]) == 0
+            texts[jobs] = [l for l in out.read_text().splitlines() if not l.startswith("# jobs=")]
+        assert len(pools) == 1
+        assert dispatched == [[3, 3, 3, 2, 2, 2, 1, 1, 1]] * 2  # one map per run, largest k first
+        assert texts[1] == texts[2]
+        rows = [l.split(",") for l in texts[1] if not l.startswith("#")][1:]
+        assert [(r[0], r[1], r[2]) for r in rows] == [(str(t), str(2 + t), str(k)) for t in range(3) for k in range(1, 4)]
+
     def test_sweep_k_final_k_within_three(self, tmp_path):
         out = tmp_path / "k.csv"
         run(["sweep-k", "--n", 8, "--m", 3, "--trials", 1, "--out", out])

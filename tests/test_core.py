@@ -180,10 +180,13 @@ class TestElection:
             Election(*args)
 
     def test_total_orders_get_canonical_annotation(self):
-        # the total order 2 > 1 > 0, stored without a list
-        e = Election._of(1, 3, np.array([[2, 1, 0]]), np.array([0]), [0])
+        # the total order 2 > 1 > 0 written as text is read as its list
+        e = election_of(3, ["2 > 1 > 0"])
         assert e.ktop[0] == (2, 1, 0)
         assert ranking(e, 0) == (2, 1, 0)
+        # at m = 1 every ballot is the total order (0,), a silent one included
+        for one in (election_of(1, [""]), Election.from_ktop([()], 1), mask_voters(Election.from_rankings([(0,)], 1), [0])):
+            assert one.ktop[0] == (0,) and ranking(one, 0) == (0,)
 
     def test_ktop_invariant_pairs(self):
         # listed candidates beat each other in order and all omitted ones
@@ -369,11 +372,19 @@ class TestPerBallotFields:
         assert plurality_counts(e) == tuple(tops.count(c) for c in range(m))
 
     def test_unannotated_total_orders_are_listed_in_full(self):
-        # the total orders 2 > 1 > 0 and 0 > 1 > 2 and a silent ballot, stored without lists
-        rankings = [(2, 1, 0), (0, 1, 2)]
-        e = Election._of(3, 3, np.array([[2, 1, 0], [0, 1, 2], [0, 0, 0]]), np.arange(3), [0, 0, 0])
-        assert e.listed.tolist() == [3, 3, 0]
-        assert e.ktop == (*rankings, None)
+        # at m = 1 the only ballot is total: stored without lists, every voter is listed in full
+        e = Election._of(3, 1, np.array([[0]]), np.zeros(3, dtype=np.intp), [0, 1, 0])
+        assert e.listed.tolist() == [1, 1, 1]
+        assert e.ktop == ((0,),) * 3
+        full = Election.from_rankings([(0,)] * 3, 1)
+        assert e == full and hash(e) == hash(full) and e == election_of(1, ["", "0", ""])
+
+    def test_silent_voters_leave_totality_unread(self):
+        # at m >= 2 a ballot without a list is never total, so building an election does not ask
+        e = Election.from_rankings([(0, 1, 2), (2, 1, 0), (1, 0, 2)], 3)
+        for built in (mask_voters(e, [1]), election_of(3, ["", "0 = 1 > 2", "2 > 0"]), truncate_to_ktop(e, 1)):
+            assert "_total" not in vars(built)
+        assert mask_voters(e, [1]).listed.tolist() == [3, 0, 3]
 
     def test_wait_for_first_use(self):
         fields = {"_top", "_second", "_total"}

@@ -259,7 +259,7 @@ class TestBranchAndBound:
                 if a != b:
                     level = data.draw(st.sampled_from(levels))
                     values[a, b] = min(level * data.draw(factor), bound[a, b] * (1 + TAU_LP))
-        with patch.object(lp, "distortion_pair", lambda e, a, b, alpha=None: values[a, b]):
+        with patch.object(lp, "distortion_pair", lambda e, a, b, alpha=None, floor=None: values[a, b]):
             _assert_minimax_matches_table(e, alpha=0.5)
 
     @given(ballot_elections(), st.data())
@@ -268,8 +268,9 @@ class TestBranchAndBound:
         # without alpha: stand-ins clustered around the bounds and floors, each
         # clamped to [floor (1 - TAU_LP), bound (1 + TAU_LP)] (the bound wins where
         # the two cross), and one per row at least the floor, as the certified
-        # floor and solver noise may leave them
+        # floor and solver noise may leave them; settled pairs keep their closed form
         bound, floor = ratio_bound(e), value_floor(e)
+        settled = lp._settled(e, bound, None)
         levels = sorted({float(x) for x in [*bound.flat, *floor] if math.isfinite(x)}) + [math.inf]
         factor = st.sampled_from(NOISE)
         values = {}
@@ -281,9 +282,11 @@ class TestBranchAndBound:
             if e.m > 1:
                 reach = [b for b in range(e.m) if b != a and floor[a] <= bound[a, b] * (1 + TAU_LP)]
                 assert reach  # the floor is at most the row's largest bound
-                b = data.draw(st.sampled_from(reach))
-                values[a, b] = max(values[a, b], floor[a])
-        with patch.object(lp, "distortion_pair", lambda e, a, b, alpha=None: values[a, b]):
+                # the floor is the largest closed form; when that pair is not settled, it is in reach
+                if not (settled[a] == floor[a]).any():
+                    b = data.draw(st.sampled_from([b for b in reach if math.isnan(settled[a, b])]))
+                    values[a, b] = max(values[a, b], floor[a])
+        with patch.object(lp, "distortion_pair", lambda e, a, b, alpha=None, floor=None: values[a, b]):
             _assert_minimax_matches_table(e)
 
     def test_small_lp_corpus(self, small_lp_corpus):
@@ -328,9 +331,9 @@ class TestBranchAndBound:
     def test_skips_pair_lps(self, monkeypatch):
         calls = []
 
-        def counted(e, a, b, alpha=None):
+        def counted(e, a, b, alpha=None, floor=None):
             calls.append((a, b))
-            return distortion_pair(e, a, b, alpha=alpha)
+            return distortion_pair(e, a, b, alpha=alpha, floor=floor)
 
         monkeypatch.setattr(lp, "distortion_pair", counted)
         e = inst.impartial_culture(40, 7, seed=0).election
@@ -412,8 +415,9 @@ class TestValueFloor:
         }
         bound = np.array([[1.0, 10, 10], [5, 1, 5], [10, 10, 1]])
         monkeypatch.setattr(lp, "ratio_bound", lambda e: bound)
+        monkeypatch.setattr(lp, "pair_floor", lambda e: np.ones((3, 3)))  # no pair is settled
         monkeypatch.setattr(lp, "value_floor", lambda e: np.array([big, 1.0, 10.0]))
-        monkeypatch.setattr(lp, "distortion_pair", lambda e, a, b, alpha=None: values[a, b])
+        monkeypatch.setattr(lp, "distortion_pair", lambda e, a, b, alpha=None, floor=None: values[a, b])
         rep = _assert_minimax_matches_table(Election.from_rankings([(0, 1, 2)], 3))
         assert rep.winner == 0
 
@@ -421,9 +425,9 @@ class TestValueFloor:
         def count_lps(e):
             calls = []
 
-            def counted(e, a, b, alpha=None):
+            def counted(e, a, b, alpha=None, floor=None):
                 calls.append((a, b))
-                return distortion_pair(e, a, b, alpha=alpha)
+                return distortion_pair(e, a, b, alpha=alpha, floor=floor)
 
             with patch.object(lp, "distortion_pair", counted):
                 return minimax(e), len(calls)
@@ -436,8 +440,33 @@ class TestValueFloor:
         assert sum(c for _, c in with_floor) < sum(c for _, c in without)
 
 
-def _assert_matches_full(e, a, b, alpha=None):
-    ref = solve_full(e, a, b, alpha=alpha)
+@pytest.fixture(scope="module")
+def small_lp_variants(small_lp_corpus):
+    """(election, alpha, reference outcome per ordered pair) for each
+    ``small_lp_corpus`` instance, the same with every other voter masked, and,
+    on total orders, with alpha 0.4."""
+    out = []
+    for e in small_lp_corpus:
+        variants = [(e, None), (mask_voters(e, range(1, e.n, 2)), None)]
+        if e.all_total:
+            variants.append((e, 0.4))
+        for elec, alpha in variants:
+            pairs = [(a, b) for a in range(e.m) for b in range(e.m) if a != b]
+            out.append((elec, alpha, {(a, b): solve_full(elec, a, b, alpha=alpha) for a, b in pairs}))
+    return out
+
+
+def _reference_values(e, ref) -> np.ndarray:
+    """Each candidate's value from reference pair outcomes: its row maximum, 1 on the diagonal."""
+    values = np.ones(e.m)
+    for (a, _), out in ref.items():
+        values[a] = max(values[a], out.value)
+    return values
+
+
+def _assert_matches_full(e, a, b, alpha=None, ref=None):
+    if ref is None:
+        ref = solve_full(e, a, b, alpha=alpha)
     assert close(distortion_pair(e, a, b, alpha=alpha), ref.value, TAU_LP)
     if ref.status != OPTIMAL:
         return
@@ -466,16 +495,10 @@ class TestReducedLpMatchesFull:
     ``solve_pair``, is exact: it agrees with the reference program of
     ``reference_lp``."""
 
-    def test_small_lp_corpus(self, small_lp_corpus):
-        for e in small_lp_corpus:
-            variants = [(e, None), (mask_voters(e, range(1, e.n, 2)), None)]
-            if e.all_total:
-                variants.append((e, 0.4))
-            for elec, alpha in variants:
-                for a in range(e.m):
-                    for b in range(e.m):
-                        if a != b:
-                            _assert_matches_full(elec, a, b, alpha)
+    def test_small_lp_corpus(self, small_lp_variants):
+        for elec, alpha, ref in small_lp_variants:
+            for (a, b), out in ref.items():
+                _assert_matches_full(elec, a, b, alpha, out)
 
     def test_reduced_shape(self):
         e = Election.from_rankings([(0, 1, 2, 3)] * 5 + [(3, 2, 1, 0)] * 3, 4)
@@ -506,6 +529,112 @@ class TestReducedLpMatchesFull:
                 if e.prefs[i] == e.prefs[j]:
                     assert (d[i] == d[j]).all()
         assert close(social_cost(w, 2) / social_cost(w, 0), out.value)
+
+
+def _assert_settled_match_full(e, ref=None) -> int:
+    """Every pair ``minimax`` and ``distortion_table`` settle in closed form equals
+    the reference program's value within TAU_LP; returns how many there are."""
+    settled = lp._settled(e, ratio_bound(e), None)
+    count = 0
+    for a in range(e.m):
+        for b in range(e.m):
+            if a != b and not math.isnan(settled[a, b]):
+                want = ref[a, b] if ref is not None else solve_full(e, a, b)
+                assert close(settled[a, b], want.value, TAU_LP)
+                count += 1
+    return count
+
+
+class TestClosedForm:
+    """Where ``pair_floor`` meets ``ratio_bound``, the pair value is the floor, and no LP is solved."""
+
+    def test_small_lp_corpus_with_ktop_and_masked_voters(self, small_lp_variants):
+        settled = sum(_assert_settled_match_full(e, ref) for e, alpha, ref in small_lp_variants if alpha is None)
+        assert settled >= 100
+
+    @given(ballot_elections())
+    @settings(max_examples=60, deadline=None)
+    def test_ballot_elections(self, e):
+        _assert_settled_match_full(e)
+
+    def test_ktop_and_masked_profiles(self):
+        settled = 0
+        for seed in range(3):
+            e = inst.impartial_culture(8, 5, seed=seed).election
+            for k in range(1, 4):
+                top = truncate_to_ktop(e, k)
+                settled += _assert_settled_match_full(top)
+                settled += _assert_settled_match_full(mask_voters(top, range(seed % 3, 8, 3)))
+        assert settled >= 100
+
+    def test_alpha_settles_nothing(self):
+        e = truncate_to_ktop(inst.impartial_culture(6, 4, seed=0).election, 1)
+        assert np.isnan(lp._settled(e, ratio_bound(e), 0.5)).all()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_top_one_minimax_is_plurality_without_an_lp(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 30)), int(rng.integers(2, 8))
+        e = truncate_to_ktop(inst.impartial_culture(n, m, seed=seed).election, 1)
+        quiet = rng.choice(n, size=int(rng.integers(0, n)), replace=False)  # at least one voter keeps a top
+        e = mask_voters(e, quiet.tolist())
+        tops = np.bincount([e.top(i) for i in range(n) if e.top(i) is not None], minlength=m)
+        programs = _record_programs(monkeypatch)
+        got = minimax(e)
+        assert programs == []
+        assert got.winner == int(np.argmax(tops))  # plurality, ties to the smaller index
+        assert close(got.value, 2 * n / tops[got.winner] - 1, 1e-12)
+        rep = distortion_table(e)
+        assert programs == [] and rep.winner == got.winner and rep.per_candidate[got.winner] == got.value
+
+
+class TestWitnessFloors:
+    """``distortion_pair(..., floor=f)`` raises f to the witness ratios of each
+    optimal solution, which never pass a candidate's value."""
+
+    @staticmethod
+    def _raised(e, alpha=None) -> np.ndarray:
+        floor = np.ones(e.m)
+        for a in range(e.m):
+            for b in range(e.m):
+                if a != b:
+                    distortion_pair(e, a, b, alpha=alpha, floor=floor)
+        return floor
+
+    def test_small_lp_corpus_with_masked_voters_and_alpha(self, small_lp_variants):
+        raised = 0
+        for e, alpha, ref in small_lp_variants:
+            floor = self._raised(e, alpha)
+            assert (floor <= _reference_values(e, ref) * (1 + TAU_LP)).all()
+            raised += int((floor > 1).sum())
+        assert raised >= 300
+
+    @pytest.mark.parametrize("alpha", [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)])
+    def test_decisive_instance_with_alpha(self, alpha):
+        e = inst.decisive_instance(alpha).election
+        ref = {(a, b): solve_full(e, a, b, alpha=float(alpha)) for a in range(e.m) for b in range(e.m) if a != b}
+        floor = self._raised(e, float(alpha))
+        assert (floor <= _reference_values(e, ref) * (1 + TAU_LP)).all() and (floor > 1).any()
+
+    def test_drops_a_candidate_the_value_floor_would_scan(self):
+        # value_floor keeps candidates 1 and 2 in the search; the witnesses of
+        # the first LPs lift their floors above the incumbent, so they get no LP
+        e = inst.impartial_culture(8, 4, seed=5).election
+
+        def scanned(witness):
+            calls = []
+
+            def counted(e, a, b, alpha=None, floor=None):
+                calls.append((a, b))
+                return distortion_pair(e, a, b, alpha=alpha, floor=floor if witness else None)
+
+            with patch.object(lp, "distortion_pair", counted):
+                return minimax(e), {a for a, _ in calls}, len(calls)
+
+        with_witness, without = scanned(True), scanned(False)
+        assert with_witness[0] == without[0]
+        assert {1, 2} <= without[1] and not {1, 2} & with_witness[1]
+        assert with_witness[2] < without[2]
 
 
 def _record_programs(monkeypatch) -> list:
@@ -545,13 +674,32 @@ class TestStarProgram:
                     assert close(distortion_pair(e, a, b), solve_full(e, a, b).value, TAU_LP)
 
     def test_failing_certificate_resolves(self, monkeypatch):
-        # the b-star alone gives 4.5 with the alpha rows; the left-out pairs' rows bring it to the full 3
+        # the b-star alone gives 4.5 with the alpha rows and fails the certificate;
+        # the failing pairs' rows bring it to the full 3
         e = Election.from_rankings([(3, 2, 1, 0), (3, 1, 0, 2)], 4)
-        assert close(solve_lp(build_metric_lp(e, 0, 1, alpha=0.5)).value, 4.5, TAU_LP)
-        assert close(solve_full(e, 0, 1, alpha=0.5).value, 3.0, TAU_LP)
+        star = build_metric_lp(e, 0, 1, alpha=0.5, pairs=np.array([True, False, False, True, True, False]))
+        out = solve_lp(star)
+        assert close(out.value, 4.5, TAU_LP)
+        left = lp._uncertified(star, out.x)
+        assert left.any()
+        again = solve_lp(build_metric_lp(e, 0, 1, alpha=0.5, pairs=star.meta["pairs"] | left))
+        assert close(again.value, 3.0, TAU_LP) and close(solve_full(e, 0, 1, alpha=0.5).value, 3.0, TAU_LP)
+        # with alpha set the program starts from every pair: one solve, no certificate to fail
         programs = _record_programs(monkeypatch)
         assert close(distortion_pair(e, 0, 1, alpha=0.5), 3.0, TAU_LP)
-        assert len(programs) == 2 and programs[1].meta["pairs"].sum() > programs[0].meta["pairs"].sum()
+        assert len(programs) == 1 and programs[0].meta["pairs"].all()
+
+    def test_alpha_solves_each_pair_once(self, monkeypatch):
+        programs = _record_programs(monkeypatch)
+        profiles = [(inst.impartial_culture(6, 4, seed=s).election, 0.5) for s in range(3)]
+        profiles.append((inst.decisive_instance(Fraction(1, 3)).election, 1 / 3))
+        for e, alpha in profiles:
+            for a in range(e.m):
+                for b in range(e.m):
+                    if a != b:
+                        before = len(programs)
+                        assert close(distortion_pair(e, a, b, alpha=alpha), solve_full(e, a, b, alpha=alpha).value, TAU_LP)
+                        assert len(programs) == before + 1 and programs[-1].meta["pairs"].all()
 
     @pytest.mark.parametrize("scale, solves", [(1.01, 2), (0.99, 1)])
     def test_certificate_tolerance(self, monkeypatch, scale, solves):
