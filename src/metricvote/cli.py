@@ -279,19 +279,20 @@ def cmd_sweep_missing(args) -> int:
     for eps in grid:
         if not 0 <= eps < 1:
             raise ConfigError(f"epsilon grid entries must be in [0, 1), got {eps}")
-    rows = []
+    heads, tasks = [], []
     for real in range(args.trials):
         seed = args.seed + real
         gi = generate("impartial-culture", {"n": args.n, "m": args.m}, seed)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 1))))
-        tasks = []
         for eps in grid:
             masked_count = math.ceil(eps * args.n)
             masked_idx = sorted(int(i) for i in rng.choice(args.n, size=masked_count, replace=False))
+            heads.append([real, seed])
             tasks.append((gi.election, tuple(masked_idx), eps))
-        results = _pmap(_sweep_missing_row, tasks, args.jobs)
-        for eps_req, masked, eff, winner, dist, envelope in results:
-            rows.append([real, seed, eps_req, masked, eff, winner, _fmt(dist), _fmt(envelope)])
+    # one pool for every realization
+    rows = []
+    for head, (eps_req, masked, eff, winner, dist, envelope) in zip(heads, _pmap(_sweep_missing_row, tasks, args.jobs)):
+        rows.append(head + [eps_req, masked, eff, winner, _fmt(dist), _fmt(envelope)])
     config = ExperimentConfig(
         "sweep-missing",
         {

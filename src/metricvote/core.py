@@ -360,6 +360,14 @@ class Election:
         return counts
 
     @functools.cached_property
+    def _covering(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The covering pairs of every ballot, as index arrays (ballot, p, q):
+        the ballot states p > q and nothing between them.  Every pair LP of
+        the election reads them."""
+        stated = _relation(self.levels)
+        return np.nonzero(stated & ~np.matmul(stated, stated))
+
+    @functools.cached_property
     def ktop(self) -> tuple[tuple[int, ...] | None, ...]:
         """Per-voter top lists read from the levels; None for voters without one."""
         order = self._order.tolist()

@@ -7,7 +7,9 @@ diagonal is implicit.
 
 The program has one block of m voter-candidate distances per distinct
 ballot, a row of ``Election.levels``, in the election's ballot order, and
-one distance y_pq per kept candidate pair, in ``np.triu_indices`` order.
+one distance y_pq per kept candidate pair, in ``np.triu_indices`` order;
+without ``alpha`` the block keeps a column only for the distances that
+the two rules under **Dominated distances** do not substitute.
 The pairs kept are the b-star, the m - 1 pairs that contain b, and any
 pairs the certificate below adds.  With ``alpha`` set they are every pair
 from the start: the alpha rows make the b-star's certificate fail on
@@ -85,6 +87,53 @@ is left to fail.
   min_u (d(u,p) + d(u,q)), the largest y_pq the certificate allows, so the
   closure keeps every solved voter-candidate distance, up to the tolerance.
 
+**Dominated distances.**  Without ``alpha``, ``build_metric_lp``
+substitutes two kinds of voter-candidate distances before the solve
+(``_columns``), for any kept pair set.  Each rule maps every feasible point
+to one that obeys it, keeps every row and does not lower SC(a); so the
+substituted program has the same status and value, and its optimum, lifted
+back to full ballot blocks (``LinearProgram.lift``, applied by
+``solve_lp``), is an optimum of the program over the kept pairs.  The
+certificate, the witness floors and ``extract_pseudometric`` read that
+lifted vector, and the unboundedness argument above holds as it stands.
+
+* **Rule 1, above b.**  Take a ballot u on which b's level is b's alone,
+  as in total orders and in top lists that list b.  Raise d(u,p) to d(u,b)
+  for every p it states above b; ordering rows give d(u,p) <= d(u,b), so
+  this raises them.  Every other candidate q is b or stated below b, so
+  d(u,q) >= d(u,b).  A covering row from a raised p reaches a raised
+  candidate or b, since b is alone at its level, and reads
+  d(u,b) <= d(u,b); the other ordering rows do not change.  Each
+  |d(u,p) - d(u,q)| shrinks: to 0 when both are raised, to
+  d(u,q) - d(u,b) <= d(u,q) - d(u,p) when only p is.  So the rows
+  d(u,p) <= d(u,q) + y_pq hold; the rows y_pq <= d(u,p) + d(u,q) only gain
+  on the right; SC(b) is unchanged and SC(a) does not fall.  So all of
+  them read b's column.  With b tied at its level, a covering row from p
+  above b to a candidate tied with b would need d(u,b) <= d(u,q), which no
+  row gives, so the rule is off for that ballot.
+* **Rule 2, bottom candidates.**  Take a candidate q other than a and b
+  that ballot u states above nothing, whose only kept pair is {b, q}.
+  d(u,q) has a positive coefficient in one row only,
+  d(u,q) <= d(u,b) + y_bq, which is kept since q > b is not stated: it is
+  in neither SC(a) nor SC(b), on the right of its covering rows, and
+  negative in the pair's other two rows.  Raising d(u,q) to
+  d(u,b) + y_bq keeps every row and the objective, so d(u,q) reads b's
+  column plus y_bq.  A candidate above b states something, so the two
+  rules move disjoint distances; Rule 2 leaves d(u,b) as it is, so Rule 1,
+  then Rule 2, maps an optimum to one that obeys both.  A pair the
+  certificate adds turns Rule 2 off for its two candidates.
+* **Rows.**  After the substitution a row with no positive coefficient is
+  dropped: with b_ub = 0 and x >= 0 it always holds.  These are the
+  ordering and ``d(u,p) <= d(u,q) + y_pq`` rows whose two distances read
+  one column (0 <= 0, -y <= 0 or -2 y <= 0), and the rows
+  y_bq <= d(u,b) + d(u,q) of a Rule 2 candidate (-2 d(u,b) <= 0).  Every
+  other row keeps a positive coefficient: on y_pq, or on the distance it
+  bounds.  A y_pq <= d(u,p) + d(u,q) row whose distances both read b's
+  column becomes y_pq <= 2 d(u,b).
+* **Alpha.**  Raising distances can break d(u,top) <= alpha d(u,second),
+  so with ``alpha`` set both rules are off and every distance keeps its
+  column.
+
 One path builds and solves a pair LP: ``solve_pair`` calls
 ``build_metric_lp``, then ``solve_lp`` (through this module's ``linprog``),
 re-checks a reported infeasibility before reading it as +inf, and runs the
@@ -122,7 +171,7 @@ pair LPs that certified bounds cannot rule out:
 * **Closed form.**  F(a, b) <= V(a, b) <= B*(a, b) for the pair value V
   and ``ratio_bound``'s B*.  So where F(a, b) >= B*(a, b) (1 - TAU_LP), V
   lies in [F, F / (1 - TAU_LP)], and F(a, b) is taken as the pair's value
-  with no LP (``_settled``), by ``minimax``, ``distortion_of`` and
+  with no LP (``_floors``), by ``minimax``, ``distortion_of`` and
   ``distortion_table`` alike, so all three read the same number.  Let c
   voters state a > b.  If c = s_a then F >= 1 + 2(n - c)/c = B(a, b), and
   if c = n - t_b likewise, so the pair is settled.  On top-1
@@ -172,13 +221,15 @@ imports ``scipy.sparse`` and ``linprog`` imports the solver when called.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .core import Election, MetricWitness, _relation, _shortest_paths
+from .core import Election, MetricWitness, _shortest_paths
 from .errors import ConfigError, SolverFailureError
 
 if TYPE_CHECKING:
@@ -202,12 +253,16 @@ class LinearProgram:
     a_eq: sparse.csr_matrix | None
     b_eq: np.ndarray | None
     meta: dict[str, Any] = field(default_factory=dict)
+    #: None when the columns are the full layout; else a (2, full length)
+    #: index array into the solution with one 0 appended, whose two picks
+    #: add up to each entry of the full layout (``build_metric_lp``)
+    lift: np.ndarray | None = None
 
 
 @dataclass
 class LpOutcome:
     """A solved LP: its status and value, and ``x``, the optimal solution
-    vector in the program's column order (None unless optimal)."""
+    vector in the program's full layout, ``lift`` applied (None unless optimal)."""
 
     status: str
     value: float
@@ -230,7 +285,8 @@ def linprog(*args, **kwargs):
 
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:
-    """Solve via HiGHS; unboundedness is detected and reported as +inf."""
+    """Solve via HiGHS; unboundedness is detected and reported as +inf, and
+    an optimal solution is returned in the full layout (``lift``)."""
     res = linprog(
         -lp.objective,
         A_ub=lp.a_ub,
@@ -241,7 +297,8 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
         method="highs",
     )
     if res.status == 0:
-        return LpOutcome(OPTIMAL, -float(res.fun), res.x, lp)
+        x = res.x if lp.lift is None else np.append(res.x, 0.0)[lp.lift].sum(axis=0)
+        return LpOutcome(OPTIMAL, -float(res.fun), x, lp)
     if res.status == 3:
         return LpOutcome(UNBOUNDED, math.inf, None, lp)
     if res.status == 2:
@@ -264,6 +321,35 @@ def _alpha_rows(e: Election, alpha) -> tuple[np.ndarray, np.ndarray]:
     return e._top, e._second
 
 
+@functools.cache
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate pairs p < q, as read-only ``np.triu_indices(m, 1)``."""
+    pa, pb = np.triu_indices(m, 1)
+    pa.setflags(write=False)
+    pb.setflags(write=False)
+    return pa, pb
+
+
+def _columns(levels: np.ndarray, a: int, b: int, degree: np.ndarray, partner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rules 1 and 2 of the module docstring, per ballot: the column each
+    distance d(u,c) reads, numbered in ballot order, and ``sink``, the
+    distances that also add y_bc.  The candidates a ballot states above b,
+    when b is alone at its level, read b's column; so does each candidate c
+    other than a and b that it states above nothing, if {b, c} is c's only
+    kept pair, which then adds y_bc.  ``degree`` counts each candidate's
+    kept pairs, and ``partner`` lists the c of the kept pairs {b, c}."""
+    nb, m = levels.shape
+    at_b = levels[:, b : b + 1]
+    above = (levels < at_b) & ((levels == at_b).sum(axis=1) == 1)[:, None]
+    lone = np.zeros(m, dtype=bool)
+    lone[partner] = degree[partner] == 1
+    lone[a] = False
+    sink = (levels == levels.max(axis=1, keepdims=True)) & lone
+    own = ~(above | sink)
+    index = np.cumsum(own.ravel(), dtype=np.int32).reshape(nb, m) - 1
+    return np.where(own, index, index[:, b : b + 1]), sink
+
+
 def build_metric_lp(e: Election, a: int, b: int, alpha=None, *, pairs=None) -> LinearProgram:
     """The reduced program of the pair (a, b): its value is the worst
     consistent cost ratio of a against b once ``solve_pair`` has certified it.
@@ -279,70 +365,89 @@ def build_metric_lp(e: Election, a: int, b: int, alpha=None, *, pairs=None) -> L
         raise ConfigError("build_metric_lp needs distinct candidates")
     n, m = e.n, e.m
 
-    # one block of m distances per distinct ballot
-    stated = _relation(e.levels)
-    nb = len(stated)
+    # one block of distances per distinct ballot
+    levels = e.levels
+    nb = len(levels)
     weight = e.multiplicity.astype(float)
-    covering = stated & ~np.matmul(stated, stated)
 
-    nbm = nb * m
-    pa, pb = np.triu_indices(m, 1)
+    pa, pb = _pairs(m)
     if pairs is None:
         pairs = np.full(len(pa), True) if alpha is not None else (pa == b) | (pb == b)
     pa, pb = pa[pairs], pb[pairs]  # the candidate pairs kept, one column each
     ncp = len(pa)
-    nvars = nbm + ncp
+    with_b = (pa == b) | (pb == b)
+    partner = (pa + pb - b)[with_b]  # c of each kept pair {b, c}
+    if alpha is None:
+        col, sink = _columns(levels, a, b, np.bincount(np.concatenate([pa, pb]), minlength=m), partner)
+    else:
+        col, sink = np.arange(nb * m, dtype=np.int32).reshape(nb, m), np.zeros((nb, m), dtype=bool)
+    nd = int(col.max()) + 1
+    nvars = nd + ncp
+    y = np.arange(nd, nvars, dtype=np.int32)  # the pair columns, and y_bc's per candidate c
+    y_b = np.zeros(m, dtype=np.int32)
+    y_b[partner] = y[with_b]
 
     obj = np.zeros(nvars)
-    obj[np.arange(nb) * m + a] = weight
+    obj[col[:, a]] = weight
 
-    row_parts, col_parts, val_parts = [], [], []
-    nrows = 0
+    blocks = []  # groups of rows in row order, as (columns, coefficients) arrays with one row per LP row
 
-    def emit(*terms):
-        """Append one row per index of the column arrays; each term is (cols, coefficient)."""
-        nonlocal nrows
-        r = len(terms[0][0])
-        ids = np.arange(nrows, nrows + r)
-        for cols, val in terms:
-            row_parts.append(ids)
-            col_parts.append(cols)
-            val_parts.append(np.broadcast_to(np.asarray(val, dtype=float), (r,)))
-        nrows += r
+    def emit(coefficients, *cols):
+        """Append one row per index of the column arrays, with these coefficients on its columns."""
+        block = np.stack(cols, axis=1)
+        blocks.append((block, np.repeat(np.array([coefficients]), len(block), axis=0)))
 
-    u, p, q = np.nonzero(covering)
-    emit((u * m + p, 1.0), (u * m + q, -1.0))
+    # a covering row whose two distances read one column is 0 <= 0 or -y_bq <= 0
+    u, p, q = e._covering
+    cp, cq = col[u, p], col[u, q]
+    kept = cp != cq
+    low = sink[u, q] & kept  # d(u,q) = d(u,b) + y_bq
+    kept &= ~low
+    emit((1.0, -1.0), cp[kept], cq[kept])
+    emit((1.0, -1.0, -1.0), cp[low], cq[low], y_b[q[low]])
     if alpha is not None:
         top, second = _alpha_rows(e, alpha)
-        base = np.arange(nb) * m
-        emit((base + top, 1.0), (base + second, -float(alpha)))
+        ballots = np.arange(nb)
+        emit((1.0, -float(alpha)), col[ballots, top], col[ballots, second])
 
-    # voter/candidate-pair triangle rows; d(u,p) <= d(u,q) + y_pq is implied when p > q is stated
+    # voter/candidate-pair triangle rows; d(u,p) <= d(u,q) + y_pq is implied when p > q is stated,
+    # and every row left without a positive coefficient is dropped
+    ca, cb = col[:, pa], col[:, pb]
+    apart = ca != cb
+    near = ~(sink[:, pa] | sink[:, pb])
     triangle = (
-        (~stated[:, pa, pb], (1.0, -1.0, -1.0)),
-        (~stated[:, pb, pa], (-1.0, 1.0, -1.0)),
-        (np.ones((nb, ncp), dtype=bool), (-1.0, -1.0, 1.0)),
+        ((levels[:, pa] >= levels[:, pb]) & apart, (1.0, -1.0, -1.0)),
+        ((levels[:, pb] >= levels[:, pa]) & apart, (-1.0, 1.0, -1.0)),
+        (near & apart, (-1.0, -1.0, 1.0)),
     )
-    for keep, (sp, sq, sy) in triangle:
+    for keep, coefficients in triangle:
         u, k = np.nonzero(keep)
-        emit((u * m + pa[k], sp), (u * m + pb[k], sq), (nbm + k, sy))
+        emit(coefficients, ca[u, k], cb[u, k], y[k])
+    u, k = np.nonzero(near & ~apart)  # y_pq <= 2 d(u,b)
+    emit((-2.0, 1.0), ca[u, k], y[k])
 
+    sizes = [len(c) for c, _ in blocks]
+    indptr = np.zeros(sum(sizes) + 1, dtype=np.int32)
+    np.cumsum(np.repeat(np.array([c.shape[1] for c, _ in blocks], dtype=np.int32), sizes), out=indptr[1:])
     a_ub = sparse.csr_matrix(
-        (np.concatenate(val_parts), (np.concatenate(row_parts), np.concatenate(col_parts))),
-        shape=(nrows, nvars),
+        (np.concatenate([v.ravel() for _, v in blocks]), np.concatenate([c.ravel() for c, _ in blocks]), indptr),
+        shape=(len(indptr) - 1, nvars),
     )
-    b_ub = np.zeros(nrows)
+    b_ub = np.zeros(a_ub.shape[0])
 
-    a_eq = sparse.csr_matrix(
-        (weight, (np.zeros(nb, dtype=np.int64), np.arange(nb) * m + b)), shape=(1, nvars)
-    )
+    a_eq = sparse.csr_matrix((weight, col[:, b], np.array([0, nb], dtype=np.int32)), shape=(1, nvars))
     b_eq = np.ones(1)
 
+    # the full layout, ballot blocks then y: d(u,c) is x[col] plus, for a sink, y_bc (index nvars is the padded 0)
+    lift = None
+    if alpha is None:
+        plus = np.where(sink, y_b, nvars)
+        lift = np.stack([np.concatenate([col.ravel(), y]), np.concatenate([plus.ravel(), np.full(ncp, nvars)])])
     meta = {
         "kind": "metric", "n": n, "m": m, "a": a, "b": b, "alpha": alpha,
         "ballots": nb, "ballot_of": e.ballot_of, "pairs": pairs,
     }
-    return LinearProgram(obj, a_ub, b_ub, a_eq, b_eq, meta)
+    return LinearProgram(obj, a_ub, b_ub, a_eq, b_eq, meta, lift)
 
 
 def _uncertified(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
@@ -354,7 +459,7 @@ def _uncertified(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
     meta = lp.meta
     m = meta["m"]
     d = x[: meta["ballots"] * m].reshape(-1, m)
-    pa, pb = np.triu_indices(m, 1)
+    pa, pb = _pairs(m)
     gap = np.abs(d[:, pa] - d[:, pb]).max(axis=0) - (d[:, pa] + d[:, pb]).min(axis=0)
     return ~meta["pairs"] & (gap > TAU_LP / meta["n"])
 
@@ -373,7 +478,7 @@ def solve_pair(e: Election, a: int, b: int, alpha=None) -> LpOutcome:
     while True:
         out = solve_lp(lp)
         if out.status == INFEASIBLE:
-            probe = LinearProgram(np.zeros_like(lp.objective), lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq, lp.meta)
+            probe = dataclasses.replace(lp, objective=np.zeros_like(lp.objective))
             if solve_lp(probe).status == OPTIMAL:
                 return LpOutcome(UNBOUNDED, math.inf, None, lp)
             raise SolverFailureError(f"metric LP reported infeasible for pair ({a}, {b})")
@@ -449,14 +554,16 @@ def value_floor(e: Election) -> np.ndarray:
     return pair_floor(e).max(axis=1)
 
 
-def _settled(e: Election, bound: np.ndarray, alpha) -> np.ndarray:
-    """The pair values known without an LP, as an (m, m) array: ``pair_floor``
-    where it is at least ``bound`` narrowed by TAU_LP and ``alpha`` is None
-    (module docstring), NaN elsewhere."""
+def _floors(e: Election, bound: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """The pair values known without an LP and the candidates' value floors,
+    both from one ``pair_floor`` table (module docstring): the (m, m) table
+    where it is at least ``bound`` narrowed by TAU_LP, NaN elsewhere, and its
+    row maxima, as ``value_floor`` gives them.  With ``alpha`` set no pair is
+    settled and every floor is 1."""
     if alpha is not None:
-        return np.full(bound.shape, np.nan)
+        return np.full(bound.shape, np.nan), np.ones(e.m)
     floor = pair_floor(e)
-    return np.where(floor >= bound * (1 - TAU_LP), floor, np.nan)
+    return np.where(floor >= bound * (1 - TAU_LP), floor, np.nan), floor.max(axis=1)
 
 
 def _strictly_less(x: float, y: float) -> bool:
@@ -514,7 +621,7 @@ def _scan(
 def distortion_of(e: Election, a: int, alpha=None) -> tuple[float, int]:
     """Candidate a's worst-case ratio over all opponents, with the attaining opponent."""
     bound = ratio_bound(e)
-    return _scan(e, a, bound, _settled(e, bound, alpha), np.ones(e.m), alpha)
+    return _scan(e, a, bound, *_floors(e, bound, alpha), alpha)
 
 
 @dataclass(frozen=True)
@@ -542,8 +649,7 @@ def minimax(e: Election, alpha=None) -> MinimaxResult:
     if e.m < 1:
         raise ConfigError("minimax needs at least one candidate")
     bound = ratio_bound(e)
-    settled = _settled(e, bound, alpha)
-    floor = value_floor(e) if alpha is None else np.ones(e.m)
+    settled, floor = _floors(e, bound, alpha)
     rows, incumbent = {}, math.inf
     for a in np.argsort(bound.max(axis=1), kind="stable").tolist():
         row = _scan(e, a, bound, settled, floor, alpha, cutoff=incumbent)
@@ -583,7 +689,7 @@ def distortion_table(e: Election, alpha=None) -> DistortionReport:
     m = e.m
     if m < 1:
         raise ConfigError("distortion_table needs at least one candidate")
-    settled = _settled(e, ratio_bound(e), alpha)
+    settled, _ = _floors(e, ratio_bound(e), alpha)
     values = [[1.0] * m for _ in range(m)]
     for a in range(m):
         for b in range(m):
@@ -622,7 +728,7 @@ def extract_pseudometric(outcome: LpOutcome) -> MetricWitness:
     np.fill_diagonal(d, 0.0)
     d[:n, n:] = x[:nbm].reshape(-1, m)[ballot_of]
     d[n:, :n] = d[:n, n:].T
-    pa, pb = (k[meta["pairs"]] for k in np.triu_indices(m, 1))
+    pa, pb = (k[meta["pairs"]] for k in _pairs(m))
     d[n:, n:][pa, pb] = d[n:, n:][pb, pa] = x[nbm:]
     d[:n, :n][ballot_of[:, None] == ballot_of[None, :]] = 0.0
     _shortest_paths(d)

@@ -3,7 +3,8 @@
 ``metricvote.lp.build_metric_lp`` merges identical ballots, keeps only the
 covering ordering rows, drops implied triangle rows and, without alpha,
 keeps voter rows only for the candidate pairs containing b, which
-``lp.solve_pair`` certifies against the rows left out.  This module keeps
+``lp.solve_pair`` certifies against the rows left out, and substitutes the
+distances that its module docstring proves dominated.  This module keeps
 the unreduced program, with one variable per pair of points (voters
 0..n-1, candidates n..n+m-1) and the three triangle rows of every point
 triple, so the tests can check the reduced program against it.  It is

@@ -250,6 +250,32 @@ class TestSweeps:
         assert float(rows[-1][7]) == 3.0  # eps = 0 envelope
 
 
+    def test_sweep_missing_one_pool_for_every_realization(self, tmp_path, monkeypatch):
+        pools, dispatched = [], []
+        real_pool, real_pmap = cli.ProcessPoolExecutor, cli._pmap
+
+        def pool(*args, **kwargs):
+            pools.append(kwargs)
+            return real_pool(*args, **kwargs)
+
+        def pmap(fn, tasks, jobs):
+            dispatched.append([eps for _, _, eps in tasks])
+            return real_pmap(fn, tasks, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(cli, "_pmap", pmap)
+        argv = ["sweep-missing", "--n", 12, "--m", 4, "--trials", 3, "--seed", 5, "--epsilon-grid", "0.25,0.5", "--out"]
+        texts = {}
+        for jobs in (1, 2):
+            out = tmp_path / f"j{jobs}.csv"
+            assert run(argv + [out, "--jobs", jobs]) == 0
+            texts[jobs] = [l for l in out.read_text().splitlines() if not l.startswith("# jobs=")]
+        assert len(pools) == 1
+        assert dispatched == [[0.25, 0.5] * 3] * 2  # one map per run
+        assert texts[1] == texts[2]
+        rows = [l.split(",") for l in texts[1] if not l.startswith("#")][1:]
+        assert [(r[0], r[1], r[2]) for r in rows] == [(str(t), str(5 + t), e) for t in range(3) for e in ("0.25", "0.5")]
+
     def test_sweep_missing_bad_grid_is_config_error(self, tmp_path, capsys):
         args = ["sweep-missing", "--n", 10, "--m", 3, "--trials", 1, "--epsilon-grid", "0.5,abc"]
         assert run(args + ["--out", tmp_path / "m.csv"]) == 2

@@ -270,7 +270,7 @@ class TestBranchAndBound:
         # the two cross), and one per row at least the floor, as the certified
         # floor and solver noise may leave them; settled pairs keep their closed form
         bound, floor = ratio_bound(e), value_floor(e)
-        settled = lp._settled(e, bound, None)
+        settled, _ = lp._floors(e, bound, None)
         levels = sorted({float(x) for x in [*bound.flat, *floor] if math.isfinite(x)}) + [math.inf]
         factor = st.sampled_from(NOISE)
         values = {}
@@ -403,6 +403,22 @@ class TestValueFloor:
             e = gi.election
             assert (value_floor(e) <= ratio_bound(e).max(axis=1) * (1 + TAU_LP)).all()
 
+    def test_minimax_builds_one_floor_table(self, monkeypatch):
+        # the settled pairs and the candidates' floors come from one pair_floor table
+        real, calls = lp.pair_floor, []
+
+        def counted(e):
+            calls.append(e)
+            return real(e)
+
+        monkeypatch.setattr(lp, "pair_floor", counted)
+        e = truncate_to_ktop(inst.impartial_culture(12, 5, seed=3).election, 2)
+        bound = ratio_bound(e)
+        settled, floor = lp._floors(e, bound, None)
+        assert np.array_equal(floor, value_floor(e)) and len(calls) == 2
+        minimax(e)
+        assert len(calls) == 3
+
     def test_floor_drop_keeps_the_noise_margin(self, monkeypatch):
         # candidate 1 is visited first with value L; candidate 0's floor F is
         # 1.5 TAU_LP above L, but its value, read off a near-tie, is within
@@ -415,8 +431,8 @@ class TestValueFloor:
         }
         bound = np.array([[1.0, 10, 10], [5, 1, 5], [10, 10, 1]])
         monkeypatch.setattr(lp, "ratio_bound", lambda e: bound)
-        monkeypatch.setattr(lp, "pair_floor", lambda e: np.ones((3, 3)))  # no pair is settled
-        monkeypatch.setattr(lp, "value_floor", lambda e: np.array([big, 1.0, 10.0]))
+        # no pair is settled, and the candidates' floors are F, 1 and 10
+        monkeypatch.setattr(lp, "_floors", lambda e, bound, alpha: (np.full((3, 3), np.nan), np.array([big, 1.0, 10.0])))
         monkeypatch.setattr(lp, "distortion_pair", lambda e, a, b, alpha=None, floor=None: values[a, b])
         rep = _assert_minimax_matches_table(Election.from_rankings([(0, 1, 2)], 3))
         assert rep.winner == 0
@@ -434,7 +450,8 @@ class TestValueFloor:
 
         e0 = inst.impartial_culture(20, 5, seed=0).election
         with_floor = [count_lps(truncate_to_ktop(e0, k)) for k in range(1, 5)]
-        monkeypatch.setattr(lp, "value_floor", lambda e: np.ones(e.m))
+        real = lp._floors
+        monkeypatch.setattr(lp, "_floors", lambda e, bound, alpha: (real(e, bound, alpha)[0], np.ones(e.m)))
         without = [count_lps(truncate_to_ktop(e0, k)) for k in range(1, 5)]
         assert [r for r, _ in with_floor] == [r for r, _ in without]
         assert sum(c for _, c in with_floor) < sum(c for _, c in without)
@@ -503,16 +520,20 @@ class TestReducedLpMatchesFull:
     def test_reduced_shape(self):
         e = Election.from_rankings([(0, 1, 2, 3)] * 5 + [(3, 2, 1, 0)] * 3, 4)
         lp = build_metric_lp(e, 0, 3)
-        # two ballots of 4 distances, plus the 3 b-star pairs 03, 13, 23; 01, 02 and 12 are left out
+        # the 3 b-star pairs 03, 13, 23; 01, 02 and 12 are left out
         assert lp.meta["pairs"].tolist() == [False, False, True, False, True, True]
-        assert lp.a_ub.shape[1] == 2 * 4 + 3
-        # per ballot: 3 covering rows + 3 pairs x 2 voter rows (one direction is stated); no triangles
-        assert lp.a_ub.shape[0] == 2 * (3 + 6)
-        assert lp.objective[0] == 5.0 and lp.objective[4] == 3.0
-        assert lp.a_eq[0, 3] == 5.0 and lp.a_eq[0, 7] == 3.0
-        # re-solved with the left-out pairs added: 6 pair columns, 6 more voter rows per ballot
+        # ballot 0 states 0, 1 and 2 above b = 3 (Rule 1), so its block is d(u,3) alone;
+        # ballot 1 keeps its 4 distances (a = 0 is its bottom candidate, so Rule 2 skips it)
+        assert lp.a_ub.shape[1] == 1 + 4 + 3
+        # ballot 0: one row y <= 2 d(u,3) per pair, its other rows read one column twice;
+        # ballot 1: 3 covering rows + 3 pairs x 2 voter rows (one direction is stated); no triangles
+        assert lp.a_ub.shape[0] == 3 + (3 + 6)
+        assert lp.objective[0] == 5.0 and lp.objective[1] == 3.0
+        assert lp.a_eq[0, 0] == 5.0 and lp.a_eq[0, 4] == 3.0
+        # re-solved with the left-out pairs added: 6 pair columns, and per added pair
+        # one more row for ballot 0 and two for ballot 1
         full = build_metric_lp(e, 0, 3, pairs=np.ones(6, dtype=bool))
-        assert full.a_ub.shape == (2 * (3 + 12), 2 * 4 + 6)
+        assert full.a_ub.shape == (6 + (3 + 12), 1 + 4 + 6)
 
     def test_witness_expands_merged_ballots(self):
         rankings = [(0, 1, 2), (2, 1, 0), (0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 1, 2)]
@@ -534,7 +555,7 @@ class TestReducedLpMatchesFull:
 def _assert_settled_match_full(e, ref=None) -> int:
     """Every pair ``minimax`` and ``distortion_table`` settle in closed form equals
     the reference program's value within TAU_LP; returns how many there are."""
-    settled = lp._settled(e, ratio_bound(e), None)
+    settled, _ = lp._floors(e, ratio_bound(e), None)
     count = 0
     for a in range(e.m):
         for b in range(e.m):
@@ -569,7 +590,7 @@ class TestClosedForm:
 
     def test_alpha_settles_nothing(self):
         e = truncate_to_ktop(inst.impartial_culture(6, 4, seed=0).election, 1)
-        assert np.isnan(lp._settled(e, ratio_bound(e), 0.5)).all()
+        assert np.isnan(lp._floors(e, ratio_bound(e), 0.5)[0]).all()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_top_one_minimax_is_plurality_without_an_lp(self, monkeypatch, seed):
@@ -726,20 +747,23 @@ class TestStarProgram:
             assert close(value, solve_full(e, 0, 1).value, TAU_LP)
 
     def test_resolves_on_masked_and_ktop_profiles(self, monkeypatch):
-        # silent voters and short top lists make the b-star certificate fail more often
+        # a tie at b's level keeps Rule 1 off for that ballot; with silent voters and
+        # top lists these profiles still fail the b-star certificate on some pairs
         programs = _record_programs(monkeypatch)
-        rng = np.random.default_rng(21)
+        profiles = [
+            (6, ["3 > 2 > 4 > 0 > 5 = 1", "0 > 1 > 5 = 3 > 4 = 2", "5 > 2 = 0 > 4 = 3 = 1"]),
+            (6, ["", "", "", "3 > 2 = 4 > 5 > 1 > 0", "2 > 1 > 0 > 3", "3 = 2 = 1 > 4 > 0 = 5"]),
+            (5, ["3 > 0 > 1", "4", "1 > 0 > 3 > 2 > 4", "4 > 1 > 3 = 0 = 2", "0 = 1 > 2 > 4 > 3", ""]),
+        ]
         resolved = 0
-        for i in range(6):
-            n, m = int(rng.integers(4, 13)), int(rng.integers(4, 7))
-            e = inst.impartial_culture(n, m, seed=900 + i).election
-            for elec in (mask_voters(e, range(0, n, 3)), truncate_to_ktop(e, int(rng.integers(1, m)))):
-                for a in range(m):
-                    for b in range(m):
-                        if a != b:
-                            before = len(programs)
-                            assert close(distortion_pair(elec, a, b), solve_full(elec, a, b).value, TAU_LP)
-                            resolved += len(programs) - before > 1
+        for m, lines in profiles:
+            elec = election_of(m, lines)
+            for a in range(m):
+                for b in range(m):
+                    if a != b:
+                        before = len(programs)
+                        assert close(distortion_pair(elec, a, b), solve_full(elec, a, b).value, TAU_LP)
+                        resolved += len(programs) - before > 1
         assert resolved >= 1
 
     def test_witness_fills_left_out_pairs(self, euclidean_corpus):
@@ -763,3 +787,107 @@ class TestReducedLpProperty:
                 if a == b:
                     continue
                 assert close(distortion_pair(e, a, b), solve_full(e, a, b).value, TAU_LP)
+
+
+def _unreduced():
+    """``build_metric_lp`` with Rules 1 and 2 off: every distance reads its own column."""
+    return patch.object(lp, "_columns", lambda levels, a, b, pa, pb: (np.arange(levels.size).reshape(levels.shape), np.zeros(levels.shape, dtype=bool)))
+
+
+def _reads_b(program, m):
+    """Per ballot, the candidates whose distance reads b's column: (alone, plus y_bc)."""
+    b = program.meta["b"]
+    col, plus = (side[: program.meta["ballots"] * m].reshape(-1, m) for side in program.lift)
+    padded = len(program.objective)
+    same = col == col[:, b : b + 1]
+    return [
+        (set(np.flatnonzero(s & (p == padded)).tolist()) - {b}, set(np.flatnonzero(s & (p < padded)).tolist()))
+        for s, p in zip(same, plus)
+    ]
+
+
+def _assert_dominated(e, a, b, pairs=None):
+    """The program's optimum, lifted to the full layout, is feasible for the
+    program with both rules off over the same pairs and has the same value."""
+    reduced = build_metric_lp(e, a, b, pairs=pairs)
+    with _unreduced():
+        full = build_metric_lp(e, a, b, pairs=pairs)
+    assert len(full.objective) >= len(reduced.objective)
+    assert full.a_ub.shape[0] >= reduced.a_ub.shape[0]
+    out, want = solve_lp(reduced), solve_lp(full)
+    assert out.status == want.status
+    if out.status != OPTIMAL:
+        return
+    assert close(out.value, want.value, TAU_LP)
+    x = out.x
+    assert len(x) == len(full.objective) and close(full.objective @ x, out.value, TAU_LP)
+    assert (full.a_ub @ x <= 1e-7).all() and np.allclose(full.a_eq @ x, 1.0)
+
+
+class TestDominatedDistances:
+    """Rules 1 and 2 of ``lp``'s docstring: distances a ballot states above a
+    b alone at its level read b's column, and bottom candidates whose only
+    kept pair is {b, q} read d(u,b) + y_bq.  Both hold for any kept pair set
+    and are off with alpha set."""
+
+    # a top list that lists b = 2, one that leaves it out, a tie at b's level, a silent voter, a total order
+    LINES = ["1 > 2 > 3", "1 > 3", "3 = 2 > 1 > 0 = 4", "", "4 > 3 > 2 > 1 > 0"]
+
+    @given(ballot_elections())
+    @settings(max_examples=40, deadline=None)
+    def test_ballot_elections(self, e):
+        for a in range(e.m):
+            for b in range(e.m):
+                if a != b:
+                    out, ref = solve_pair(e, a, b), solve_full(e, a, b)
+                    assert out.status == ref.status and close(out.value, ref.value, TAU_LP)
+                    _assert_dominated(e, a, b)
+
+    def test_top_lists_ties_and_silent_voters(self):
+        e = election_of(5, self.LINES)
+        program = build_metric_lp(e, 0, 2)
+        assert _reads_b(program, 5) == [
+            ({1}, {4}),  # a top list that lists b: 1 is above b; 4 is a bottom candidate (0 is a)
+            (set(), {4}),  # a top list that leaves b out: b shares its level, so Rule 1 is off
+            (set(), {4}),  # a tie at b's level: Rule 1 is off
+            (set(), {1, 3, 4}),  # a silent voter: every candidate but a and b is at the bottom
+            ({3, 4}, set()),  # a total order: its bottom candidate is a
+        ]
+        for a in range(5):
+            for b in range(5):
+                if a != b:
+                    out, ref = solve_pair(e, a, b), solve_full(e, a, b)
+                    assert out.status == ref.status and close(out.value, ref.value, TAU_LP)
+                    _assert_dominated(e, a, b)
+
+    def test_certificate_added_pairs_turn_rule_two_off(self):
+        e = election_of(5, self.LINES)
+        pa, pb = np.triu_indices(5, 1)
+        star = (pa == 2) | (pb == 2)
+        added = star | ((pa == 3) & (pb == 4))  # the pair {3, 4}, as the certificate adds it
+        assert _reads_b(build_metric_lp(e, 0, 2, pairs=added), 5) == [
+            ({1}, set()), (set(), set()), (set(), set()), (set(), {1}), ({3, 4}, set())
+        ]
+        for extra in range(len(pa)):
+            pairs = star.copy()
+            pairs[extra] = True
+            _assert_dominated(e, 0, 2, pairs)
+            _assert_dominated(e, 3, 2, pairs)
+        for seed in range(3):
+            g = inst.impartial_culture(7, 5, seed=seed).election
+            for elec in (mask_voters(g, [0, 3]), truncate_to_ktop(g, 2)):
+                _assert_dominated(elec, 1, 0, np.ones(len(pa), dtype=bool))
+                _assert_dominated(elec, 4, 2, star | ((pa == 0) & (pb == 1)))
+
+    def test_alpha_program_keeps_every_distance(self):
+        e = Election.from_rankings([(0, 1, 2, 3), (3, 1, 0, 2), (0, 1, 2, 3), (2, 3, 1, 0)], 4)
+        for alpha in (0.0, 0.5, 1.0):
+            program = build_metric_lp(e, 0, 1, alpha=alpha)
+            with _unreduced():
+                plain = build_metric_lp(e, 0, 1, pairs=np.ones(6, dtype=bool))
+            assert program.lift is None and program.meta["pairs"].all()
+            # the alpha rows, one per ballot, follow the covering rows; the rest is the plain program
+            ncover = len(e._covering[0])
+            rows = np.r_[0:ncover, ncover + len(e.levels) : program.a_ub.shape[0]]
+            assert (program.a_ub[rows] != plain.a_ub).nnz == 0
+            assert np.array_equal(program.objective, plain.objective) and (program.a_eq != plain.a_eq).nnz == 0
