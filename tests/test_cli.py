@@ -172,6 +172,25 @@ class TestEval:
         assert exc.value.code == 2
 
 
+class TestGoldenOutputs:
+    """LP-valued CLI outputs against files recorded at an earlier commit, byte
+    for byte: an intended change to the numbers shows up as a fixture diff."""
+
+    @pytest.mark.parametrize(
+        "argv, fixture",
+        [
+            (["sweep-k", "--n", 40, "--m", 7, "--trials", 2, "--jobs", 1, "--seed", 16], "golden-sweep-k.csv"),
+            (["eval", "--generator", "impartial-culture", "--params", "n=12,m=5", "--seed", 3, "--format", "json"],
+             "golden-eval.json"),
+        ],
+        ids=["sweep-k", "eval"],
+    )
+    def test_reproduces_recorded_output(self, tmp_path, argv, fixture):
+        out = tmp_path / fixture
+        assert run(argv + ["--out", out]) == 0
+        assert out.read_bytes() == (FIXTURES / fixture).read_bytes()
+
+
 class TestSweeps:
     def test_sweep_k_rows_and_reproducibility(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,8 +1,12 @@
 """Pair LPs, Minimax, the alpha-decisive variant, and witness extraction."""
 
+import ast
 import dataclasses
+import functools
 import math
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import numpy as np
@@ -44,19 +48,95 @@ def close(x, y, tol=1e-6):
     return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
 
 
+def _bits(v) -> bytes | None:
+    return None if v is None else np.asarray(v, dtype=float).tobytes()
+
+
+def _record_solves(monkeypatch) -> list:
+    """The ``(args, result)`` of each ``lp.linprog`` call from here on, as a tracer bound there sees them."""
+    real, calls = lp.linprog, []
+
+    def record(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(lp, "linprog", record)
+    return calls
+
+
+def _assert_scipy_solves_alike(calls) -> None:
+    """Each recorded solve equals ``scipy.optimize.linprog(method="highs")``'s bit
+    for bit: status, objective, solution vector and simplex iterations."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    assert calls
+    for (c, a_ub, b_ub, a_eq, b_eq), got in calls:
+        want = scipy_linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+        assert (got.status, got.nit) == (want.status, want.nit)
+        assert _bits(got.fun) == _bits(want.fun) and _bits(got.x) == _bits(want.x)
+
+
+def _solve_as_scipy(monkeypatch, program) -> LpOutcome:
+    calls = _record_solves(monkeypatch)
+    out = solve_lp(program)
+    assert len(calls) == 1
+    _assert_scipy_solves_alike(calls)
+    return out
+
+
+def _stub_highs(monkeypatch, **methods) -> None:
+    """Make HiGHS's solver answer each call in ``methods`` with
+    ``methods[name](real solver, *args)``, and every other call as it would."""
+    from scipy.optimize._highspy import _core
+
+    real = _core._Highs
+
+    class Stub:
+        def __init__(self):
+            self._real = real()
+
+        def __getattr__(self, name):
+            if name in methods:
+                return functools.partial(methods[name], self._real)
+            return getattr(self._real, name)
+
+    monkeypatch.setattr(_core, "_Highs", Stub)
+
+
 class TestSolver:
-    def test_bounded(self):
+    """Each shape of program is solved as ``scipy.optimize.linprog`` solves it."""
+
+    def test_bounded(self, monkeypatch):
         lp = from_rows(["x"], {"x": 1.0}, ub_rows=[({"x": 1.0}, 1.0)])
-        out = solve_lp(lp)
+        out = _solve_as_scipy(monkeypatch, lp)
         assert out.status == OPTIMAL and close(out.value, 1.0)
 
-    def test_unbounded(self):
-        out = solve_lp(from_rows(["x"], {"x": 1.0}))
+    def test_unbounded(self, monkeypatch):
+        # no rows at all
+        out = _solve_as_scipy(monkeypatch, from_rows(["x"], {"x": 1.0}))
         assert out.status == UNBOUNDED and out.value == math.inf
 
-    def test_infeasible(self):
+    def test_infeasible(self, monkeypatch):
         lp = from_rows(["x"], {}, ub_rows=[({"x": 1.0}, -1.0)])
-        assert solve_lp(lp).status == INFEASIBLE
+        assert _solve_as_scipy(monkeypatch, lp).status == INFEASIBLE
+
+    @pytest.mark.parametrize(
+        "program, status",
+        [
+            (from_rows(["x", "y"], {}), OPTIMAL),
+            (from_rows(["x", "y"], {"x": 1.0, "y": 2.0}, eq_rows=[({"x": 1.0, "y": 1.0}, 1.0)]), OPTIMAL),
+            (from_rows(["x", "y"], {"x": 1.0}, eq_rows=[({"x": 1.0, "y": -1.0}, 1.0)]), UNBOUNDED),
+            (from_rows(["x"], {"x": 1.0}, ub_rows=[({"x": 1.0}, 1.0)], eq_rows=[({"x": 1.0}, 2.0)]), INFEASIBLE),
+        ],
+        ids=["no-rows-zero-objective", "eq-only", "eq-only-unbounded", "infeasible-eq"],
+    )
+    def test_more_shapes(self, monkeypatch, program, status):
+        assert _solve_as_scipy(monkeypatch, program).status == status
+
+    def test_solves_silently(self, capfd):
+        # HiGHS logs to the console unless told not to
+        solve_lp(build_metric_lp(inst.impartial_culture(8, 4, seed=0).election, 0, 1))
+        assert capfd.readouterr() == ("", "")
 
     def test_infeasible_metric_lp_is_solver_failure(self, monkeypatch):
         # the re-check finds no feasible point either, so this is no unbounded pair LP
@@ -77,6 +157,97 @@ class TestSolver:
 
         monkeypatch.setattr(lp, "solve_lp", report_infeasible_first)
         assert distortion_pair(e, 0, 1) == math.inf and statuses == [OPTIMAL, OPTIMAL]
+
+
+class TestResultCheck:
+    """``lp.linprog`` reads HiGHS's answer as ``scipy.optimize.linprog`` does:
+    its status codes, and its tolerance check on an optimal solution."""
+
+    PROGRAM = from_rows(["x", "y"], {"x": 1.0}, ub_rows=[({"x": 1.0, "y": 1.0}, 1.0)], eq_rows=[({"y": 1.0}, 0.5)])
+    TOL = 10 * math.sqrt(1e-9)
+
+    @staticmethod
+    def _moved(rows=(0.0, 0.0), cols=(0.0, 0.0)):
+        """A ``getSolution`` that shifts the real solution's row and column values."""
+
+        def get_solution(real):
+            sol = real.getSolution()
+            return SimpleNamespace(
+                col_value=list(np.add(sol.col_value, cols)), row_value=list(np.add(sol.row_value, rows))
+            )
+
+        return get_solution
+
+    def test_real_solution(self):
+        out = solve_lp(self.PROGRAM)
+        assert out.status == OPTIMAL and out.value == 0.5 and out.x.tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [((2 * TOL, 0.0), (0.0, 0.0)), ((0.0, 2 * TOL), (0.0, 0.0)), ((0.0, -2 * TOL), (0.0, 0.0)),
+         ((0.0, 0.0), (-0.5 - 2 * TOL, 0.0)), ((0.0, 0.0), (math.nan, 0.0))],
+        ids=["ub-row-over", "eq-row-over", "eq-row-under", "x-negative", "x-nan"],
+    )
+    def test_violated_optimum_is_solver_failure(self, monkeypatch, rows, cols):
+        _stub_highs(monkeypatch, getSolution=self._moved(rows, cols))
+        with pytest.raises(SolverFailureError, match="status 4"):
+            solve_lp(self.PROGRAM)
+
+    def test_violation_within_tolerance_is_optimal(self, monkeypatch):
+        _stub_highs(monkeypatch, getSolution=self._moved((self.TOL / 2, -self.TOL / 2)))
+        assert solve_lp(self.PROGRAM).status == OPTIMAL
+
+    @pytest.mark.parametrize("status", ["kUnboundedOrInfeasible", "kSolveError", "kNotset"])
+    def test_unknown_model_status_is_solver_failure(self, monkeypatch, status):
+        from scipy.optimize._highspy import _core
+
+        _stub_highs(monkeypatch, getModelStatus=lambda real: getattr(_core.HighsModelStatus, status))
+        with pytest.raises(SolverFailureError, match="status 4"):
+            solve_lp(self.PROGRAM)
+
+    def test_model_error_reads_as_infeasible(self, monkeypatch):
+        from scipy.optimize._highspy import _core
+
+        _stub_highs(monkeypatch, passModel=lambda real, model: _core.HighsStatus.kError)
+        assert solve_lp(self.PROGRAM).status == INFEASIBLE
+
+    def test_src_never_calls_scipy_linprog(self):
+        # lp.linprog is the one HiGHS call site; it does not go through scipy.optimize.linprog
+        for path in sorted(Path(lp.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+                    assert "linprog" not in {alias.name for alias in node.names}, path.name
+                if isinstance(node, ast.Attribute) and node.attr in {"linprog", "_linprog", "_linprog_highs"}:
+                    assert ast.unparse(node.value) not in {"scipy.optimize", "optimize"}, path.name
+
+
+class TestSameSolveAsScipy:
+    """Every program ``solve_lp`` sees is solved exactly as ``scipy.optimize.linprog(method="highs")`` solves it."""
+
+    def test_small_lp_variants(self, monkeypatch, small_lp_variants):
+        # every b-star program and re-solve, with and without alpha, and the reference
+        # program of the pair (0, 1), the largest programs here (about 600 rows)
+        calls = _record_solves(monkeypatch)
+        for elec, alpha, ref in small_lp_variants:
+            for (a, b), full in ref.items():
+                solve_pair(elec, a, b, alpha=alpha)
+                if (a, b) == (0, 1):
+                    solve_lp(full.program)
+        assert len(calls) >= 2000
+        _assert_scipy_solves_alike(calls)
+
+    @given(ballot_elections())
+    @settings(max_examples=30, deadline=None)
+    def test_ballot_elections(self, e):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = _record_solves(monkeypatch)
+            for a in range(e.m):
+                for b in range(e.m):
+                    if a != b:
+                        solve_pair(e, a, b)
+                        solve_lp(build_full(e, a, b))
+            if calls:
+                _assert_scipy_solves_alike(calls)
 
 
 class TestMetricLpConstruction:
