@@ -39,9 +39,9 @@ start from are cached once as ``Election.pair_counts``.
 
 Large electorates are read and counted a block of voters or ballots at a
 time (``_BLOCK``): rankings given as lists are read as bytes, and their
-levels, the pair counts and the matching tables of
-``mechanisms._matched_by_cut`` are built block by block, so no int64 or
-float64 temporary holds one entry per voter and candidate.
+levels, the pair counts and the subset tables of ``_subset_counts`` are
+built block by block, so no int64 or float64 temporary holds one entry per
+voter and candidate.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ TAU_METRIC = 1e-9
 
 #: Entries per block in the loops over a (voter or ballot, candidate) table:
 #: ``_levels_from_rankings``, ``Election.pair_counts`` and
-#: ``mechanisms._matched_by_cut`` take ``_BLOCK // m`` rows at a time.  Their
+#: ``_subset_counts`` take ``_BLOCK // m`` rows at a time.  Their
 #: int64 and float64 temporaries then hold 2**16 entries, 0.5 MiB, whatever
 #: the electorate's size, where whole-table ones took 80 MB each at 10**6
 #: voters and 10 candidates.
@@ -74,6 +74,41 @@ def _blocks(rows: int, m: int, least: int = 1) -> Iterator[slice]:
     """Consecutive slices covering ``range(rows)``, ``max(_BLOCK // m, least)`` rows each."""
     step = max(_BLOCK // m, least)
     return (slice(lo, lo + step) for lo in range(0, rows, step))
+
+
+def _subset_counts(e: Election, above: bool = False, base: np.ndarray | None = None) -> np.ndarray:
+    """Per candidate r and candidate set K, the number of voters whose key
+    for r lies inside K, as an (m, 2**m) int64 table indexed by K's bit mask.
+
+    A ballot's key for r is an m-bit mask with bit r set, and bit c set when
+    the ballot states r above c, or, with ``above``, c above r.  Every row
+    starts from ``base``, int64 values per set (zeros when None), the voter
+    count of every key is added a block of ballots at a time (see
+    ``_BLOCK``), and a subset-sum (zeta) transform over the m bits turns
+    the table into the counts plus the subset sums of ``base``, in place.
+    The counts are float sums of multiplicities, exact below 2**53, as in
+    ``Election.pair_counts``.
+    """
+    m = e.m
+    bit = 1 << np.arange(m)
+    key_type = np.min_scalar_type((1 << m) - 1)
+    table = np.empty((m, 1 << m), dtype=np.int64)
+    table[:] = 0 if base is None else base
+    # a block holds at least 2**m ballots, so its m bincounts cost no more than its keys
+    for block in _blocks(len(e.levels), m, least=1 << m):
+        columns = np.ascontiguousarray(e.levels[block].T)
+        keys = np.empty(columns.shape, dtype=key_type)
+        keys[:] = bit[:, None]
+        for c in range(m):
+            keys += ((columns > columns[c]) if above else (columns < columns[c])) * key_type.type(bit[c])
+        weight = e.multiplicity[block].astype(np.float64)
+        for row, key in zip(table, keys):
+            row += np.bincount(key, weights=weight, minlength=1 << m).astype(np.int64)
+    flat = table.reshape(-1)
+    for b in range(m):
+        pairs = flat.reshape(-1, 2, 1 << b)
+        pairs[:, 1] += pairs[:, 0]
+    return table
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:

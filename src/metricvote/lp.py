@@ -70,8 +70,11 @@ is left to fail.
   the full value.  The shift can break alpha rows; with alpha set the
   tolerance is the same, below the 1e-7 feasibility tolerance HiGHS allows
   on the rows it did solve.
-* **Unboundedness agrees.**  ``ratio_bound``'s proof uses only rows of the
-  pair {a, b}, which the b-star keeps, so it bounds every program solved.
+* **Unboundedness agrees.**  ``ratio_bound``'s two proofs (**Bound**
+  below) use only ordering rows and rows of pairs that contain b: B those
+  of the pair {a, b}, and R, like B, those of the pairs {b, c}, c = a
+  included, as d(i,c) <= d(i,b) + y_bc <= d(i,b) + d(j,b) + d(j,c).  The
+  b-star keeps all of these, so both bound every program solved.
   If the full program is unbounded, so is each relaxation.  If a solved
   program is unbounded, some feasible point of its homogeneous rows has
   SC(b) = 0 < SC(a).  Every weight is positive, so d(u,b) = 0 on every
@@ -154,8 +157,29 @@ pair LPs that certified bounds cannot rule out:
   d(a,b) <= 2 d(i,b) and d(i,a) <= d(i,b); every other voter j has
   d(j,a) <= d(j,b) + d(a,b).  So the pair LP value is at most
   B(a,b) = 1 + 2(n - c)/c, where n counts silent voters too (inf when
-  c = 0).  Closing B under products along paths keeps it a bound
-  (``ratio_bound``).  B is attained, e.g. 3 on one voter each way.
+  c = 0).  B is attained, e.g. 3 on one voter each way.  The routed bound
+  R(a, b) is Kempe's path argument (AAAI 2020) along the domination graph
+  of Gkatzelis, Halpern and Shah (FOCS 2020).  Per ballot u let
+  D_u(a) = {a} + {c : u states a > c} and U_u(b) = {b} + {c : u states
+  c > b}.  For a voter i that does not state a > b, a voter j and a
+  candidate c in both D_i(a) and U_j(b),
+  d(i,a) <= d(i,c) <= d(i,b) + d(b,j) + d(j,c) <= d(i,b) + 2 d(j,b).
+  Route each such i fractionally to such voters j, with at most L voters'
+  worth of load on any one j; a voter stating a > b has
+  d(i,a) <= d(i,b) as it is.  Summed, SC(a) <= (1 + 2L) SC(b).  The
+  least L is the largest in(C, a) / hit(C, b) over the candidate sets C
+  with a in C and b not in it, where in(C, a) counts the voters u with
+  D_u(a) inside C and hit(C, b) those with U_u(b) meeting C: by
+  fractional Hall (max-flow equals min-cut) a routing with load L exists
+  iff every set X of sources reaches at least |X| / L voters.  The
+  in(C, a) sources whose D lies inside C reach only the hit(C, b) voters
+  whose U meets C; and any X reaches exactly the hit(C, b) voters of its
+  C, the union of its D's, which holds a and not b, with
+  in(C, a) >= |X|.  So R(a, b) = 1 + 2 max_C in / hit, inf where
+  hit = 0 < in.  Routing every source evenly to the c voters stating
+  a > b (through c = a) gives back B, so R <= B.  ``ratio_bound`` takes
+  the smaller of the two and closes it under products along paths, which
+  keeps it a bound.
 * **Floor.** Put a set X of candidates containing a but not b at point 0
   and the rest at point 2, each voter stating some p in X above some q
   outside X at 1, and every other voter at 2.  A voter at 1 is equally far
@@ -236,7 +260,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .core import Election, MetricWitness, _shortest_paths
+from .core import Election, MetricWitness, _shortest_paths, _subset_counts
 from .errors import ConfigError, SolverFailureError
 
 if TYPE_CHECKING:
@@ -312,8 +336,10 @@ def linprog(c, a_ub, b_ub, a_eq, b_eq) -> HighsResult:
     3.5 ms here, 81% of it in ``run()`` (min of 5, 2-vCPU VM).  The wrapper
     built an options manager for each option, restacked the rows into
     column order and read the basis back one column at a time.  Here the
-    CSR rows of ``a_ub`` and ``a_eq`` are passed row-wise as they are, with
-    one fresh solver per call.  Either matrix may be None, for no rows.
+    CSR rows of ``a_ub`` and ``a_eq`` are passed row-wise as they are, as
+    arrays in one ``passModel`` call, with one fresh solver per call (one
+    solver reused across calls measured no faster).  Either matrix may be
+    None, for no rows.
 
     SciPy is imported on the first call, not with this module: it takes more
     time and memory than importing the rest of the package, NumPy included,
@@ -334,20 +360,9 @@ def linprog(c, a_ub, b_ub, a_eq, b_eq) -> HighsResult:
             upper.append(rhs)
     row_lower = np.concatenate([np.zeros(0), *lower])
     row_upper = np.concatenate([np.zeros(0), *upper])
-    nrow = len(row_upper)
-
-    model = highspy.HighsLp()
-    model.num_col_, model.num_row_ = ncol, nrow
-    model.col_cost_ = c
-    model.col_lower_ = np.zeros(ncol)
-    model.col_upper_ = np.full(ncol, inf)
-    model.row_lower_, model.row_upper_ = row_lower, row_upper
-    matrix = model.a_matrix_
-    matrix.format_ = highspy.MatrixFormat.kRowwise
-    matrix.num_col_, matrix.num_row_ = ncol, nrow
-    matrix.start_ = np.concatenate(start)
-    matrix.index_ = np.concatenate([np.zeros(0, dtype=np.int32), *index])
-    matrix.value_ = np.concatenate([np.zeros(0), *value])
+    start = np.concatenate(start)
+    index = np.concatenate([np.zeros(0, dtype=np.int32), *index])
+    value = np.concatenate([np.zeros(0), *value])
 
     solver = highspy._Highs()
     solver.setOptionValue("presolve", "on")
@@ -357,7 +372,14 @@ def linprog(c, a_ub, b_ub, a_eq, b_eq) -> HighsResult:
     solver.setOptionValue("simplex_strategy", int(highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual))
 
     model_status = highspy.HighsModelStatus
-    if solver.passModel(model) == highspy.HighsStatus.kError:
+    # the model as arrays: row r starts at start[r], without the trailing nnz, and integrality
+    # is one 0 (continuous) per column, since an empty array makes passModel fail
+    passed = solver.passModel(
+        ncol, len(row_upper), len(index), highspy.MatrixFormat.kRowwise, highspy.ObjSense.kMinimize, 0.0,
+        c, np.zeros(ncol), np.full(ncol, inf), row_lower, row_upper, start[:-1], index, value,
+        np.zeros(ncol, dtype=np.int32),
+    )
+    if passed == highspy.HighsStatus.kError:
         return HighsResult(2, solver.modelStatusToString(model_status.kModelError))
     ran = solver.run() != highspy.HighsStatus.kError
     status = solver.getModelStatus()
@@ -600,20 +622,51 @@ def distortion_pair(e: Election, a: int, b: int, alpha=None, *, floor: np.ndarra
     return out.value
 
 
+#: ``ratio_bound`` computes the routed bound R up to this many candidates:
+#: it costs O(m**2 2**m) time, and its two (m, 2**m) tables take 8 MB each
+#: at m = 16.
+_ROUTED_MAX_M = 16
+
+
+def _routed_bound(e: Election) -> np.ndarray:
+    """The routed bound R(a, b) = 1 + 2 max_C in(C, a) / hit(C, b) of the
+    module docstring, as an (m, m) array, over the sets C containing a but
+    not b (inf where hit = 0 < in).  in(., a) is row a of the subset counts
+    of the keys D_u(a); hit(C, b) is n minus the subset count of the keys
+    U_u(b) at the complement of C, which reverses the table's columns."""
+    m = e.m
+    inside = _subset_counts(e)
+    hit = _subset_counts(e, above=True)[:, ::-1]
+    np.subtract(e.n, hit, out=hit)
+    routed = np.empty((m, m))
+    for b in range(m):
+        # the sets without b; in(C, a) = 0 unless a is in C
+        count = inside.reshape(m, -1, 2, 1 << b)[:, :, 0]
+        reach = hit[b].reshape(-1, 2, 1 << b)[:, 0]
+        load = (count / np.maximum(reach, 1)).max(axis=(1, 2))
+        load[((count > 0) & (reach == 0)).any(axis=(1, 2))] = np.inf
+        routed[:, b] = 1 + 2 * load
+    return routed
+
+
 def ratio_bound(e: Election) -> np.ndarray:
     """Certified upper bounds B*(a, b) on every pair LP value, as an (m, m) array.
 
-    Let the set S of c voters state a > b.  Each i in S has
-    d(a,b) <= d(i,a) + d(i,b) <= 2 d(i,b), so d(a,b) <= 2 SC(b) / c, and
-    d(i,a) <= d(i,b); every other voter j has d(j,a) <= d(j,b) + d(a,b).
-    Hence SC(a) <= SC(b) + (n - c) d(a,b) <= (1 + 2(n - c)/c) SC(b), with n
-    counting silent voters too; the bound is inf where c = 0.  Ratios
-    multiply along paths, so the min-product closure (a Floyd-Warshall over
-    log B) is a bound as well.  The diagonal is 1.
+    The smaller of the two bounds of the module docstring (**Bound**): the
+    direct count B(a, b) = 1 + 2(n - c)/c for the c voters stating a > b,
+    n counting silent voters too, inf where c = 0; and the routed bound
+    R(a, b) <= B(a, b) (``_routed_bound``), computed up to
+    ``_ROUTED_MAX_M`` candidates only, and only with at least one voter
+    (with none, every ratio is 0/0 and B's inf stands).  Above the limit
+    this is B alone.  Ratios multiply along paths, so the min-product
+    closure (a Floyd-Warshall over log B) is a bound as well.  The diagonal
+    is 1.
     """
     counts = e.pair_counts
     stated = counts > 0
     bound = np.where(stated, 1 + 2 * (e.n - counts) / np.where(stated, counts, 1), np.inf)
+    if 0 < e.n and e.m <= _ROUTED_MAX_M:
+        np.minimum(bound, _routed_bound(e), out=bound)
     np.fill_diagonal(bound, 1.0)
     for k in range(e.m):
         np.minimum(bound, bound[:, k : k + 1] * bound[k : k + 1, :], out=bound)

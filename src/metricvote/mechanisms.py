@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Election, Transcript, _blocks, _first_appearance, _pair_counts, _row_keys, plurality_counts
+from .core import Election, Transcript, _first_appearance, _pair_counts, _row_keys, _subset_counts, plurality_counts
 from .errors import ConfigError, CoverageError, TheoremFalsificationError
 
 
@@ -359,33 +359,14 @@ def _matched_by_cut(e: Election, capacities: Sequence[int]) -> np.ndarray:
     F_a(K) counts the voters whose neighbourhood in a's domination graph
     lies inside K (see :func:`phi_scores`).  Each neighbourhood is an m-bit
     key: bit c is set when the ballot states a > c, and bit a always is.
-    Per focal candidate, one table over the 2**m subsets starts from the
-    singleton capacities, the voter count of every key is subtracted a
-    block of ballots at a time, and a subset-sum (zeta) transform over the
-    m bits turns it into cap(K) - F_a(K) in place.  The counts are float
-    sums of multiplicities, exact below 2**53, as in
-    :attr:`Election.pair_counts`.
+    :func:`core._subset_counts` gives F_a(K) - cap(K) for every a and K at
+    once, in exact int64: cap(K), the sum of the clipped capacities in K, is
+    the subset sum of the capacities placed, negated, at the one-candidate
+    sets.
     """
-    m = e.m
-    bit = 1 << np.arange(m)
-    key_type = np.min_scalar_type((1 << m) - 1)
-    table = np.zeros((m, 1 << m), dtype=np.int64)
-    table[:, bit] = _clipped(capacities, e.n)
-    # a block holds at least 2**m ballots, so its m bincounts cost no more than its keys
-    for block in _blocks(len(e.levels), m, least=1 << m):
-        columns = np.ascontiguousarray(e.levels[block].T)
-        keys = np.empty(columns.shape, dtype=key_type)
-        keys[:] = bit[:, None]
-        for c in range(m):
-            keys += (columns < columns[c]) * key_type.type(bit[c])
-        weight = e.multiplicity[block].astype(np.float64)
-        for row, key in zip(table, keys):
-            row -= np.bincount(key, weights=weight, minlength=1 << m).astype(np.int64)
-    flat = table.reshape(-1)
-    for b in range(m):
-        pairs = flat.reshape(-1, 2, 1 << b)
-        pairs[:, 1] += pairs[:, 0]
-    return e.n + table.min(axis=1)
+    base = np.zeros(1 << e.m, dtype=np.int64)
+    base[1 << np.arange(e.m)] = -_clipped(capacities, e.n)
+    return e.n - _subset_counts(e, base=base).max(axis=1)
 
 
 def _matched_by_flow(e: Election, capacities: Sequence[int]) -> np.ndarray:

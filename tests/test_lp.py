@@ -208,7 +208,7 @@ class TestResultCheck:
     def test_model_error_reads_as_infeasible(self, monkeypatch):
         from scipy.optimize._highspy import _core
 
-        _stub_highs(monkeypatch, passModel=lambda real, model: _core.HighsStatus.kError)
+        _stub_highs(monkeypatch, passModel=lambda real, *model: _core.HighsStatus.kError)
         assert solve_lp(self.PROGRAM).status == INFEASIBLE
 
     def test_src_never_calls_scipy_linprog(self):
@@ -778,6 +778,92 @@ class TestClosedForm:
         assert close(got.value, 2 * n / tops[got.winner] - 1, 1e-12)
         rep = distortion_table(e)
         assert programs == [] and rep.winner == got.winner and rep.per_candidate[got.winner] == got.value
+
+
+def _direct_bound(e) -> np.ndarray:
+    """B(a, b) = 1 + 2(n - c)/c for the c voters stating a > b, inf where c = 0, diagonal 1."""
+    counts = e.pair_counts
+    bound = np.where(counts > 0, 1 + 2 * (e.n - counts) / np.where(counts > 0, counts, 1), np.inf)
+    np.fill_diagonal(bound, 1.0)
+    return bound
+
+
+def _closure(bound) -> np.ndarray:
+    """The min-product closure of a bound table along paths."""
+    bound = bound.copy()
+    for k in range(len(bound)):
+        np.minimum(bound, bound[:, k : k + 1] * bound[k : k + 1, :], out=bound)
+    return bound
+
+
+class TestRoutedBound:
+    """The routed bound R of ``ratio_bound``: at least every pair value, at most
+    the direct bound B, computed up to ``_ROUTED_MAX_M`` candidates."""
+
+    @staticmethod
+    def _assert_sound(e, values) -> tuple[int, int]:
+        """R(a, b) is at least each value ``values[a, b]`` and at most B(a, b);
+        returns how many pairs have R < B, and how many R equal to the value."""
+        routed, direct = lp._routed_bound(e), _direct_bound(e)
+        below = tight = 0
+        for (a, b), value in values.items():
+            assert value <= routed[a, b] * (1 + TAU_LP)
+            assert routed[a, b] <= direct[a, b]
+            below += bool(routed[a, b] < direct[a, b])
+            tight += close(routed[a, b], value, TAU_LP)
+        return below, tight
+
+    def test_small_lp_corpus_with_masked_voters_and_alpha(self, small_lp_variants):
+        below = tight = 0
+        for e, _, ref in small_lp_variants:
+            got = self._assert_sound(e, {pair: out.value for pair, out in ref.items()})
+            below, tight = below + got[0], tight + got[1]
+        assert below >= 400 and tight >= 1000
+
+    @given(ballot_elections())
+    @settings(max_examples=40, deadline=None)
+    def test_ballot_elections(self, e):
+        pairs = [(a, b) for a in range(e.m) for b in range(e.m) if a != b]
+        self._assert_sound(e, {(a, b): solve_full(e, a, b).value for a, b in pairs})
+
+    def test_at_most_the_direct_bound(self, euclidean_corpus):
+        below = 0
+        e = inst.impartial_culture(40, 7, seed=16).election
+        elections = [truncate_to_ktop(e, k) for k in range(1, 8)] + [mask_voters(e, range(0, 40, 3))]
+        for e in elections + [g.election for g in euclidean_corpus[:50]]:
+            routed, direct = lp._routed_bound(e), _direct_bound(e)
+            assert (routed <= direct).all()
+            below += int((routed < direct).sum())
+        assert below >= 1000
+
+    def test_direct_bound_above_the_limit(self):
+        ballots = ["0 > 1 > 2", "1 > 0 > 2", "2 > 1 > 0"]
+        at_limit = election_of(lp._ROUTED_MAX_M, ballots)
+        assert ratio_bound(at_limit)[0, 1] == 3.0 < _closure(_direct_bound(at_limit))[0, 1]
+        above = election_of(lp._ROUTED_MAX_M + 1, ballots)
+        assert (ratio_bound(above) == _closure(_direct_bound(above))).all()
+
+    def test_tight_below_the_direct_bound(self):
+        # one voter states 0 > 1, so B(0, 1) = 1 + 2 * 2/1 = 5, and the closure keeps 5.  R routes
+        # the voter stating 1 > 0 > 2 through 2 to the voter stating 2 > 1 > 0, and that voter
+        # through 0 to the voter stating 0 > 1 > 2: each load is 1, so R(0, 1) = 3
+        e = election_of(3, ["0 > 1 > 2", "1 > 0 > 2", "2 > 1 > 0"])
+        assert _closure(_direct_bound(e))[0, 1] == 5.0
+        assert lp._routed_bound(e)[0, 1] == ratio_bound(e)[0, 1] == 3.0
+        assert close(solve_full(e, 0, 1).value, 3.0, TAU_LP) and close(distortion_pair(e, 0, 1), 3.0, TAU_LP)
+
+    def test_minimax_on_a_gate_instance(self, monkeypatch):
+        # sweep-k's instance 16 (IC 40 x 7, k = 1..7): 48 pair LPs with the direct bound alone
+        e = inst.impartial_culture(40, 7, seed=16).election
+        tops = [truncate_to_ktop(e, k) for k in range(1, 8)]
+        reports = [distortion_table(t) for t in tops]
+        programs = _record_programs(monkeypatch)
+        got = [minimax(t) for t in tops]
+        assert len(programs) <= 29
+        for result, rep in zip(got, reports):
+            assert (result.winner, result.value, result.worst_opponent) == (
+                rep.winner, rep.per_candidate[rep.winner], rep.worst_opponent[rep.winner]
+            )
 
 
 class TestWitnessFloors:
