@@ -58,8 +58,6 @@ from .mechanisms import (
     run_dr,
 )
 from .sampling import (
-    SamplePlan,
-    make_plan,
     sample_size,
     sample_voters,
     sampled_copeland,

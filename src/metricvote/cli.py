@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .core import (
     check_consistent,
@@ -37,6 +35,7 @@ from .core import (
     election_to_text,
     mask_voters,
     realized_distortion,
+    seeded_rng,
     truncate_to_ktop,
 )
 from .dataio import EUROVISION_WEIGHTS, F1_WEIGHTS, ScoreTable, ScoringRule, load_csv, parse_schema, positional_score, scores_to_election
@@ -44,7 +43,7 @@ from .errors import ConfigError, CoverageError, DataFormatError, TheoremFalsific
 from .instances import GeneratedInstance, generate, instance_sidecar, witness_from_jsonable
 from .lp import distortion_of, distortion_table, minimax
 from .mechanisms import balanced_rule, conjecture_probe, copeland, ktop_rule, plurality_matching, run_dr
-from .sampling import child_seed, make_plan, sampled_copeland, sampled_pm
+from .sampling import child_seed, sample_size, sampled_copeland, sampled_pm
 
 MISSING_ENVELOPE_BASE = 3  # full-ranking guarantee used for the envelope column
 
@@ -283,7 +282,7 @@ def cmd_sweep_missing(args) -> int:
     for real in range(args.trials):
         seed = args.seed + real
         gi = generate("impartial-culture", {"n": args.n, "m": args.m}, seed)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 1))))
+        rng = seeded_rng((seed, 1))
         for eps in grid:
             masked_count = math.ceil(eps * args.n)
             masked_idx = sorted(int(i) for i in rng.choice(args.n, size=masked_count, replace=False))
@@ -316,7 +315,7 @@ def cmd_sweep_missing(args) -> int:
 def cmd_sample(args) -> int:
     gi = _load_instance(args)
     e = gi.election
-    plan = make_plan(args.epsilon, args.delta, e.m, args.mode, args.seed)
+    size = sample_size(args.epsilon, args.delta, e.m, args.mode)
     lp_distortion = {}  # per winner: trials often repeat one
     rows = []
     for trial in range(args.trials):
@@ -339,7 +338,7 @@ def cmd_sample(args) -> int:
             [
                 trial,
                 args.seed,
-                plan.size,
+                size,
                 winner,
                 rd,
                 "" if phi_hat_max is None else repr(phi_hat_max),
@@ -355,7 +354,7 @@ def cmd_sample(args) -> int:
             "trials": args.trials,
             "seed": args.seed,
             "instance": args.infile or f"{args.generator}({args.params or ''})",
-            "c": plan.size,
+            "c": size,
         },
     )
     _write_csv(

@@ -7,7 +7,9 @@ of one group are not compared.  Elections are built from total rankings
 (``Election.from_rankings``), ordered top lists (``Election.from_ktop``,
 the omitted candidates forming one last group) or the line format
 (``election_from_text``), whose ``=`` ties express any weak order, silent
-voters included: every election has a text that reads back equal.
+voters included: every election has a text that reads back equal.  Each
+constructor takes the candidate count m (the text format in its header);
+none infers it from the ids it reads.
 
 An :class:`Election` stores every distinct ballot once, as three read-only
 arrays:
@@ -19,7 +21,7 @@ arrays:
   sits at level 0, and a silent ballot is the all-zero row;
 * ``multiplicity``, shape (u,): how many voters cast each ballot;
 * ``ballot_of``, shape (n,): the ballot of each voter, so per-voter
-  identities (sampled transcripts, witnesses) stay reproducible.
+  identities (sampled voters, witnesses) stay reproducible.
 
 Ballots are numbered in order of first appearance among the voters.  This
 makes the arrays canonical (equal elections have equal arrays), and it is
@@ -55,10 +57,17 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import ConfigError, DataFormatError
 
 #: Relative tolerance for metric checks (triangle inequality, consistency).
 TAU_METRIC = 1e-9
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """The generator of every seeded draw in the toolkit: PCG64, pinned.  An
+    int or int sequence seeds it through ``SeedSequence(seed)``, as does a
+    ``SeedSequence`` itself."""
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 #: Entries per block in the loops over a (voter or ballot, candidate) table:
@@ -181,19 +190,17 @@ def _byte_rows(rows: list) -> np.ndarray | None:
     return np.frombuffer(flat, dtype=np.uint8).reshape(len(rows), -1)
 
 
-def _array_rows(rows: list, m: int | None) -> np.ndarray:
+def _array_rows(rows: list, m: int) -> np.ndarray:
     """Rows read with one ``np.array``; rows of unequal lengths raise :class:`DataFormatError`."""
     if not rows:
-        return np.zeros((0, m or 0), dtype=np.int64)
+        return np.zeros((0, m), dtype=np.int64)
     try:
         return np.array(rows)
     except ValueError:  # rows of unequal lengths
         pass
     try:
         lens = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-        if m is None:
-            m = int(max(max(r) for r in rows if len(r))) + 1
-    except TypeError:  # a row without a length, or ids that do not compare
+    except TypeError:  # a row without a length
         raise DataFormatError("rankings must be rows of integer candidate ids") from None
     short = np.flatnonzero(lens != m)
     if len(short):
@@ -325,15 +332,16 @@ class Election:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_rankings(cls, rankings: Sequence[Sequence[int]] | np.ndarray, m: int | None = None) -> "Election":
-        """Build an election from total orders (best candidate first).
+    def from_rankings(cls, rankings: Sequence[Sequence[int]] | np.ndarray, m: int) -> "Election":
+        """Build an election from total orders (best candidate first) of all ``m`` candidates.
 
         ``rankings`` is a sequence of rankings or a 2-D integer array with
-        one ranking per row.  Lists and tuples of ids below 256 are read as
-        bytes (see :func:`_byte_rows`); any other sequence is read with one
-        ``np.array``, and an entry that is not an integer, such as a float
-        or a string, gives it a dtype that is not an integer one, which
-        raises :class:`DataFormatError`.  The level vectors are then
+        one ranking per row; ``m`` is required, so an election with no
+        voters still has its candidates.  Lists and tuples of ids below 256
+        are read as bytes (see :func:`_byte_rows`); any other sequence is
+        read with one ``np.array``, and an entry that is not an integer,
+        such as a float or a string, gives it a dtype that is not an integer
+        one, which raises :class:`DataFormatError`.  The level vectors are then
         written a block of voters at a time.
         """
         if not isinstance(rankings, np.ndarray):
@@ -343,8 +351,6 @@ class Election:
                 rankings = _array_rows(rows, m)
         if rankings.ndim != 2 or (rankings.size and rankings.dtype.kind not in "iu"):
             raise DataFormatError("rankings must be rows of integer candidate ids")
-        if m is None:
-            m = int(rankings.max()) + 1 if rankings.size else 0
         if rankings.shape[1] != m:
             raise DataFormatError(f"voter 0: ranking must list all {m} candidates")
         n = len(rankings)
@@ -499,10 +505,22 @@ class ComparisonGraph:
     counts: tuple[tuple[int, ...], ...]
 
 
+def _need_voters(e: Election) -> None:
+    """Reject an election with no voters, which has no tournament, pair LP or voter draw."""
+    if e.n < 1:
+        raise DataFormatError("the election needs at least one voter")
+
+
+def _check_candidates(e: Election, *candidates: int) -> None:
+    """Reject a candidate id outside [0, m): a negative one would silently index from the end."""
+    for c in candidates:
+        if not 0 <= c < e.m:
+            raise ConfigError(f"candidate {c} out of range [0, {e.m})")
+
+
 def _pair_counts(e: Election) -> np.ndarray:
     """``e.pair_counts``, for the rules that need at least one voter."""
-    if e.n < 1:
-        raise DataFormatError("comparison graph needs at least one voter")
+    _need_voters(e)
     return e.pair_counts
 
 
@@ -563,23 +581,22 @@ class MetricWitness:
         object.__setattr__(self, "dist", dist)
 
     @classmethod
-    def from_points(cls, voter_points, candidate_points, norm: int = 2) -> "MetricWitness":
-        """Distances between explicit coordinates (exact for exact input in 1-D or under L1)."""
+    def from_points(cls, voter_points, candidate_points) -> "MetricWitness":
+        """Euclidean distances between explicit coordinates, exact for exact input in 1-D."""
         vp = [tuple(p) if isinstance(p, (tuple, list, np.ndarray)) else (p,) for p in voter_points]
         cp = [tuple(p) if isinstance(p, (tuple, list, np.ndarray)) else (p,) for p in candidate_points]
         pts = vp + cp
         if len(set(map(len, pts))) > 1:
             raise DataFormatError("every point needs the same number of coordinates")
-        exact = all(_is_exact(x) for p in pts for x in p) and (norm == 1 or all(len(p) == 1 for p in pts))
-        absolute = exact or norm == 1
+        exact = all(len(p) == 1 for p in pts) and all(_is_exact(x) for p in pts for x in p)
         arr = np.array(pts, dtype=object if exact else np.float64)
         # one coordinate at a time: SciPy's cdist sums in this order, so a float
         # table equals it bitwise (a pairwise .sum(axis=-1) does not from 8-D up)
         table = np.zeros((len(pts), len(pts)), dtype=arr.dtype)
         for col in arr.T:
             diff = col[:, None] - col[None, :]
-            table += np.abs(diff) if absolute else diff * diff
-        return cls(len(vp), len(cp), table if absolute else np.sqrt(table))
+            table += np.abs(diff) if exact else diff * diff
+        return cls(len(vp), len(cp), table if exact else np.sqrt(table))
 
     @classmethod
     def from_edges(cls, n: int, m: int, edges: list) -> "MetricWitness":
@@ -619,12 +636,12 @@ class MetricWitness:
     def exact(self) -> bool:
         return self.dist.dtype == object
 
-    def validate_metric(self, tol: float = TAU_METRIC) -> None:
+    def validate_metric(self) -> None:
         """Check symmetry, zero diagonal, nonnegativity, triangle inequality.
 
         Exact tables of at most 80 points are checked with no slack; any
-        other table in floats, within ``tol`` times its largest entry (at
-        least 1).
+        other table in floats, within ``TAU_METRIC`` times its largest entry
+        (at least 1).
         """
         d = self.dist
         if self.exact and len(d) <= 80:
@@ -633,7 +650,7 @@ class MetricWitness:
             d, slack = d * math.lcm(*(x.denominator for x in d.flat)) // 1, 0
         else:
             d = self.as_array()
-            slack = tol * max(1.0, float(d.max(initial=0.0)))
+            slack = TAU_METRIC * max(1.0, float(d.max(initial=0.0)))
         if (np.abs(np.diag(d)) > slack).any():
             raise DataFormatError("nonzero diagonal")
         if (np.abs(d - d.T) > slack).any() or (d < -slack).any():
@@ -667,11 +684,11 @@ def realized_distortion(metric: MetricWitness, winner: int):
     return float(sw) / float(best)
 
 
-def check_consistent(metric: MetricWitness, e: Election, tol: float = TAU_METRIC) -> bool:
+def check_consistent(metric: MetricWitness, e: Election) -> bool:
     """True iff every stated pair is respected by the metric.
 
-    Exact tables are compared with no slack; float tables within ``tol``
-    times the larger of the two distances (at least 1).
+    Exact tables are compared with no slack; float tables within
+    ``TAU_METRIC`` times the larger of the two distances (at least 1).
     """
     if metric.n != e.n or metric.m != e.m:
         raise DataFormatError("metric dimensions do not match the election")
@@ -679,7 +696,7 @@ def check_consistent(metric: MetricWitness, e: Election, tol: float = TAU_METRIC
     vc = metric.dist[: e.n, e.n :]
     da, db = vc[voter, a], vc[voter, b]
     if not metric.exact:
-        db = db + tol * np.maximum(np.maximum(1.0, np.abs(da)), np.abs(db))
+        db = db + TAU_METRIC * np.maximum(np.maximum(1.0, np.abs(da)), np.abs(db))
     return not (da > db).any()
 
 
@@ -707,23 +724,16 @@ def induce_election(metric: MetricWitness, tiebreak: str = "index_asc") -> Elect
 
 @dataclass
 class Transcript:
-    """Ordered log of elicited comparisons or sampled voters (single-writer)."""
+    """Ordered log of the comparisons a knockout elicits (single-writer)."""
 
     events: list = field(default_factory=list)
 
     def record_comparison(self, a: int, b: int, loser: int) -> None:
         self.events.append({"type": "compare", "a": a, "b": b, "loser": loser})
 
-    def record_sample(self, voter: int) -> None:
-        self.events.append({"type": "sample", "voter": int(voter)})
-
     @property
     def comparisons(self) -> int:
-        return sum(1 for ev in self.events if ev["type"] == "compare")
-
-    @property
-    def samples(self) -> int:
-        return sum(1 for ev in self.events if ev["type"] == "sample")
+        return len(self.events)
 
 
 # -- line-based text format ---------------------------------------------------

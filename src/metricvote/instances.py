@@ -26,6 +26,7 @@ from .core import (
     MetricWitness,
     check_consistent,
     induce_election,
+    seeded_rng,
 )
 from .errors import ConfigError
 
@@ -33,11 +34,6 @@ from .errors import ConfigError
 #: cluster; assertions are written in ratio form so this cannot silently
 #: weaken tests.
 DEFAULT_FAR_RATIO = 10_000
-
-
-def _rng(seed: int) -> np.random.Generator:
-    # PCG64 is the pinned generator for every seeded draw in the toolkit.
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
 @dataclass
@@ -62,7 +58,7 @@ def impartial_culture(n: int, m: int, seed: int) -> GeneratedInstance:
     """n independent rankings drawn uniformly from all permutations."""
     if n < 1 or m < 1:
         raise ConfigError("impartial_culture needs n, m >= 1")
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     rankings = [tuple(int(c) for c in rng.permutation(m)) for _ in range(n)]
     e = Election.from_rankings(rankings, m)
     return GeneratedInstance(e, None, "impartial_culture", {"n": n, "m": m}, seed)
@@ -72,7 +68,7 @@ def euclidean(n: int, m: int, dim: int, seed: int, tiebreak: str = "index_asc") 
     """Uniform points in the unit cube; induced profile plus ground-truth witness."""
     if n < 1 or m < 1 or dim < 1:
         raise ConfigError("euclidean needs n, m, dim >= 1")
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     vp = rng.random((n, dim))
     cp = rng.random((m, dim))
     witness = MetricWitness.from_points([tuple(map(float, p)) for p in vp], [tuple(map(float, p)) for p in cp])

@@ -260,7 +260,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .core import Election, MetricWitness, _shortest_paths, _subset_counts
+from .core import Election, MetricWitness, _check_candidates, _need_voters, _pair_counts, _shortest_paths, _subset_counts
 from .errors import ConfigError, SolverFailureError
 
 if TYPE_CHECKING:
@@ -479,6 +479,8 @@ def build_metric_lp(e: Election, a: int, b: int, alpha=None, *, pairs=None) -> L
 
     if a == b:
         raise ConfigError("build_metric_lp needs distinct candidates")
+    _check_candidates(e, a, b)
+    _need_voters(e)
     n, m = e.n, e.m
 
     # one block of distances per distinct ballot
@@ -656,16 +658,16 @@ def ratio_bound(e: Election) -> np.ndarray:
     direct count B(a, b) = 1 + 2(n - c)/c for the c voters stating a > b,
     n counting silent voters too, inf where c = 0; and the routed bound
     R(a, b) <= B(a, b) (``_routed_bound``), computed up to
-    ``_ROUTED_MAX_M`` candidates only, and only with at least one voter
-    (with none, every ratio is 0/0 and B's inf stands).  Above the limit
-    this is B alone.  Ratios multiply along paths, so the min-product
+    ``_ROUTED_MAX_M`` candidates only.  Above the limit this is B alone.
+    An election with no voters has no pair LP, and raises
+    :class:`DataFormatError`.  Ratios multiply along paths, so the min-product
     closure (a Floyd-Warshall over log B) is a bound as well.  The diagonal
     is 1.
     """
-    counts = e.pair_counts
+    counts = _pair_counts(e)
     stated = counts > 0
     bound = np.where(stated, 1 + 2 * (e.n - counts) / np.where(stated, counts, 1), np.inf)
-    if 0 < e.n and e.m <= _ROUTED_MAX_M:
+    if e.m <= _ROUTED_MAX_M:
         np.minimum(bound, _routed_bound(e), out=bound)
     np.fill_diagonal(bound, 1.0)
     for k in range(e.m):
@@ -767,6 +769,7 @@ def _scan(
 
 def distortion_of(e: Election, a: int, alpha=None) -> tuple[float, int]:
     """Candidate a's worst-case ratio over all opponents, with the attaining opponent."""
+    _check_candidates(e, a)
     bound = ratio_bound(e)
     return _scan(e, a, bound, *_floors(e, bound, alpha), alpha)
 

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Election, Transcript, _first_appearance, _pair_counts, _row_keys, _subset_counts, plurality_counts
+from .core import Election, Transcript, _check_candidates, _first_appearance, _pair_counts, _row_keys, _subset_counts, plurality_counts, seeded_rng
 from .errors import ConfigError, CoverageError, TheoremFalsificationError
 
 
@@ -29,8 +29,7 @@ def majority_oracle(e: Election, a: int, b: int) -> int:
     """
     if a == b:
         raise ConfigError("oracle needs distinct candidates")
-    if not (0 <= a < e.m and 0 <= b < e.m):
-        raise ConfigError(f"candidates ({a}, {b}) out of range")
+    _check_candidates(e, a, b)
     na, nb = int(e.pair_counts[a, b]), int(e.pair_counts[b, a])
     if na > nb:
         return b
@@ -68,7 +67,7 @@ def domination_root(
         raise ConfigError("duplicate candidates")
     if not survivors:
         raise ConfigError("need at least one candidate")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0 if seed is None else seed)))
+    rng = seeded_rng(0 if seed is None else seed)
     transcript = Transcript()
     round_no = 0
     while len(survivors) > 1:

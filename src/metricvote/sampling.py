@@ -12,19 +12,20 @@ the acceptance suite:
 - plurality-matching mode, sampling without replacement:
       c = ceil( 2 (m + ln(2 m / delta)) / (eps/8)^2 )
 
-Reproducibility: every draw uses numpy's PCG64 seeded through
-SeedSequence; per-trial child seeds derive as SeedSequence((seed, trial)).
+Reproducibility: every draw uses ``core.seeded_rng``, numpy's PCG64 seeded
+through SeedSequence; per-trial child seeds derive as
+SeedSequence((seed, trial)).  Each sampled rule states its replacement
+policy next to its ``sample_size`` call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import Election, Transcript
+from .core import Election, _need_voters, seeded_rng
 from .errors import ConfigError
 from .mechanisms import copeland, phi_scores
 
@@ -46,46 +47,22 @@ def sample_size(epsilon: float, delta: float, m: int, mode: str) -> int:
     raise ConfigError(f"unknown mode {mode!r}")
 
 
-@dataclass(frozen=True)
-class SamplePlan:
-    epsilon: float
-    delta: float
-    mode: str
-    size: int
-    with_replacement: bool
-    seed: int
-
-
-def make_plan(epsilon: float, delta: float, m: int, mode: str, seed: int) -> SamplePlan:
-    c = sample_size(epsilon, delta, m, mode)
-    return SamplePlan(epsilon, delta, mode, c, with_replacement=(mode == "copeland"), seed=seed)
-
-
 def child_seed(seed: int, trial: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((seed, trial))
 
 
-def _generator(seed) -> np.random.Generator:
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    return np.random.Generator(np.random.PCG64(seed))
-
-
-def _draw(e: Election, plan: SamplePlan) -> np.ndarray:
+def _draw(e: Election, size: int, replace: bool, seed) -> np.ndarray:
     """The voter indices of a seeded draw, in draw order."""
-    if not plan.with_replacement and plan.size > e.n:
-        raise ConfigError(f"cannot draw {plan.size} voters from {e.n} without replacement")
-    rng = _generator(plan.seed)
-    return rng.choice(e.n, size=plan.size, replace=plan.with_replacement)
+    _need_voters(e)
+    if not replace and size > e.n:
+        raise ConfigError(f"cannot draw {size} voters from {e.n} without replacement")
+    return seeded_rng(seed).choice(e.n, size=size, replace=replace)
 
 
-def sample_voters(e: Election, plan: SamplePlan) -> tuple[Election, Transcript]:
-    """Seeded voter draw; the transcript records the sampled indices in order."""
-    idx = _draw(e, plan)
-    transcript = Transcript()
-    for i in idx.tolist():
-        transcript.record_sample(i)
-    return e.restrict(idx), transcript
+def sample_voters(e: Election, size: int, replace: bool, seed) -> tuple[Election, np.ndarray]:
+    """Seeded voter draw: the sub-election and the drawn voter indices, in draw order."""
+    idx = _draw(e, size, replace, seed)
+    return e.restrict(idx), idx
 
 
 def sampled_copeland(e: Election, epsilon: float, delta: float, seed: int) -> int:
@@ -100,7 +77,8 @@ def sampled_copeland(e: Election, epsilon: float, delta: float, seed: int) -> in
     """
     if not e.all_total:
         raise ConfigError("sampled copeland needs total orders")
-    return copeland(e.restrict(_draw(e, make_plan(epsilon, delta, e.m, "copeland", seed))))
+    # with replacement: the Chernoff bound of the module docstring draws voters independently
+    return copeland(e.restrict(_draw(e, sample_size(epsilon, delta, e.m, "copeland"), True, seed)))
 
 
 def sampled_pm(e: Election, epsilon: float, delta: float, seed: int) -> tuple[int, tuple[Fraction, ...]]:
@@ -110,7 +88,8 @@ def sampled_pm(e: Election, epsilon: float, delta: float, seed: int) -> tuple[in
     """
     if not e.all_total:
         raise ConfigError("sampled plurality-matching needs total orders")
-    sub = e.restrict(_draw(e, make_plan(epsilon, delta, e.m, "plurality-matching", seed)))
+    # without replacement, as the module docstring states
+    sub = e.restrict(_draw(e, sample_size(epsilon, delta, e.m, "plurality-matching"), False, seed))
     # right-side capacities are the sample's own plurality counts
     phis = phi_scores(sub)
     return phis.index(max(phis)), phis

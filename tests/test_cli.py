@@ -182,13 +182,34 @@ class TestGoldenOutputs:
             (["sweep-k", "--n", 40, "--m", 7, "--trials", 2, "--jobs", 1, "--seed", 16], "golden-sweep-k.csv"),
             (["eval", "--generator", "impartial-culture", "--params", "n=12,m=5", "--seed", 3, "--format", "json"],
              "golden-eval.json"),
+            (["run", "--mechanism", "dr", "--pairing", "shuffle", "--generator", "impartial-culture",
+              "--params", "n=15,m=8", "--seed", 7], "golden-run-dr-shuffle.json"),
+            (["sweep-missing", "--n", 20, "--m", 5, "--trials", 2, "--seed", 3, "--jobs", 1], "golden-sweep-missing.csv"),
         ],
-        ids=["sweep-k", "eval"],
+        ids=["sweep-k", "eval", "run-dr-shuffle", "sweep-missing"],
     )
     def test_reproduces_recorded_output(self, tmp_path, argv, fixture):
         out = tmp_path / fixture
         assert run(argv + ["--out", out]) == 0
         assert out.read_bytes() == (FIXTURES / fixture).read_bytes()
+
+
+class TestNoVoters:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval"],
+            ["eval", "--format", "csv"],
+            ["sample", "--mode", "copeland"],
+            ["sample", "--mode", "plurality-matching"],
+            ["run", "--mechanism", "copeland"],
+        ],
+    )
+    def test_election_without_voters_is_data_error(self, tmp_path, capsys, argv):
+        elec = tmp_path / "empty.elec"
+        elec.write_text("0 3\n")
+        assert run(argv + ["--in", elec, "--out", tmp_path / "out"]) == 3
+        assert capsys.readouterr().err == "data error: the election needs at least one voter\n"
 
 
 class TestSweeps:

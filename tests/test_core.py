@@ -49,6 +49,7 @@ from metricvote.core import (
     induce_election,
     mask_voters,
     plurality_counts,
+    seeded_rng,
     social_cost,
     truncate_to_ktop,
 )
@@ -401,12 +402,15 @@ class TestBallotConstruction:
         check_arrays(e, [ktop_pairs(r, 4) for r in rankings], rankings)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
-    @pytest.mark.parametrize("m", [3, None])
+    @pytest.mark.parametrize("m", [3, 23])
     def test_from_rankings_array_equals_list(self, dtype, m):
-        rankings = [(2, 0, 1), (0, 1, 2), (2, 0, 1), (1, 2, 0)]
+        # at m = 3: (2, 0, 1), (0, 1, 2), (2, 0, 1), (1, 2, 0); at m = 23 the level sums of a
+        # total order, m (m - 1) / 2 = 253, would wrap if m were read as a uint8
+        rankings = [tuple(np.roll(np.arange(m), shift).tolist()) for shift in (1, 0, 1, 2)]
         e = Election.from_rankings(np.array(rankings, dtype=dtype), m)
         assert e == Election.from_rankings(rankings, m)
-        assert Election.from_rankings(np.zeros((0, 3), dtype=dtype), 3) == Election.from_rankings([], 3)
+        assert e.all_total
+        assert Election.from_rankings(np.zeros((0, m), dtype=dtype), m) == Election.from_rankings([], m)
 
     @given(st.integers(1, 8), st.data())
     @settings(max_examples=60, deadline=None)
@@ -423,25 +427,18 @@ class TestBallotConstruction:
                 rows.append(np.array(perm, dtype=form))
         array = np.array([list(r) for r in rows], dtype=np.int64).reshape(len(rows), m)
         assert Election.from_rankings(rows, m) == Election.from_rankings(array, m)
-        if rows:
-            assert Election.from_rankings(rows) == Election.from_rankings(array)
-
-    def test_inferred_candidate_count_is_an_int(self):
-        # m read from uint8 rows must not stay uint8: m * (m - 1) // 2 wraps at m = 23
-        e = Election.from_rankings([np.arange(22, -1, -1, dtype=np.uint8)] * 2)
-        assert type(e.m) is int and e.m == 23 and e.all_total
 
     @pytest.mark.parametrize(
         "rankings, m, message",
         [
             ([(0, 1, 2), (0, 1)], 3, "voter 1: ranking must list all 3 candidates"),
-            ([(0, 1, 2), (0, 1)], None, "voter 1: ranking must list all 3 candidates"),
-            ([(0, 1, 2), (0, 1, 5)], None, "voter 0: ranking must list all 6 candidates"),
+            ([(0, 1), (0, 1, 2)], 2, "voter 1: ranking must list all 2 candidates"),
+            ([(1, 0), (0, 1)], 3, "voter 0: ranking must list all 3 candidates"),
             ([(0, 1, 2), (0, 1, 2)], 2, "voter 0: ranking must list all 2 candidates"),
             ([(0, 1, 2), (0, 1, 5)], 3, "voter 1: k-top entry out of range"),
             ([(0, 1, 2), (0, -1, 1)], 3, "voter 1: k-top entry out of range"),
             ([(0, 1, 2), (0, 0, 1)], 3, "k-top list contains duplicates"),
-            ([(0, 1, 2), (2, 2, 2)], None, "k-top list contains duplicates"),
+            ([(0, 1, 2), (2, 2, 2)], 3, "k-top list contains duplicates"),
         ],
     )
     def test_from_rankings_messages(self, rankings, m, message):
@@ -455,16 +452,16 @@ class TestBallotConstruction:
         "rankings, m",
         [
             ([[0, 1.5, 2]], 3),
-            ([[0, 1.5, 2]], None),
+            ([(0.0, 1.0)], 2),
             ([[0, 1, 2], [2, 1.0, 0]], 3),
             ([["0", "1", "2"]], 3),
             (["01", "10"], 2),
-            (["01", "10"], None),
+            ([b"\x00\x01", b"\x01\x00"], 2),
             (np.array([[0.0, 1.0, 2.0]]), 3),
             ([0, 1, 2], 3),
             ([[True, False], [False, True]], 2),
-            ([[True, False], [False, True]], None),
-            ([["0", "1"], [0]], None),
+            ([[None, 0], [0, None]], 2),
+            ([[0, 1], [1, "0"]], 2),
             ([[0, 1], 1], 2),
             ([{0, 1}, {0, 1}], 2),
         ],
@@ -477,7 +474,7 @@ class TestBallotConstruction:
     @pytest.mark.parametrize("rows", [[[True, False], [1, 0]], [[1, 0], [True, False]], [(1, 0), [1, False]]])
     def test_from_rankings_reads_bools_mixed_with_ints_as_ints(self, rows):
         # np.array reads rows that mix bools and ints as ints; only all-bool rows are rejected
-        e = Election.from_rankings(rows)
+        e = Election.from_rankings(rows, 2)
         assert e.levels.tolist() == [[1, 0]] and e.ballot_of.tolist() == [0, 0]
         assert e == Election.from_rankings([[1, 0], [1, 0]], 2)
 
@@ -751,6 +748,21 @@ class TestConsistencyAndCost:
         assert social_cost(gi.witness, 1) == 8
 
 
+class TestSeededRng:
+    """Every seeded draw goes through ``seeded_rng``: PCG64 seeded through
+    ``SeedSequence``, so recorded instances and draws stay reproducible."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40, (7, 1), [3, 4, 5], np.random.SeedSequence((9, 2))])
+    def test_draws_equal_pcg64_through_seed_sequence(self, seed):
+        entropy = seed.entropy if isinstance(seed, np.random.SeedSequence) else seed
+        reference = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+        rng = seeded_rng(seed)
+        assert isinstance(rng.bit_generator, np.random.PCG64)
+        assert rng.random(4).tolist() == reference.random(4).tolist()
+        assert rng.permutation(9).tolist() == reference.permutation(9).tolist()
+        assert rng.choice(50, size=6, replace=False).tolist() == reference.choice(50, size=6, replace=False).tolist()
+
+
 class TestMetricWitnessConstructors:
     def test_from_edges_path_values_and_types(self):
         # voter 0, candidates at points 1..3 along a path of lengths 1/2, 1, 1/3
@@ -785,31 +797,28 @@ class TestMetricWitnessConstructors:
         with pytest.raises(DataFormatError, match="edge lengths"):
             MetricWitness.from_edges(1, 1, [(0, 1, length)])
 
-    @pytest.mark.parametrize("norm, metric", [(1, "cityblock"), (2, "euclidean")])
-    def test_from_points_float_table_equals_cdist(self, norm, metric):
+    def test_from_points_float_table_equals_cdist(self):
         from scipy.spatial.distance import cdist
 
         rng = np.random.default_rng(11)
         for dim in range(1, 17):
             voters = rng.normal(size=(9, dim)) * 10.0 ** rng.integers(-3, 4, size=dim)
             cands = rng.uniform(-3, 3, size=(4, dim))
-            table = MetricWitness.from_points(list(voters), list(cands), norm=norm).dist
+            table = MetricWitness.from_points(list(voters), list(cands)).dist
             points = np.vstack([voters, cands])
-            assert np.array_equal(table, cdist(points, points, metric=metric)), dim
+            assert np.array_equal(table, cdist(points, points)), dim
 
-    @pytest.mark.parametrize("norm", [1, 2])
     @pytest.mark.parametrize("voters", [[(0, 1)], [(0.0, 1.0)]])
-    def test_from_points_rejects_mixed_dimensions(self, voters, norm):
+    def test_from_points_rejects_mixed_dimensions(self, voters):
         with pytest.raises(DataFormatError, match="same number of coordinates"):
-            MetricWitness.from_points(voters, [(1,)], norm=norm)
+            MetricWitness.from_points(voters, [(1,)])
 
     def test_from_points_exact_input_respects_norm(self):
         voters, cands = [(0, 0)], [(3, 4)]
-        assert MetricWitness.from_points(voters, cands).vc(0, 0) == 5.0
+        euclidean = MetricWitness.from_points(voters, cands)
+        assert not euclidean.exact and euclidean.vc(0, 0) == 5.0
         assert MetricWitness.from_points([(0.0, 0.0)], [(3.0, 4.0)]).vc(0, 0) == 5.0
-        l1 = MetricWitness.from_points(voters, cands, norm=1)
-        assert l1.exact and l1.vc(0, 0) == 7
-        # 1-D exact points stay exact under any norm
+        # 1-D exact points stay exact
         assert MetricWitness.from_points([Fraction(1, 2)], [Fraction(2)]).vc(0, 0) == Fraction(3, 2)
 
 

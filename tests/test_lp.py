@@ -19,7 +19,7 @@ from reference_lp import build_full, from_rows, solve_full
 from metricvote import instances as inst
 from metricvote import lp
 from metricvote.core import Election, check_consistent, mask_voters, social_cost, truncate_to_ktop
-from metricvote.errors import ConfigError, SolverFailureError
+from metricvote.errors import ConfigError, DataFormatError, SolverFailureError
 from metricvote.lp import (
     INFEASIBLE,
     OPTIMAL,
@@ -291,6 +291,39 @@ class TestDistortionPair:
     def test_self_pair_is_one(self):
         e = Election.from_rankings([(0, 1)], 2)
         assert distortion_pair(e, 0, 0) == 1.0
+
+
+class TestInputChecks:
+    """The LP entry points reject an election with no voters and candidate ids
+    outside [0, m) with a library error, before any program is built."""
+
+    def test_no_voters(self):
+        e = Election.from_rankings([], 3)
+        calls = (
+            minimax,
+            distortion_table,
+            lambda e: distortion_of(e, 0),
+            lambda e: distortion_pair(e, 0, 1),
+            lambda e: build_metric_lp(e, 0, 1),
+        )
+        for call in calls:
+            with pytest.raises(DataFormatError, match="^the election needs at least one voter$"):
+                call(e)
+
+    @pytest.mark.parametrize("a, b", [(-1, 3), (0, 4), (4, 0), (0, -4)])
+    def test_pair_ids_out_of_range(self, a, b):
+        # distortion_pair(e, -1, 3) read candidate 3 twice and returned 1.0
+        e = inst.impartial_culture(20, 4, seed=3).election
+        for call in (distortion_pair, solve_pair, build_metric_lp):
+            with pytest.raises(ConfigError, match=r"^candidate -?\d+ out of range \[0, 4\)$"):
+                call(e, a, b)
+
+    @pytest.mark.parametrize("a", [-1, -4, 4])
+    def test_candidate_id_out_of_range(self, a):
+        # distortion_of(e, -1) returned candidate 3's value
+        e = inst.impartial_culture(20, 4, seed=3).election
+        with pytest.raises(ConfigError, match=f"^candidate {a} out of range \\[0, 4\\)$"):
+            distortion_of(e, a)
 
 
 class TestWitnessExtraction:

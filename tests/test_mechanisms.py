@@ -31,7 +31,7 @@ from metricvote.mechanisms import (
     plurality_matching,
     run_dr,
 )
-from metricvote.sampling import make_plan, sample_voters, sampled_copeland
+from metricvote.sampling import sample_size, sample_voters, sampled_copeland
 
 
 def is_two_hop_king(m, edges, v):
@@ -103,7 +103,7 @@ def reference_ktop(e, k):
 
 
 def reference_sampled_copeland(e, epsilon, delta, seed):
-    sub, _ = sample_voters(e, make_plan(epsilon, delta, e.m, "copeland", seed))
+    sub, _ = sample_voters(e, sample_size(epsilon, delta, e.m, "copeland"), True, seed)
     return reference_king(e.m, reference_edges(comparison_graph(sub), Fraction(1, 2)))
 
 
@@ -524,6 +524,9 @@ class TestPhiScoresOneNetwork:
 
     def test_no_voters(self):
         assert phi_scores(Election.from_rankings([], 3)) == (0, 0, 0)
+        # every comparison ties, and the smaller index loses it
+        winner, transcript = run_dr(Election.from_rankings([], 3))
+        assert winner == 2 and transcript.comparisons == 2
 
     def test_capacity_vector_of_wrong_length(self):
         e = Election.from_rankings([(0, 1, 2)] * 2, 3)

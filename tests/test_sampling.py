@@ -8,12 +8,10 @@ from conftest import election_of, matching_blocks
 
 from metricvote import instances as inst
 from metricvote.core import Election
-from metricvote.errors import ConfigError
+from metricvote.errors import ConfigError, DataFormatError
 from metricvote.core import comparison_graph
 from metricvote.mechanisms import build_domination_graph, copeland, king_vertex, max_matching, phi_scores
 from metricvote.sampling import (
-    SamplePlan,
-    make_plan,
     sample_size,
     sample_voters,
     sampled_copeland,
@@ -47,31 +45,38 @@ class TestSampleSize:
         with pytest.raises(ConfigError):
             sample_size(1, 1.0, 4, "copeland")
 
-    def test_plan_records_replacement(self):
-        assert make_plan(1, 0.1, 4, "copeland", 0).with_replacement
-        assert not make_plan(1, 0.1, 4, "plurality-matching", 0).with_replacement
-
 
 class TestSampleVoters:
     def test_deterministic(self):
         e = inst.impartial_culture(50, 4, seed=0).election
-        plan = SamplePlan(2, 0.1, "plurality-matching", 20, False, 7)
-        s1, t1 = sample_voters(e, plan)
-        s2, t2 = sample_voters(e, plan)
-        assert s1 == s2 and t1.events == t2.events
-        assert t1.samples == plan.size
+        s1, i1 = sample_voters(e, 20, False, 7)
+        s2, i2 = sample_voters(e, 20, False, 7)
+        assert s1 == s2 and i1.tolist() == i2.tolist()
+        assert len(i1) == s1.n == 20
 
     def test_full_draw_without_replacement(self):
         e = inst.impartial_culture(9, 3, seed=1).election
-        plan = SamplePlan(1, 0.1, "plurality-matching", 9, False, 3)
-        sub, t = sample_voters(e, plan)
-        assert sorted(ev["voter"] for ev in t.events) == list(range(9))
+        sub, idx = sample_voters(e, 9, False, 3)
+        assert sorted(idx.tolist()) == list(range(9))
         assert sorted(map(sorted, sub.prefs)) == sorted(map(sorted, e.prefs))
+
+    def test_no_voters_is_data_error(self):
+        # the one check the tournament rules make, ahead of the overdraw check
+        e = Election.from_rankings([], 3)
+        calls = (
+            lambda: sample_voters(e, 1, True, 0),
+            lambda: sample_voters(e, 1, False, 0),
+            lambda: sampled_copeland(e, 1, 0.1, 0),
+            lambda: sampled_plurality_matching(e, 1, 0.1, 0),
+        )
+        for call in calls:
+            with pytest.raises(DataFormatError, match="^the election needs at least one voter$"):
+                call()
 
     def test_overdraw_rejected(self):
         e = inst.impartial_culture(5, 3, seed=1).election
         with pytest.raises(ConfigError):
-            sample_voters(e, SamplePlan(1, 0.1, "plurality-matching", 6, False, 0))
+            sample_voters(e, 6, False, 0)
 
     def test_weights_concentrate(self):
         # empirical pairwise weights within epsilon of the truth on >= 95% of trials
@@ -84,8 +89,7 @@ class TestSampleVoters:
         good = 0
         trials = 200
         for t in range(trials):
-            plan = SamplePlan(eps, 0.05, "copeland", plan_size, True, (9, t))
-            sub, _ = sample_voters(e, plan)
+            sub, _ = sample_voters(e, plan_size, True, (9, t))
             gs = comparison_graph(sub)
             ok = all(
                 abs(Fraction(gs.counts[a][b], gs.n) - Fraction(g.counts[a][b], g.n)) < eps / 16
@@ -113,8 +117,7 @@ class TestSampledCopeland:
     def test_full_sample_equals_deterministic(self):
         # c = n without replacement reproduces the deterministic tournament
         e = inst.impartial_culture(31, 4, seed=8).election
-        plan = SamplePlan(1, 0.05, "copeland", 31, False, 5)
-        sub, _ = sample_voters(e, plan)
+        sub, _ = sample_voters(e, 31, False, 5)
         from metricvote.core import comparison_graph
 
         g1, g2 = comparison_graph(e), comparison_graph(sub)
@@ -131,7 +134,7 @@ class TestSampledCopeland:
         for i in range(40):
             e = inst.impartial_culture(9 + i % 7, 3 + i % 6, seed=900 + i).election
             for seed in range(5):
-                sub, _ = sample_voters(e, make_plan(4, 0.2, e.m, "copeland", seed))
+                sub, _ = sample_voters(e, sample_size(4, 0.2, e.m, "copeland"), True, seed)
                 king = king_vertex(2 * sub.pair_counts >= sub.n)  # support of at least half the sample
                 assert sampled_copeland(e, 4, 0.2, seed) == king, (i, seed)
 
@@ -159,8 +162,7 @@ class TestSampledPluralityMatching:
 
     def test_sampled_phi_uses_sample_pluralities(self):
         e = inst.impartial_culture(90, 4, seed=3).election
-        plan = make_plan(4, 0.2, 4, "plurality-matching", seed=1)
-        sub, _ = sample_voters(e, plan)
+        sub, _ = sample_voters(e, sample_size(4, 0.2, 4, "plurality-matching"), False, 1)
         phis = phi_scores(sub)
         assert max(phis) == 1  # corollary holds inside the sample too
         assert len(phis) == 4
