@@ -37,7 +37,6 @@ from .lp import (
     distortion_of,
     distortion_pair,
     distortion_table,
-    extract_pseudometric,
     minimax,
     solve_lp,
     solve_pair,

@@ -10,8 +10,8 @@ header and contains no timestamps, so a rerun with the same seed and
   ``FileNotFoundError``), such as an election file that does not parse
   (elections are read from rankings, top lists or text, and text
   expresses every election) or a sidecar witness that does not fit its
-  election, or an input that fails a rule's pairwise-coverage
-  precondition (``CoverageError``);
+  election or is not a metric, or an input that fails a rule's
+  pairwise-coverage precondition (``CoverageError``);
 * 4 theorem falsification: a guaranteed structure was not found
   (``TheoremFalsificationError``).
 """
@@ -22,7 +22,6 @@ import argparse
 import json
 import math
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +42,7 @@ from .errors import ConfigError, CoverageError, DataFormatError, TheoremFalsific
 from .instances import GeneratedInstance, generate, instance_sidecar, witness_from_jsonable
 from .lp import distortion_of, distortion_table, minimax
 from .mechanisms import balanced_rule, conjecture_probe, copeland, ktop_rule, plurality_matching, run_dr
-from .sampling import child_seed, sample_size, sampled_copeland, sampled_pm
+from .sampling import sample_size, sampled_copeland, sampled_pm
 
 MISSING_ENVELOPE_BASE = 3  # full-ranking guarantee used for the envelope column
 
@@ -122,6 +121,10 @@ def _load_instance(args) -> GeneratedInstance:
                 # check_consistent raises DataFormatError itself when n or m differ
                 if not check_consistent(witness, e):
                     raise DataFormatError(f"{sidecar}: witness contradicts a preference the election states")
+                try:
+                    witness.validate_metric()
+                except DataFormatError as exc:
+                    raise DataFormatError(f"{sidecar}: witness is not a metric: {exc}") from exc
             if obj.get("schedule"):
                 schedule = tuple(tuple(tuple(p) for p in rnd) for rnd in obj["schedule"])
         return GeneratedInstance(e, witness, "file", {"path": args.infile}, schedule=schedule)
@@ -319,32 +322,20 @@ def cmd_sample(args) -> int:
     lp_distortion = {}  # per winner: trials often repeat one
     rows = []
     for trial in range(args.trials):
-        seed = child_seed(args.seed, trial)
-        t0 = time.perf_counter()
+        seed = (args.seed, trial)
         phi_hat_max = None
         if args.mode == "copeland":
             winner = sampled_copeland(e, args.epsilon, args.delta, seed)
         else:
             winner, phis = sampled_pm(e, args.epsilon, args.delta, seed)
             phi_hat_max = float(max(phis))
-        elapsed = (time.perf_counter() - t0) * 1000.0
         if gi.witness is not None:
             rd = _fmt(realized_distortion(gi.witness, winner))
         else:
             if winner not in lp_distortion:
                 lp_distortion[winner] = distortion_of(e, winner)[0]
             rd = _fmt(lp_distortion[winner])
-        rows.append(
-            [
-                trial,
-                args.seed,
-                size,
-                winner,
-                rd,
-                "" if phi_hat_max is None else repr(phi_hat_max),
-                round(elapsed, 3) if args.timing else None,
-            ]
-        )
+        rows.append([trial, args.seed, size, winner, rd, "" if phi_hat_max is None else repr(phi_hat_max)])
     config = ExperimentConfig(
         "sample",
         {
@@ -357,12 +348,7 @@ def cmd_sample(args) -> int:
             "c": size,
         },
     )
-    _write_csv(
-        args.out,
-        config,
-        ["trial", "seed", "c", "winner", "realized_distortion", "phi_hat_max", "elapsed_ms"],
-        rows,
-    )
+    _write_csv(args.out, config, ["trial", "seed", "c", "winner", "realized_distortion", "phi_hat_max"], rows)
     return 0
 
 
@@ -471,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--timing", action="store_true", help="fill the elapsed_ms column (breaks byte-identical reruns)")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_sample)
 

@@ -28,14 +28,16 @@ makes the arrays canonical (equal elections have equal arrays), and it is
 the numbering a pass over the voters that merges repeated pair sets would
 give, so ``lp.build_metric_lp``, which emits one variable block per
 ballot, lays out its variables and rows in voter order whichever
-constructor built the election.  Top, bottom, second choice and totality
-are computed per ballot from the levels on first use and cached.
+constructor built the election.  Top, second choice and totality are
+computed per ballot from the levels on first use and cached, as arrays
+with one entry per ballot (``_top``, ``_second``, ``_total``).
 ``listed`` (shape (n,)) is the length of each voter's ordered top list, 0
 when the voter's information did not arrive as a list (an empty list
 states nothing).  The list is read from the ballot: the ``listed[i]``
 candidates of lowest level.  The length is kept per voter because lists
 of m - 1 and m candidates state the same pairs.  ``Election.prefs`` and
-``Election.ktop`` are derived, cached per-voter views; mechanisms read the
+``Election.ktop`` are derived, cached per-voter views, which the
+benchmark's tracer and the tests' references read; mechanisms read the
 arrays instead, and the pair counts every tournament rule and the LP bound
 start from are cached once as ``Election.pair_counts``.
 
@@ -430,18 +432,6 @@ class Election:
         """Per ballot with a top, the only candidate at level 1, or -1."""
         return np.where(self._top >= 0, _sole(self.levels == 1), -1)
 
-    def _per_ballot(self, values: np.ndarray, i: int) -> int | None:
-        v = int(values[self.ballot_of[i]])
-        return None if v < 0 else v
-
-    def top(self, i: int) -> int | None:
-        """Voter i's unique maximal candidate, or None for partial information."""
-        return self._per_ballot(self._top, i)
-
-    def second(self, i: int) -> int | None:
-        """Voter i's second choice: dominates everyone except the top."""
-        return self._per_ballot(self._second, i)
-
     @property
     def all_total(self) -> bool:
         return bool(self._total.all())
@@ -511,8 +501,9 @@ def _need_voters(e: Election) -> None:
         raise DataFormatError("the election needs at least one voter")
 
 
-def _check_candidates(e: Election, *candidates: int) -> None:
-    """Reject a candidate id outside [0, m): a negative one would silently index from the end."""
+def _check_candidates(e: Election | MetricWitness, *candidates: int) -> None:
+    """Reject a candidate id outside [0, m) of an election or a witness: a
+    negative one would silently index from the end."""
     for c in candidates:
         if not 0 <= c < e.m:
             raise ConfigError(f"candidate {c} out of range [0, {e.m})")
@@ -624,10 +615,6 @@ class MetricWitness:
             d = d * Fraction(1, scale)
         return cls(n, m, d)
 
-    def vc(self, voter: int, candidate: int):
-        """Distance from a voter to a candidate: an int or Fraction when exact, else a float."""
-        return self.dist.item(voter, self.n + candidate)
-
     def as_array(self) -> np.ndarray:
         """The table in float64: ``dist`` itself, or a rounded copy of an exact table."""
         return np.asarray(self.dist, dtype=np.float64)
@@ -662,8 +649,7 @@ class MetricWitness:
 
 def social_cost(metric: MetricWitness, a: int):
     """Sum of voter distances to candidate ``a`` (exact for exact tables)."""
-    if not 0 <= a < metric.m:
-        raise DataFormatError(f"candidate {a} out of range")
+    _check_candidates(metric, a)
     cost = metric.dist[: metric.n, metric.n + a].sum()
     return cost if metric.exact else float(cost)
 
@@ -674,6 +660,7 @@ def social_costs(metric: MetricWitness):
 
 def realized_distortion(metric: MetricWitness, winner: int):
     """SC(winner) / min_a SC(a); ``inf`` when the optimum has zero cost."""
+    _check_candidates(metric, winner)
     costs = social_costs(metric)
     best = min(costs)
     sw = costs[winner]

@@ -79,8 +79,8 @@ class ScoreTable:
     """Deduplicated (voter, candidate, score) rows with first-appearance id order."""
 
     rows: tuple[tuple[str, str, int], ...]
-    voters: tuple[str, ...] = field(default=())
-    candidates: tuple[str, ...] = field(default=())
+    voters: tuple[str, ...] = field(init=False)
+    candidates: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
         seen = set()
@@ -115,7 +115,7 @@ def load_csv(path, schema: Schema) -> ScoreTable:
                     rank = int(cell)
                 except (TypeError, ValueError):
                     continue  # non-finisher: leave unscored
-                raw.append((voter, cand, rank, lineno))
+                raw.append((voter, cand, rank))
             else:
                 try:
                     score = int(cell)
@@ -123,16 +123,14 @@ def load_csv(path, schema: Schema) -> ScoreTable:
                     raise DataFormatError(f"{path.name}:{lineno}: non-integer score {cell!r}") from exc
                 if schema.drop_zero_scores and score == 0:
                     continue
-                raw.append((voter, cand, score, lineno))
+                raw.append((voter, cand, score))
     if schema.rank_column is not None:
         # convert ranks to descending scores per voter (rank 1 is best)
         worst: dict[str, int] = {}
-        for voter, _, rank, _ in raw:
+        for voter, _, rank in raw:
             worst[voter] = max(worst.get(voter, 0), rank)
-        rows = tuple((voter, cand, worst[voter] - rank + 1) for voter, cand, rank, _ in raw)
-    else:
-        rows = tuple((voter, cand, score) for voter, cand, score, _ in raw)
-    return ScoreTable(rows)
+        raw = [(voter, cand, worst[voter] - rank + 1) for voter, cand, rank in raw]
+    return ScoreTable(tuple(raw))
 
 
 def scores_to_election(table: ScoreTable) -> Election:

@@ -21,13 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import (
-    Election,
-    MetricWitness,
-    check_consistent,
-    induce_election,
-    seeded_rng,
-)
+from .core import Election, MetricWitness, induce_election, seeded_rng
 from .errors import ConfigError
 
 #: Default far/near distance ratio for constructions that need a "far away"
@@ -46,12 +40,6 @@ class GeneratedInstance:
     expected: dict[str, Any] = field(default_factory=dict)
     #: Round-by-round pairing schedule (knockout constructions only).
     schedule: tuple[tuple[tuple[int, int], ...], ...] | None = None
-
-    def check_witness(self) -> None:
-        if self.witness is not None:
-            self.witness.validate_metric()
-            if not check_consistent(self.witness, self.election):
-                raise AssertionError(f"{self.generator}: witness inconsistent with election")
 
 
 def impartial_culture(n: int, m: int, seed: int) -> GeneratedInstance:

@@ -85,10 +85,13 @@ is left to fail.
   y_bq from it, has these distances, so it is consistent, and adding
   multiples of it to a feasible point of the full program raises SC(a)
   without bound.
-* **Witnesses.**  ``extract_pseudometric`` fills the pairs it did not solve
-  by shortest paths.  A path p - u - q through a voter is at least
-  min_u (d(u,p) + d(u,q)), the largest y_pq the certificate allows, so the
-  closure keeps every solved voter-candidate distance, up to the tolerance.
+* **Witnesses.**  A certified solution extends to a full consistent
+  pseudo-metric: fill the pairs it did not solve by shortest paths.  A
+  path p - u - q through a voter is at least min_u (d(u,p) + d(u,q)), the
+  largest y_pq the certificate allows, so the closure keeps every solved
+  voter-candidate distance, up to the tolerance.  The witness floors below
+  rest on this; the test suite builds that witness with
+  ``extract_pseudometric`` in ``tests/reference_lp.py`` and checks it.
 
 **Dominated distances.**  Without ``alpha``, ``build_metric_lp``
 substitutes two kinds of voter-candidate distances before the solve
@@ -97,8 +100,8 @@ to one that obeys it, keeps every row and does not lower SC(a); so the
 substituted program has the same status and value, and its optimum, lifted
 back to full ballot blocks (``LinearProgram.lift``, applied by
 ``solve_lp``), is an optimum of the program over the kept pairs.  The
-certificate, the witness floors and ``extract_pseudometric`` read that
-lifted vector, and the unboundedness argument above holds as it stands.
+certificate and the witness floors read that lifted vector, and the
+unboundedness argument above holds as it stands.
 
 * **Rule 1, above b.**  Take a ballot u on which b's level is b's alone,
   as in total orders and in top lists that list b.  Raise d(u,p) to d(u,b)
@@ -146,7 +149,7 @@ with the options, checks and status codes of
 ``scipy.optimize.linprog(method="highs")`` but without its per-LP
 overhead.  ``distortion_pair`` returns its value, and raises witness
 floors (below) when given a floor array; callers that need the solution
-vector, as ``extract_pseudometric`` does, call ``solve_pair``.
+vector call ``solve_pair``.
 
 Two outputs share one set of rules.  ``distortion_table`` solves every
 pair LP that the closed form below does not settle; ``minimax`` returns
@@ -193,7 +196,7 @@ pair LPs that certified bounds cannot rule out:
   gives 1 + 2(n - s_a)/s_a against every b; X = V - {b} has the t_b voters
   as ``far`` and gives 1 + 2 t_b/(n - t_b) for every a.  Their larger is
   the pair floor F(a, b) (``pair_floor``), and its row maximum bounds each
-  candidate's value (``value_floor``).  With ``alpha`` set the floor is 1:
+  candidate's value (``_floors``).  With ``alpha`` set the floor is 1:
   a voter at 1 is as far from its top as from its second choice, which the
   alpha rows forbid once alpha < 1.
 * **Closed form.**  F(a, b) <= V(a, b) <= B*(a, b) for the pair value V
@@ -260,7 +263,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .core import Election, MetricWitness, _check_candidates, _need_voters, _pair_counts, _shortest_paths, _subset_counts
+from .core import Election, _check_candidates, _need_voters, _pair_counts, _subset_counts
 from .errors import ConfigError, SolverFailureError
 
 if TYPE_CHECKING:
@@ -473,13 +476,15 @@ def build_metric_lp(e: Election, a: int, b: int, alpha=None, *, pairs=None) -> L
     ``pairs`` is a bool mask over the candidate pairs p < q in
     ``np.triu_indices`` order, naming the pairs that get voter rows and a
     y column; None gives the b-star, the m - 1 pairs that contain b, or
-    every pair when ``alpha`` is set.  It is kept as ``meta["pairs"]``.
+    every pair when ``alpha`` is set.  ``meta`` keeps what the certificate
+    reads: ``n``, ``m``, ``ballots`` (the number of ballot blocks) and
+    ``pairs``.
     """
     from scipy import sparse
 
+    _check_candidates(e, a, b)
     if a == b:
         raise ConfigError("build_metric_lp needs distinct candidates")
-    _check_candidates(e, a, b)
     _need_voters(e)
     n, m = e.n, e.m
 
@@ -561,11 +566,7 @@ def build_metric_lp(e: Election, a: int, b: int, alpha=None, *, pairs=None) -> L
     if alpha is None:
         plus = np.where(sink, y_b, nvars)
         lift = np.stack([np.concatenate([col.ravel(), y]), np.concatenate([plus.ravel(), np.full(ncp, nvars)])])
-    meta = {
-        "kind": "metric", "n": n, "m": m, "a": a, "b": b, "alpha": alpha,
-        "ballots": nb, "ballot_of": e.ballot_of, "pairs": pairs,
-    }
-    return LinearProgram(obj, a_ub, b_ub, a_eq, b_eq, meta, lift)
+    return LinearProgram(obj, a_ub, b_ub, a_eq, b_eq, {"n": n, "m": m, "ballots": nb, "pairs": pairs}, lift)
 
 
 def _uncertified(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
@@ -615,6 +616,7 @@ def distortion_pair(e: Election, a: int, b: int, alpha=None, *, floor: np.ndarra
     raised in place to an optimal solution's witness ratios, max over d of
     SC(c)/SC(d) for each c, skipping SC(d) < TAU_LP (module docstring).
     """
+    _check_candidates(e, a, b)
     if a == b:
         return 1.0
     out = solve_pair(e, a, b, alpha=alpha)
@@ -697,18 +699,12 @@ def pair_floor(e: Election) -> np.ndarray:
     return floor
 
 
-def value_floor(e: Election) -> np.ndarray:
-    """Certified lower bounds on every candidate's value, as an (m,) array:
-    the row maxima of ``pair_floor``, 1 with one candidate."""
-    return pair_floor(e).max(axis=1)
-
-
 def _floors(e: Election, bound: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
     """The pair values known without an LP and the candidates' value floors,
     both from one ``pair_floor`` table (module docstring): the (m, m) table
     where it is at least ``bound`` narrowed by TAU_LP, NaN elsewhere, and its
-    row maxima, as ``value_floor`` gives them.  With ``alpha`` set no pair is
-    settled and every floor is 1."""
+    row maxima, certified floors on the candidates' values, 1 with one
+    candidate.  With ``alpha`` set no pair is settled and every floor is 1."""
     if alpha is not None:
         return np.full(bound.shape, np.nan), np.ones(e.m)
     floor = pair_floor(e)
@@ -790,8 +786,8 @@ def minimax(e: Election, alpha=None) -> MinimaxResult:
     floors, as the module docstring sets out: candidates are visited by
     ascending largest bound, and one is dropped, before or during its
     scan, as soon as its value must be strictly above the least value found
-    so far.  The floors start at ``value_floor`` and each solved LP's
-    witness raises them.  The result equals the winner and its entries in
+    so far.  The floors start at the row maxima of ``pair_floor`` and each
+    solved LP's witness raises them.  The result equals the winner and its entries in
     ``distortion_table``.  With ``alpha`` set this is the alpha-decisive
     variant, searched with witness floors only; ``alpha = 1`` coincides
     with the plain rule.
@@ -852,34 +848,3 @@ def distortion_table(e: Election, alpha=None) -> DistortionReport:
         tuple(map(tuple, values)), tuple(v for v, _ in rows), tuple(w for _, w in rows), winner
     )
 
-
-def extract_pseudometric(outcome: LpOutcome) -> MetricWitness:
-    """Turn an optimal pair-LP solution into a full pseudo-metric witness.
-
-    The first nb * m entries of ``outcome.x`` are the per-ballot blocks of
-    voter-candidate distances, and the rest the candidate pairs p < q that
-    ``meta["pairs"]`` names, in ``np.triu_indices`` order.  Negative solver
-    noise is clipped to 0.  A merged ballot's distances are copied to every
-    voter casting it, and those voters are placed at one point.  The other
-    voter-voter distances and the candidate pairs left out are completed by
-    all-pairs shortest paths, which preserves every solved distance of a
-    certified solution (module docstring) and repairs solver-tolerance
-    triangle slack.  The witness is a float table.
-    """
-    if outcome.status != OPTIMAL:
-        raise ConfigError(f"cannot extract a witness from a {outcome.status} outcome")
-    meta = outcome.program.meta
-    if meta.get("kind") != "metric":
-        raise ConfigError("outcome does not come from a metric LP")
-    n, m, ballot_of = meta["n"], meta["m"], meta["ballot_of"]
-    nbm = meta["ballots"] * m
-    x = np.maximum(outcome.x, 0.0)
-    d = np.full((n + m, n + m), np.inf)
-    np.fill_diagonal(d, 0.0)
-    d[:n, n:] = x[:nbm].reshape(-1, m)[ballot_of]
-    d[n:, :n] = d[:n, n:].T
-    pa, pb = (k[meta["pairs"]] for k in _pairs(m))
-    d[n:, n:][pa, pb] = d[n:, n:][pb, pa] = x[nbm:]
-    d[:n, :n][ballot_of[:, None] == ballot_of[None, :]] = 0.0
-    _shortest_paths(d)
-    return MetricWitness(n, m, d)

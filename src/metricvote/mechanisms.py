@@ -247,7 +247,7 @@ def plurality_capacities(e: Election) -> tuple[int, ...]:
     """Plurality counts as right-side capacities; every voter needs a unique top."""
     caps = plurality_counts(e)
     if sum(caps) != e.n:
-        i = next(i for i in range(e.n) if e.top(i) is None)
+        i = int(np.argmax(e._top[e.ballot_of] < 0))
         raise ConfigError(f"voter {i} has no unique top; supply capacities explicitly")
     return caps
 

@@ -13,9 +13,10 @@ the acceptance suite:
       c = ceil( 2 (m + ln(2 m / delta)) / (eps/8)^2 )
 
 Reproducibility: every draw uses ``core.seeded_rng``, numpy's PCG64 seeded
-through SeedSequence; per-trial child seeds derive as
-SeedSequence((seed, trial)).  Each sampled rule states its replacement
-policy next to its ``sample_size`` call.
+through SeedSequence, which takes a tuple of ints as it takes an int:
+``metricvote sample`` seeds trial t of seed s with the tuple (s, t).
+Each sampled rule states its replacement policy next to its
+``sample_size`` call.
 """
 
 from __future__ import annotations
@@ -47,10 +48,6 @@ def sample_size(epsilon: float, delta: float, m: int, mode: str) -> int:
     raise ConfigError(f"unknown mode {mode!r}")
 
 
-def child_seed(seed: int, trial: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence((seed, trial))
-
-
 def _draw(e: Election, size: int, replace: bool, seed) -> np.ndarray:
     """The voter indices of a seeded draw, in draw order."""
     _need_voters(e)
@@ -65,7 +62,7 @@ def sample_voters(e: Election, size: int, replace: bool, seed) -> tuple[Election
     return e.restrict(idx), idx
 
 
-def sampled_copeland(e: Election, epsilon: float, delta: float, seed: int) -> int:
+def sampled_copeland(e: Election, epsilon: float, delta: float, seed) -> int:
     """Copeland winner of a sampled voter multiset.
 
     This is the king of the sample's majority tournament.  The sample size
@@ -81,7 +78,7 @@ def sampled_copeland(e: Election, epsilon: float, delta: float, seed: int) -> in
     return copeland(e.restrict(_draw(e, sample_size(epsilon, delta, e.m, "copeland"), True, seed)))
 
 
-def sampled_pm(e: Election, epsilon: float, delta: float, seed: int) -> tuple[int, tuple[Fraction, ...]]:
+def sampled_pm(e: Election, epsilon: float, delta: float, seed) -> tuple[int, tuple[Fraction, ...]]:
     """Sampled PluralityMatching: the winner and the sampled matching fractions.
 
     The winner is the argmax of the fractions; ties break by index.
@@ -95,6 +92,6 @@ def sampled_pm(e: Election, epsilon: float, delta: float, seed: int) -> tuple[in
     return phis.index(max(phis)), phis
 
 
-def sampled_plurality_matching(e: Election, epsilon: float, delta: float, seed: int) -> int:
+def sampled_plurality_matching(e: Election, epsilon: float, delta: float, seed) -> int:
     """Winner of :func:`sampled_pm`."""
     return sampled_pm(e, epsilon, delta, seed)[0]

@@ -7,8 +7,17 @@ import pytest
 from hypothesis import strategies as st
 
 from metricvote import instances as inst
-from metricvote.core import TAU_METRIC, Election, MetricWitness, election_from_text, mask_voters, truncate_to_ktop
+from metricvote.core import (
+    TAU_METRIC,
+    Election,
+    MetricWitness,
+    check_consistent,
+    election_from_text,
+    mask_voters,
+    truncate_to_ktop,
+)
 from metricvote.errors import DataFormatError
+from metricvote.instances import GeneratedInstance
 from metricvote.mechanisms import MatchingResult
 
 
@@ -98,6 +107,16 @@ def ref_second(p, m: int) -> int | None:
     return next((c for c in range(m) if c != top and sum((c, d) in p for d in range(m)) == m - 2), None)
 
 
+def top_of(e: Election, i: int) -> int | None:
+    """Voter i's top, read from its pair set (``e.prefs``)."""
+    return ref_top(e.prefs[i], e.m)
+
+
+def second_of(e: Election, i: int) -> int | None:
+    """Voter i's second choice, read from its pair set (``e.prefs``)."""
+    return ref_second(e.prefs[i], e.m)
+
+
 def ref_bottom(p, m: int) -> int | None:
     """The candidate stated below every other one, or None."""
     return next((c for c in range(m) if sum((d, c) in p for d in range(m)) == m - 1), None)
@@ -114,13 +133,29 @@ def ref_ktop(p, m: int, length: int) -> tuple[int, ...] | None:
     return tuple(order[:length]) if length else None
 
 
+def vc(metric: MetricWitness, voter: int, candidate: int):
+    """The distance from a voter to a candidate: an int or Fraction when the
+    table is exact, else a float.  Ids outside [0, n) and [0, m) raise, where
+    a negative one would index from the end of the table."""
+    if not (0 <= voter < metric.n and 0 <= candidate < metric.m):
+        raise IndexError(f"voter {voter} or candidate {candidate} outside a {metric.n} x {metric.m} witness")
+    return metric.dist.item(voter, metric.n + candidate)
+
+
+def check_witness(gi: GeneratedInstance) -> None:
+    """A shipped witness is a metric consistent with the election it ships with."""
+    if gi.witness is not None:
+        gi.witness.validate_metric()
+        assert check_consistent(gi.witness, gi.election), f"{gi.generator}: witness inconsistent with election"
+
+
 def ref_consistent(metric: MetricWitness, e: Election, tol: float = TAU_METRIC) -> bool:
     """Voter by voter, whether each pair of the voter's pair set puts the nearer
     candidate first: exactly on exact tables, within ``tol`` times the larger
     distance (at least 1) on float ones."""
     for i, p in enumerate(e.prefs):
         for a, b in p:
-            da, db = metric.vc(i, a), metric.vc(i, b)
+            da, db = vc(metric, i, a), vc(metric, i, b)
             slack = 0 if metric.exact else tol * max(1.0, abs(da), abs(db))
             if da > db + slack:
                 return False

@@ -9,6 +9,10 @@ the unreduced program, with one variable per pair of points (voters
 0..n-1, candidates n..n+m-1) and the three triangle rows of every point
 triple, so the tests can check the reduced program against it.  It is
 small-instance code: the program has O((n + m)^3) rows.
+
+``extract_pseudometric`` turns a certified solution of the reduced program
+into a full witness, as the **Witnesses** paragraph of ``metricvote.lp``
+describes, so the tests can check that it is a consistent metric.
 """
 
 from __future__ import annotations
@@ -20,7 +24,10 @@ import math
 import numpy as np
 from scipy import sparse
 
-from metricvote.core import Election
+from conftest import second_of, top_of
+
+from metricvote.core import Election, MetricWitness, _shortest_paths
+from metricvote.errors import ConfigError
 from metricvote.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpOutcome, solve_lp
 
 
@@ -72,7 +79,7 @@ def build_full(e: Election, a: int, b: int, alpha=None) -> LinearProgram:
             ub_rows.append(({var_names[vi(i, n + p)]: 1.0, var_names[vi(i, n + q)]: -1.0}, 0.0))
     if alpha is not None:
         for i in range(n):
-            t, s = e.top(i), e.second(i)
+            t, s = top_of(e, i), second_of(e, i)
             ub_rows.append(({var_names[vi(i, n + t)]: 1.0, var_names[vi(i, n + s)]: -float(alpha)}, 0.0))
     for p, q, r in itertools.combinations(range(size), 3):
         for x, y, z in ((p, q, r), (p, r, q), (q, r, p)):
@@ -95,3 +102,32 @@ def solve_full(e: Election, a: int, b: int, alpha=None) -> LpOutcome:
         if solve_lp(probe).status == OPTIMAL:
             return LpOutcome(UNBOUNDED, math.inf, None, lp)
     return out
+
+
+def extract_pseudometric(e: Election, outcome: LpOutcome) -> MetricWitness:
+    """Turn an optimal solution of ``e``'s reduced pair LP into a full pseudo-metric witness.
+
+    The first nb * m entries of ``outcome.x`` are the per-ballot blocks of
+    voter-candidate distances, and the rest the candidate pairs p < q that
+    the program's ``meta["pairs"]`` names, in ``np.triu_indices`` order.
+    Negative solver noise is clipped to 0.  A merged ballot's distances are
+    copied to every voter casting it, and those voters are placed at one
+    point.  The other voter-voter distances and the candidate pairs left
+    out are completed by all-pairs shortest paths, which preserves every
+    solved distance of a certified solution and repairs solver-tolerance
+    triangle slack.  The witness is a float table.
+    """
+    if outcome.status != OPTIMAL:
+        raise ConfigError(f"cannot extract a witness from a {outcome.status} outcome")
+    n, m, ballot_of = e.n, e.m, e.ballot_of
+    nbm = len(e.levels) * m
+    x = np.maximum(outcome.x, 0.0)
+    d = np.full((n + m, n + m), np.inf)
+    np.fill_diagonal(d, 0.0)
+    d[:n, n:] = x[:nbm].reshape(-1, m)[ballot_of]
+    d[n:, :n] = d[:n, n:].T
+    pa, pb = (k[outcome.program.meta["pairs"]] for k in np.triu_indices(m, 1))
+    d[n:, n:][pa, pb] = d[n:, n:][pb, pa] = x[nbm:]
+    d[:n, :n][ballot_of[:, None] == ballot_of[None, :]] = 0.0
+    _shortest_paths(d)
+    return MetricWitness(n, m, d)

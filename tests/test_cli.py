@@ -85,6 +85,7 @@ class TestRun:
         [
             ("swap", "euc.json: witness contradicts a preference the election states"),
             ("drop", "metric dimensions do not match the election"),
+            ("not-metric", "euc.json: witness is not a metric: asymmetric or negative entries"),
         ],
     )
     def test_sidecar_witness_must_fit_the_election(self, tmp_path, capsys, tamper, message):
@@ -97,8 +98,11 @@ class TestRun:
         if tamper == "swap":  # voter 0's distances to candidates 0 and 1 trade places
             dist[0][6], dist[0][7] = dist[0][7], dist[0][6]
             dist[6][0], dist[7][0] = dist[7][0], dist[6][0]
-        else:  # voter 0 dropped
+        elif tamper == "drop":  # voter 0 dropped
             doc["witness"].update(n=5, dist=[row[1:] for row in dist[1:]])
+        else:  # a negative voter-voter entry, and candidates 0 and 1 far apart: consistent, not a metric
+            dist[1][2] = dist[2][1] = -1.0
+            dist[6][7] = dist[7][6] = 1000.0
         base.with_suffix(".json").write_text(json.dumps(doc))
         assert run(args) == 3
         err = capsys.readouterr().err
@@ -185,8 +189,13 @@ class TestGoldenOutputs:
             (["run", "--mechanism", "dr", "--pairing", "shuffle", "--generator", "impartial-culture",
               "--params", "n=15,m=8", "--seed", 7], "golden-run-dr-shuffle.json"),
             (["sweep-missing", "--n", 20, "--m", 5, "--trials", 2, "--seed", 3, "--jobs", 1], "golden-sweep-missing.csv"),
+            # these pin the voters each trial draws under its seed (seed, trial)
+            (["sample", "--mode", "copeland", "--generator", "impartial-culture", "--params", "n=30,m=4", "--seed", 5,
+              "--epsilon", 4, "--delta", 0.5, "--trials", 8], "golden-sample-copeland.csv"),
+            (["sample", "--mode", "plurality-matching", "--generator", "impartial-culture", "--params", "n=300,m=6",
+              "--seed", 3, "--epsilon", 4, "--delta", 0.5, "--trials", 8], "golden-sample-pm.csv"),
         ],
-        ids=["sweep-k", "eval", "run-dr-shuffle", "sweep-missing"],
+        ids=["sweep-k", "eval", "run-dr-shuffle", "sweep-missing", "sample-copeland", "sample-pm"],
     )
     def test_reproduces_recorded_output(self, tmp_path, argv, fixture):
         out = tmp_path / fixture
@@ -335,10 +344,8 @@ class TestSample:
         assert run(argv + [b]) == 0
         assert a.read_bytes() == b.read_bytes()
         rows = [l for l in a.read_text().splitlines() if not l.startswith("#")]
-        assert rows[0] == "trial,seed,c,winner,realized_distortion,phi_hat_max,elapsed_ms"
-        assert len(rows) == 5
-        # elapsed_ms stays empty without --timing so reruns are byte-identical
-        assert rows[1].endswith(",")
+        assert rows[0] == "trial,seed,c,winner,realized_distortion,phi_hat_max"
+        assert len(rows) == 5 and all(len(r.split(",")) == 6 for r in rows)
 
     def test_lp_distortion_once_per_winner(self, tmp_path, monkeypatch):
         calls = []
@@ -363,7 +370,7 @@ class TestSample:
         out = tmp_path / "empty.csv"
         run(["sample", "--mode", "copeland", "--in", base.with_suffix(".elec"), "--trials", 0, "--out", out])
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-        assert rows == ["trial,seed,c,winner,realized_distortion,phi_hat_max,elapsed_ms"]
+        assert rows == ["trial,seed,c,winner,realized_distortion,phi_hat_max"]
 
     def test_partial_orders_are_config_error(self, tmp_path):
         elec = tmp_path / "top1.elec"

@@ -27,6 +27,7 @@ from conftest import (
     ref_second,
     ref_top,
     relation,
+    vc,
     weak_order,
     weak_order_profiles,
 )
@@ -49,6 +50,7 @@ from metricvote.core import (
     induce_election,
     mask_voters,
     plurality_counts,
+    realized_distortion,
     seeded_rng,
     social_cost,
     truncate_to_ktop,
@@ -56,6 +58,12 @@ from metricvote.core import (
 from metricvote.dataio import ScoringRule, positional_score
 from metricvote.errors import ConfigError, DataFormatError
 from metricvote.mechanisms import build_domination_graph, conjecture_probe, ktop_rule, majority_oracle, max_matching
+
+
+def _cached_top_second(e, i):
+    """Voter i's top and second choice from the cached per-ballot arrays, None for -1."""
+    j = e.ballot_of[i]
+    return tuple(None if v < 0 else int(v) for v in (e._top[j], e._second[j]))
 
 
 def small_election():
@@ -193,12 +201,12 @@ class TestElection:
         # listed candidates beat each other in order and all omitted ones
         e = Election.from_ktop([(2, 0)], 4)
         assert e.prefs[0] == {(2, 0), (2, 1), (2, 3), (0, 1), (0, 3)}
-        assert e.top(0) == 2 and e.second(0) == 0
+        assert _cached_top_second(e, 0) == (2, 0)
 
     def test_top_and_bottom_partial(self):
         e = election_of(4, ["0 = 1 > 2 = 3"])
         assert e.prefs[0] == {(0, 2), (0, 3), (1, 2), (1, 3)}
-        assert e.top(0) is None and bottom(e, 0) is None
+        assert _cached_top_second(e, 0) == (None, None) and bottom(e, 0) is None
 
     def test_truncate_to_ktop(self):
         e = Election.from_rankings([(2, 0, 1)], 3)
@@ -247,7 +255,7 @@ class TestBallotTensor:
         bottoms = [ref_bottom(p, m) for p in prefs]
         for i, p in enumerate(prefs):
             assert e.levels[e.ballot_of[i]].tolist() == [sum((d, c) in p for d in range(m)) for c in range(m)]
-            assert (e.top(i), e.second(i), bottom(e, i)) == (tops[i], ref_second(p, m), bottoms[i])
+            assert (*_cached_top_second(e, i), bottom(e, i)) == (tops[i], ref_second(p, m), bottoms[i])
             assert is_total(e, i) == total[i]
         assert e.all_total == all(total)
 
@@ -368,7 +376,7 @@ class TestPerBallotFields:
         tops = [ref_top(p, m) for p in prefs]
         assert e.prefs == tuple(prefs)
         assert e.listed.tolist() == [len(a) if a else m if t else 0 for a, t in zip(ann, total)]
-        assert [(e.top(i), e.second(i)) for i in range(e.n)] == [(t, ref_second(p, m)) for t, p in zip(tops, prefs)]
+        assert [_cached_top_second(e, i) for i in range(e.n)] == [(t, ref_second(p, m)) for t, p in zip(tops, prefs)]
         assert e.all_total == all(total)
         assert plurality_counts(e) == tuple(tops.count(c) for c in range(m))
 
@@ -392,7 +400,7 @@ class TestPerBallotFields:
         e = Election.from_rankings([(0, 1, 2), (2, 1, 0), (0, 1, 2)], 3)
         for built in (e, e.restrict([1, 0]), truncate_to_ktop(e, 2)):
             assert not fields & set(vars(built))
-        assert e.top(1) == 2 and set(vars(e)) & fields == {"_top"}
+        assert e._top[e.ballot_of[1]] == 2 and set(vars(e)) & fields == {"_top"}
 
 
 class TestBallotConstruction:
@@ -712,11 +720,11 @@ class TestConsistencyAndCost:
             # move a stated winner a just past its nearest stated loser b
             i = next(i for i, p in enumerate(e.prefs) if p)
             a = min(p for p, _ in e.prefs[i])
-            b = min((q for p, q in e.prefs[i] if p == a), key=lambda q: w.vc(i, q))
+            b = min((q for p, q in e.prefs[i] if p == a), key=lambda q: vc(w, i, q))
             steps = [(Fraction(1, 10**12), False)] if w.exact else [(1e-6, False), (1e-11, True)]
             for step, kept in steps:
                 table = w.dist.copy()
-                table[i, e.n + a] = table[e.n + a, i] = w.vc(i, b) + step * max(1, w.vc(i, b))
+                table[i, e.n + a] = table[e.n + a, i] = vc(w, i, b) + step * max(1, vc(w, i, b))
                 moved = MetricWitness(e.n, e.m, table)
                 assert moved.exact == w.exact
                 assert check_consistent(moved, e) == ref_consistent(moved, e) == kept, (gi.generator, step)
@@ -746,6 +754,15 @@ class TestConsistencyAndCost:
         gi = inst.veto_instance(4)
         assert social_cost(gi.witness, 0) == 4
         assert social_cost(gi.witness, 1) == 8
+
+    @pytest.mark.parametrize("c", [-1, -3, 3, 5])
+    def test_candidate_ids_out_of_range(self, c):
+        # realized_distortion(w, -1) read candidate 2's ratio and (w, 3) raised a bare
+        # IndexError; social_cost raised DataFormatError, not the LP entry points' ConfigError
+        w = inst.euclidean(6, 3, 2, seed=2).witness
+        for call in (social_cost, realized_distortion):
+            with pytest.raises(ConfigError, match=f"^candidate {c} out of range \\[0, 3\\)$"):
+                call(w, c)
 
 
 class TestSeededRng:
@@ -816,10 +833,10 @@ class TestMetricWitnessConstructors:
     def test_from_points_exact_input_respects_norm(self):
         voters, cands = [(0, 0)], [(3, 4)]
         euclidean = MetricWitness.from_points(voters, cands)
-        assert not euclidean.exact and euclidean.vc(0, 0) == 5.0
-        assert MetricWitness.from_points([(0.0, 0.0)], [(3.0, 4.0)]).vc(0, 0) == 5.0
+        assert not euclidean.exact and vc(euclidean, 0, 0) == 5.0
+        assert vc(MetricWitness.from_points([(0.0, 0.0)], [(3.0, 4.0)]), 0, 0) == 5.0
         # 1-D exact points stay exact
-        assert MetricWitness.from_points([Fraction(1, 2)], [Fraction(2)]).vc(0, 0) == Fraction(3, 2)
+        assert vc(MetricWitness.from_points([Fraction(1, 2)], [Fraction(2)]), 0, 0) == Fraction(3, 2)
 
 
 class TestMetricWitnessTable:
@@ -1043,5 +1060,5 @@ class TestInduction:
         e, w = gi.election, gi.witness
         assert check_consistent(w, e)
         # along a line, each voter's ranking is single-peaked in candidate position
-        order = sorted(range(4), key=lambda c: w.vc(0, c))
+        order = sorted(range(4), key=lambda c: vc(w, 0, c))
         assert ranking(e, 0)[0] == order[0]

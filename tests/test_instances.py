@@ -5,7 +5,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from conftest import ranking
+from conftest import check_witness, ranking, second_of, top_of, vc
 
 from metricvote import cli
 from metricvote import instances as inst
@@ -36,7 +36,7 @@ def test_impartial_culture_single_candidate():
 def test_euclidean_witness_consistent():
     for seed in range(4):
         gi = inst.euclidean(15, 5, 2, seed=seed)
-        gi.check_witness()
+        check_witness(gi)
 
 
 def test_euclidean_exhaustive_optimum():
@@ -49,7 +49,7 @@ def test_euclidean_exhaustive_optimum():
 @pytest.mark.parametrize("ell", [2, 3, 4, 5, 6])
 def test_chain_social_costs_exact(ell):
     gi = inst.chain(ell)
-    gi.check_witness()
+    check_witness(gi)
     assert [social_cost(gi.witness, c) for c in range(ell)] == list(gi.expected["social_costs"])
     # candidate t pairwise-defeats t-1: half the voters certainly prefer it
     g = comparison_graph(gi.election)
@@ -68,7 +68,7 @@ def test_chain_ell2_tie_pattern():
 @pytest.mark.parametrize("m", [2, 4, 8, 16])
 def test_dr_lower_bound_shape(m):
     gi = inst.dr_lower_bound(m)
-    gi.check_witness()
+    check_witness(gi)
     assert gi.expected["distortion"] == 2 * (m.bit_length() - 1) + 1
     assert sum(len(r) for r in gi.schedule) == m - 1
     # far candidates lose every scheduled comparison by pure distance
@@ -86,7 +86,7 @@ def test_dr_lower_bound_rejects_non_powers():
 def test_ktop_lower_bound_formula(m, k):
     r = Fraction(1, 10**6)
     gi = inst.ktop_lower_bound(m, k, r)
-    gi.check_witness()
+    check_witness(gi)
     n = (m - 1) // k
     formula = (1 + (n - 1) * (r + 2)) / (1 + (n - 1) * r)
     assert gi.expected["distortion_formula"] == formula
@@ -110,7 +110,7 @@ def test_ktop_lower_bound_requires_divisibility():
 @pytest.mark.parametrize("eps,expected", [(Fraction(1, 5), 4), (Fraction(2, 5), Fraction(17, 3)), (Fraction(3, 5), 9)])
 def test_missing_voters_closed_form(eps, expected):
     gi = inst.missing_voters_tight(eps)
-    gi.check_witness()
+    check_witness(gi)
     assert gi.expected["distortion_a"] == 3 + 4 * eps / (1 - eps) == expected
     # all population fractions integral
     assert gi.election.n * eps % 1 == 0
@@ -137,7 +137,7 @@ def test_veto_instance_m4_matches_listed_profile():
 @pytest.mark.parametrize("m", [3, 4, 5, 7, 10])
 def test_veto_instance_properties(m):
     gi = inst.veto_instance(m)
-    gi.check_witness()
+    check_witness(gi)
     assert social_cost(gi.witness, 0) == m
     for b in range(1, m):
         assert social_cost(gi.witness, b) == 3 * m - 4
@@ -151,18 +151,18 @@ def test_veto_instance_properties(m):
 @pytest.mark.parametrize("alpha", [Fraction(0), Fraction(3, 10), Fraction(1, 2), Fraction(1)])
 def test_decisive_instance(alpha):
     gi = inst.decisive_instance(alpha)
-    gi.check_witness()
+    check_witness(gi)
     w, e = gi.witness, gi.election
     assert social_cost(w, 2) == 1
     assert social_cost(w, 1) == 2 + alpha
     for i in range(2):
-        t, s = e.top(i), e.second(i)
-        assert w.vc(i, t) <= alpha * w.vc(i, s)
+        t, s = top_of(e, i), second_of(e, i)
+        assert vc(w, i, t) <= alpha * vc(w, i, s)
 
 
 def test_hidden_star_costs():
     gi = inst.hidden_star(5, chosen=2)
-    gi.check_witness()
+    check_witness(gi)
     assert realized_distortion(gi.witness, 2) == 1
     for c in (0, 1, 3, 4):
         assert realized_distortion(gi.witness, c) >= gi.expected["min_bad_distortion"]
@@ -188,7 +188,7 @@ def test_hidden_star_rejects_non_finite_far_ratio(far_ratio):
 
 def test_hidden_star_far_ratio_one_is_a_metric():
     gi = inst.hidden_star(4, chosen=1, n=2, far_ratio=1)
-    gi.check_witness()
+    check_witness(gi)
     assert tuple(gi.witness.dist[0]) == (0, 2, 1, 1, 1, 1)
 
 
@@ -240,7 +240,7 @@ def test_generate_dispatch_and_sidecar_roundtrip():
     gi2 = inst.generate("euclidean", {"n": 5, "m": 3, "dim": 2}, seed=1)
     side2 = witness_to_jsonable(gi2.witness)
     w3 = witness_from_jsonable(side2)
-    assert abs(w3.vc(0, 0) - gi2.witness.vc(0, 0)) < 1e-12
+    assert abs(vc(w3, 0, 0) - vc(gi2.witness, 0, 0)) < 1e-12
     # int tables stay ints in JSON; Fraction tables are written as strings
     veto = instance_sidecar(inst.generate("veto", {"m": 5}))["witness"]
     assert all(type(x) is int for row in veto["dist"] for x in row)

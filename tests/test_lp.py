@@ -11,10 +11,10 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from conftest import ballot_elections, election_of, ktop_elections
+from conftest import ballot_elections, election_of, ktop_elections, top_of, vc
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference_lp import build_full, from_rows, solve_full
+from reference_lp import build_full, extract_pseudometric, from_rows, solve_full
 
 from metricvote import instances as inst
 from metricvote import lp
@@ -32,12 +32,11 @@ from metricvote.lp import (
     distortion_of,
     distortion_pair,
     distortion_table,
-    extract_pseudometric,
     minimax,
+    pair_floor,
     ratio_bound,
     solve_lp,
     solve_pair,
-    value_floor,
 )
 from metricvote.mechanisms import phi_scores
 
@@ -263,9 +262,9 @@ class TestMetricLpConstruction:
         e = Election.from_rankings([(0, 1, 2), (2, 1, 0)], 3)
         out = solve_lp(build_metric_lp(e, 0, 2, alpha=0.0))
         assert out.status == OPTIMAL
-        w = extract_pseudometric(out)
+        w = extract_pseudometric(e, out)
         for i in range(2):
-            assert w.vc(i, e.top(i)) <= 1e-7
+            assert vc(w, i, top_of(e, i)) <= 1e-7
 
     def test_alpha_needs_top_and_second(self):
         # voter 3 has a top but no second, and voter 4 neither; voter 0's ballot is cast again
@@ -310,9 +309,10 @@ class TestInputChecks:
             with pytest.raises(DataFormatError, match="^the election needs at least one voter$"):
                 call(e)
 
-    @pytest.mark.parametrize("a, b", [(-1, 3), (0, 4), (4, 0), (0, -4)])
+    @pytest.mark.parametrize("a, b", [(-1, 3), (0, 4), (4, 0), (0, -4), (9, 9), (-1, -1)])
     def test_pair_ids_out_of_range(self, a, b):
-        # distortion_pair(e, -1, 3) read candidate 3 twice and returned 1.0
+        # distortion_pair(e, -1, 3) read candidate 3 twice and returned 1.0, as did
+        # distortion_pair(e, 9, 9) and (e, -1, -1), through the self-pair shortcut
         e = inst.impartial_culture(20, 4, seed=3).election
         for call in (distortion_pair, solve_pair, build_metric_lp):
             with pytest.raises(ConfigError, match=r"^candidate -?\d+ out of range \[0, 4\)$"):
@@ -330,7 +330,7 @@ class TestWitnessExtraction:
     def test_tightness_on_split_instance(self):
         e = Election.from_rankings([(0, 1), (1, 0)], 2)
         out = solve_lp(build_metric_lp(e, 0, 1))
-        w = extract_pseudometric(out)
+        w = extract_pseudometric(e, out)
         w.validate_metric()
         assert check_consistent(w, e)
         assert close(social_cost(w, 0) / social_cost(w, 1), out.value)
@@ -343,7 +343,7 @@ class TestWitnessExtraction:
         out = solve_lp(build_metric_lp(e, 0, 2))
         assert out.program.meta["pairs"].tolist() == [False, True, True]
         x = np.array([1.0, 2.0, 3.0, 2.0, 1.0, -1e-12, 2.0, 1.0])
-        d = extract_pseudometric(dataclasses.replace(out, x=x)).dist
+        d = extract_pseudometric(e, dataclasses.replace(out, x=x)).dist
         assert d[:3, 3:].tolist() == [[1, 2, 3], [2, 1, 0], [1, 2, 3]]
         assert d[3:, 3:].tolist() == [[0, 3, 2], [3, 0, 1], [2, 1, 0]]
         assert d[:3, :3].tolist() == [[0, 3, 0], [3, 0, 3], [0, 3, 0]]
@@ -351,7 +351,7 @@ class TestWitnessExtraction:
     def test_merged_points_share_rows(self):
         e = Election.from_rankings([(0, 1, 2)], 3)
         out = solve_lp(build_metric_lp(e, 0, 1))
-        w = extract_pseudometric(out)
+        w = extract_pseudometric(e, out)
         a = w.as_array()
         size = a.shape[0]
         for i in range(size):
@@ -364,7 +364,7 @@ class TestWitnessExtraction:
         out = solve_lp(build_metric_lp(e, 1, 0))
         assert out.status == UNBOUNDED
         with pytest.raises(ConfigError):
-            extract_pseudometric(out)
+            extract_pseudometric(e, out)
 
 
 class TestMinimax:
@@ -426,15 +426,15 @@ def _assert_minimax_matches_table(e, alpha=None):
 
 
 def _assert_floor_holds(e, rep):
-    """``value_floor`` is at most every candidate's value, up to solver noise, and never NaN."""
-    floor = value_floor(e)
+    """The row maxima of ``pair_floor`` are at most every candidate's value, up to solver noise, and never NaN."""
+    floor = pair_floor(e).max(axis=1)
     assert floor.shape == (e.m,) and not np.isnan(floor).any()
     assert (floor <= np.array(rep.per_candidate) * (1 + TAU_LP)).all()
     return floor
 
 
 class TestBranchAndBound:
-    """``minimax`` skips pair LPs by ``ratio_bound`` and ``value_floor`` yet returns the table's answer."""
+    """``minimax`` skips pair LPs by ``ratio_bound`` and ``pair_floor`` yet returns the table's answer."""
 
     @given(ballot_elections())
     @settings(max_examples=60, deadline=None)
@@ -473,7 +473,7 @@ class TestBranchAndBound:
         # clamped to [floor (1 - TAU_LP), bound (1 + TAU_LP)] (the bound wins where
         # the two cross), and one per row at least the floor, as the certified
         # floor and solver noise may leave them; settled pairs keep their closed form
-        bound, floor = ratio_bound(e), value_floor(e)
+        bound, floor = ratio_bound(e), pair_floor(e).max(axis=1)
         settled, _ = lp._floors(e, bound, None)
         levels = sorted({float(x) for x in [*bound.flat, *floor] if math.isfinite(x)}) + [math.inf]
         factor = st.sampled_from(NOISE)
@@ -572,8 +572,8 @@ class TestMatchingCertificate:
 
 
 class TestValueFloor:
-    """``value_floor`` is a certified lower bound on every candidate's value; its
-    soundness on ``small_lp_corpus`` and ``ballot_elections`` is checked beside
+    """The row maxima of ``pair_floor`` are certified lower bounds on the
+    candidates' values; their soundness on ``small_lp_corpus`` and ``ballot_elections`` is checked beside
     the full table in ``TestBranchAndBound``."""
 
     def test_equals_values_on_top_one_ballots(self):
@@ -587,25 +587,25 @@ class TestValueFloor:
     def test_closed_form(self):
         # one voter each way: s_a = 1 and t_b = 1, so every floor is 1 + 2 * 1/1
         split = Election.from_rankings([(0, 1), (1, 0)], 2)
-        assert value_floor(split).tolist() == [3.0, 3.0]
+        assert pair_floor(split).max(axis=1).tolist() == [3.0, 3.0]
         # voters 0, 1 state 0 = 2 > 1 and voter 2 is silent: s = (2, 0, 2), t = (3, 1, 3)
         e = election_of(3, ["0 = 2 > 1", "0 = 2 > 1", ""])
-        assert value_floor(e).tolist() == [math.inf, math.inf, math.inf]
+        assert pair_floor(e).max(axis=1).tolist() == [math.inf, math.inf, math.inf]
         e = election_of(3, ["0 > 1 = 2", "0 = 2 > 1"])
         # s = (2, 0, 1); t = (2, 0, 1): g = (inf, 1, 1 + 2 * 1/1)
-        assert value_floor(e).tolist() == [3.0, math.inf, math.inf]
+        assert pair_floor(e).max(axis=1).tolist() == [3.0, math.inf, math.inf]
 
     def test_silent_and_degenerate_elections(self):
         silent = election_of(3, [""] * 3)
-        assert value_floor(silent).tolist() == [math.inf] * 3
+        assert pair_floor(silent).max(axis=1).tolist() == [math.inf] * 3
         assert distortion_table(silent).per_candidate == (math.inf,) * 3
-        assert value_floor(election_of(3, [])).tolist() == [1.0] * 3
-        assert value_floor(Election.from_rankings([(0,)], 1)).tolist() == [1.0]
+        assert pair_floor(election_of(3, [])).max(axis=1).tolist() == [1.0] * 3
+        assert pair_floor(Election.from_rankings([(0,)], 1)).max(axis=1).tolist() == [1.0]
 
     def test_below_largest_bound_on_euclidean_corpus(self, euclidean_corpus):
         for gi in euclidean_corpus:
             e = gi.election
-            assert (value_floor(e) <= ratio_bound(e).max(axis=1) * (1 + TAU_LP)).all()
+            assert (pair_floor(e).max(axis=1) <= ratio_bound(e).max(axis=1) * (1 + TAU_LP)).all()
 
     def test_minimax_builds_one_floor_table(self, monkeypatch):
         # the settled pairs and the candidates' floors come from one pair_floor table
@@ -619,7 +619,7 @@ class TestValueFloor:
         e = truncate_to_ktop(inst.impartial_culture(12, 5, seed=3).election, 2)
         bound = ratio_bound(e)
         settled, floor = lp._floors(e, bound, None)
-        assert np.array_equal(floor, value_floor(e)) and len(calls) == 2
+        assert np.array_equal(floor, lp.pair_floor(e).max(axis=1)) and len(calls) == 2
         minimax(e)
         assert len(calls) == 3
 
@@ -693,7 +693,7 @@ def _assert_matches_full(e, a, b, alpha=None, ref=None):
         return
     out = solve_pair(e, a, b, alpha=alpha)
     assert out.status == OPTIMAL and close(out.value, ref.value, TAU_LP)
-    w = extract_pseudometric(out)
+    w = extract_pseudometric(e, out)
     w.validate_metric()
     assert check_consistent(w, e)
     assert social_cost(w, a) / social_cost(w, b) <= out.value * (1 + 1e-6)
@@ -744,7 +744,7 @@ class TestReducedLpMatchesFull:
         e = Election.from_rankings(rankings, 3)
         out = solve_lp(build_metric_lp(e, 2, 0))
         assert out.status == OPTIMAL
-        w = extract_pseudometric(out)
+        w = extract_pseudometric(e, out)
         d = w.as_array()
         assert d.shape == (e.n + e.m, e.n + e.m)
         w.validate_metric()
@@ -803,7 +803,7 @@ class TestClosedForm:
         e = truncate_to_ktop(inst.impartial_culture(n, m, seed=seed).election, 1)
         quiet = rng.choice(n, size=int(rng.integers(0, n)), replace=False)  # at least one voter keeps a top
         e = mask_voters(e, quiet.tolist())
-        tops = np.bincount([e.top(i) for i in range(n) if e.top(i) is not None], minlength=m)
+        tops = np.bincount([top_of(e, i) for i in range(n) if top_of(e, i) is not None], minlength=m)
         programs = _record_programs(monkeypatch)
         got = minimax(e)
         assert programs == []
@@ -928,7 +928,7 @@ class TestWitnessFloors:
         assert (floor <= _reference_values(e, ref) * (1 + TAU_LP)).all() and (floor > 1).any()
 
     def test_drops_a_candidate_the_value_floor_would_scan(self):
-        # value_floor keeps candidates 1 and 2 in the search; the witnesses of
+        # pair_floor's row maxima keep candidates 1 and 2 in the search; the witnesses of
         # the first LPs lift their floors above the incumbent, so they get no LP
         e = inst.impartial_culture(8, 4, seed=5).election
 
@@ -1061,7 +1061,7 @@ class TestStarProgram:
         e = g.election
         out = solve_pair(e, 0, 1)
         assert out.status == OPTIMAL and not out.program.meta["pairs"].all()
-        w = extract_pseudometric(out)
+        w = extract_pseudometric(e, out)
         w.validate_metric()
         assert check_consistent(w, e)
         assert close(social_cost(w, 0) / social_cost(w, 1), out.value)
@@ -1084,9 +1084,8 @@ def _unreduced():
     return patch.object(lp, "_columns", lambda levels, a, b, pa, pb: (np.arange(levels.size).reshape(levels.shape), np.zeros(levels.shape, dtype=bool)))
 
 
-def _reads_b(program, m):
+def _reads_b(program, m, b):
     """Per ballot, the candidates whose distance reads b's column: (alone, plus y_bc)."""
-    b = program.meta["b"]
     col, plus = (side[: program.meta["ballots"] * m].reshape(-1, m) for side in program.lift)
     padded = len(program.objective)
     same = col == col[:, b : b + 1]
@@ -1136,7 +1135,7 @@ class TestDominatedDistances:
     def test_top_lists_ties_and_silent_voters(self):
         e = election_of(5, self.LINES)
         program = build_metric_lp(e, 0, 2)
-        assert _reads_b(program, 5) == [
+        assert _reads_b(program, 5, 2) == [
             ({1}, {4}),  # a top list that lists b: 1 is above b; 4 is a bottom candidate (0 is a)
             (set(), {4}),  # a top list that leaves b out: b shares its level, so Rule 1 is off
             (set(), {4}),  # a tie at b's level: Rule 1 is off
@@ -1155,7 +1154,7 @@ class TestDominatedDistances:
         pa, pb = np.triu_indices(5, 1)
         star = (pa == 2) | (pb == 2)
         added = star | ((pa == 3) & (pb == 4))  # the pair {3, 4}, as the certificate adds it
-        assert _reads_b(build_metric_lp(e, 0, 2, pairs=added), 5) == [
+        assert _reads_b(build_metric_lp(e, 0, 2, pairs=added), 5, 2) == [
             ({1}, set()), (set(), set()), (set(), set()), (set(), {1}), ({3, 4}, set())
         ]
         for extra in range(len(pa)):
