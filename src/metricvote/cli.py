@@ -9,9 +9,9 @@ header and contains no timestamps, so a rerun with the same seed and
 * 3 data error: a malformed or missing input (``DataFormatError``,
   ``FileNotFoundError``), such as an election file that does not parse
   (elections are read from rankings, top lists or text, and text
-  expresses every election) or a sidecar witness that does not fit its
-  election or is not a metric, or an input that fails a rule's
-  pairwise-coverage precondition (``CoverageError``);
+  expresses every election), a sidecar that does not parse, or a sidecar
+  witness that does not fit its election or is not a metric, or an input
+  that fails a rule's pairwise-coverage precondition (``CoverageError``);
 * 4 theorem falsification: a guaranteed structure was not found
   (``TheoremFalsificationError``).
 """
@@ -115,9 +115,17 @@ def _load_instance(args) -> GeneratedInstance:
         schedule = None
         sidecar = Path(args.infile).with_suffix(".json")
         if sidecar.exists():
-            obj = json.loads(sidecar.read_text(encoding="utf-8"))
+            try:
+                obj = json.loads(sidecar.read_text(encoding="utf-8"))
+            except ValueError as exc:  # a JSONDecodeError or UnicodeDecodeError
+                raise DataFormatError(f"{sidecar}: not valid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise DataFormatError(f"{sidecar}: not a JSON object")
             if obj.get("witness"):
-                witness = witness_from_jsonable(obj["witness"])
+                try:
+                    witness = witness_from_jsonable(obj["witness"])
+                except KeyError as exc:
+                    raise DataFormatError(f"{sidecar}: witness lacks the field {exc}") from exc
                 # check_consistent raises DataFormatError itself when n or m differ
                 if not check_consistent(witness, e):
                     raise DataFormatError(f"{sidecar}: witness contradicts a preference the election states")

@@ -115,6 +115,8 @@ def load_csv(path, schema: Schema) -> ScoreTable:
                     rank = int(cell)
                 except (TypeError, ValueError):
                     continue  # non-finisher: leave unscored
+                if rank < 1:
+                    raise DataFormatError(f"{path.name}:{lineno}: rank {rank} below 1")
                 raw.append((voter, cand, rank))
             else:
                 try:

@@ -183,32 +183,48 @@ pair LPs that certified bounds cannot rule out:
   a > b (through c = a) gives back B, so R <= B.  ``ratio_bound`` takes
   the smaller of the two and closes it under products along paths, which
   keeps it a bound.
-* **Floor.** Put a set X of candidates containing a but not b at point 0
-  and the rest at point 2, each voter stating some p in X above some q
-  outside X at 1, and every other voter at 2.  A voter at 1 is equally far
-  from every candidate.  A voter at 2 is at distance 2 from X and 0 from
-  the rest, and states no X candidate above a non-X one, so each pair it
-  states is at equal distance or puts the nearer candidate first.  So
-  this line pseudo-metric is consistent, and with ``far`` voters at 2 and
-  ``mid`` voters at 1 it gives SC(a)/SC(b) = 1 + 2 far/mid.  Let s_a count
-  the voters stating a above anything, and t_b those stating nothing above
-  b, silent voters included.  X = {a} has the s_a voters as ``mid`` and
-  gives 1 + 2(n - s_a)/s_a against every b; X = V - {b} has the t_b voters
-  as ``far`` and gives 1 + 2 t_b/(n - t_b) for every a.  Their larger is
-  the pair floor F(a, b) (``pair_floor``), and its row maximum bounds each
-  candidate's value (``_floors``).  With ``alpha`` set the floor is 1:
-  a voter at 1 is as far from its top as from its second choice, which the
-  alpha rows forbid once alpha < 1.
+* **Floor.** Let s_a count the voters stating a above anything, t_b those
+  stating nothing above b, silent voters included, and c those stating
+  a > b.  Two consistent metrics give floors on the pair value.  The first
+  is a two-cluster line metric: put a at point 0 and the rest at point 2,
+  each voter stating a above some candidate at 1, and every other voter
+  at 2.  A voter at 1 is equally far from every candidate.  A voter at 2
+  is at distance 2 from a and 0 from the rest, and states a above
+  nothing, so each pair it states is at equal distance or puts the nearer
+  candidate first.  With the n - s_a voters at 2 and the s_a at 1 it
+  gives 1 + 2(n - s_a)/s_a against every b.  The second is the b-star
+  simplex: every candidate is at distance 2 from every other, a voter
+  stating nothing above b sits on b, 0 from b and 2 from the rest, and
+  every other voter u is 1 from b and from each candidate it states above
+  b, and 3 from all the rest.  Any two of a voter's candidate distances
+  differ by at most 2 and sum to at least 2, the distance between the two
+  candidates, so every voter row holds, and voter-voter distances
+  complete it by shortest paths.  The candidates at 1 from u are b and
+  those stated above b, an upper set of u's ballot: whatever u states
+  above one of them it states above b.  So no stated pair puts a
+  candidate at 3 above one at 1; a voter on b states nothing above b, so
+  it puts no candidate above b either; ties and unlisted candidates add
+  no rows.  SC(b) = n - t_b.  The c voters stating a > b are at 1 from a,
+  and none of them is on b; the t_b voters on b are at 2 and the rest at
+  3.  So SC(a)/SC(b) = (c + 2 t_b + 3(n - t_b - c)) / (n - t_b) = G(a, b)
+  = 1 + 2(n - c)/(n - t_b), inf when t_b = n > 0 and 1 when c = n.  Since
+  no voter on b states a > b, n - c >= t_b, so G is at least
+  1 + 2 t_b/(n - t_b), the two-cluster ratio with every candidate but b
+  at point 0, which it replaces.  The larger of the two floors is the
+  pair floor F(a, b) (``pair_floor``), and its row maximum bounds each
+  candidate's value (``_floors``).  With ``alpha`` set the floor is 1: in
+  both metrics some voter is as far from its top as from its second
+  choice, which the alpha rows forbid once alpha < 1.
 * **Closed form.**  F(a, b) <= V(a, b) <= B*(a, b) for the pair value V
   and ``ratio_bound``'s B*.  So where F(a, b) >= B*(a, b) (1 - TAU_LP), V
   lies in [F, F / (1 - TAU_LP)], and F(a, b) is taken as the pair's value
   with no LP (``_floors``), by ``minimax``, ``distortion_of`` and
-  ``distortion_table`` alike, so all three read the same number.  Let c
-  voters state a > b.  If c = s_a then F >= 1 + 2(n - c)/c = B(a, b), and
-  if c = n - t_b likewise, so the pair is settled.  On top-1
-  ballots every voter stating anything states its top above every other
-  candidate, so c = s_a on every pair: no LP is solved, and the value of
-  a is 2n/n_a - 1 for the n_a voters topping a.  Off with ``alpha``.
+  ``distortion_table`` alike, so all three read the same number.  If
+  c = s_a then F >= 1 + 2(n - c)/c = B(a, b), and if c = n - t_b then
+  G(a, b) = B(a, b), so the pair is settled.  On top-1 ballots every
+  voter stating anything states its top above every other candidate, so
+  c = s_a on every pair: no LP is solved, and the value of a is
+  2n/n_a - 1 for the n_a voters topping a.  Off with ``alpha``.
 * **Witness floors.**  An optimal pair LP's solution is certified, so its
   voter-candidate distances d extend to a consistent pseudo-metric (see
   the certificate).  Its social costs sc = ``multiplicity`` @ d give
@@ -240,7 +256,7 @@ pair LPs that certified bounds cannot rule out:
 Both rules are functions of the values, not of the visiting order, and a
 settled pair has one value wherever it is read.  A skipped opponent is
 strictly below its row's largest.  A dropped candidate, whether by its
-running maximum, its two-cluster floor or a witness floor, is strictly
+running maximum, its pair floor or a witness floor, is strictly
 above the least value, since its value is at least each floor up to solver
 noise.  So neither can change a value, a worst opponent or the winner:
 ``minimax`` agrees with ``distortion_table`` exactly, not only within
@@ -678,23 +694,25 @@ def ratio_bound(e: Election) -> np.ndarray:
 
 
 def _cluster_ratio(far: np.ndarray, mid: np.ndarray) -> np.ndarray:
-    """1 + 2 far/mid, the two-cluster SC(a)/SC(b); inf when mid = 0 < far, 1 when far = 0."""
+    """1 + 2 far/mid, the floors' SC(a)/SC(b); inf when mid = 0 < far, 1 when far = 0."""
     return np.where(mid > 0, 1 + 2 * far / np.where(mid > 0, mid, 1), np.where(far > 0, np.inf, 1.0))
 
 
 def pair_floor(e: Election) -> np.ndarray:
     """Certified lower bounds F(a, b) on every pair LP value without alpha, as an (m, m) array.
 
-    F(a, b) = max(1 + 2(n - s_a)/s_a, 1 + 2 t_b/(n - t_b)), the two
-    two-cluster metrics of the module docstring: s_a counts the voters
-    stating a above anything, and t_b those stating nothing above b,
-    silent voters included.  The diagonal is 1.
+    F(a, b) = max(1 + 2(n - s_a)/s_a, G(a, b)), the two metrics of the
+    module docstring (**Floor**): the two-cluster line metric, and the
+    b-star simplex G(a, b) = 1 + 2(n - c)/(n - t_b).  s_a counts the voters
+    stating a above anything, c = ``pair_counts[a, b]`` those stating
+    a > b, and t_b those stating nothing above b, silent voters included.
+    The diagonal is 1.
     """
     levels, weight = e.levels, e.multiplicity
     # a ballot states a above something iff a's level is below its highest, and nothing above level 0
     s = weight @ (levels < levels.max(axis=1, keepdims=True))
     t = weight @ (levels == 0)
-    floor = np.maximum(_cluster_ratio(e.n - s, s)[:, None], _cluster_ratio(t, e.n - t))
+    floor = np.maximum(_cluster_ratio(e.n - s, s)[:, None], _cluster_ratio(e.n - e.pair_counts, (e.n - t)[None, :]))
     np.fill_diagonal(floor, 1.0)
     return floor
 
@@ -786,11 +804,13 @@ def minimax(e: Election, alpha=None) -> MinimaxResult:
     floors, as the module docstring sets out: candidates are visited by
     ascending largest bound, and one is dropped, before or during its
     scan, as soon as its value must be strictly above the least value found
-    so far.  The floors start at the row maxima of ``pair_floor`` and each
-    solved LP's witness raises them.  The result equals the winner and its entries in
-    ``distortion_table``.  With ``alpha`` set this is the alpha-decisive
-    variant, searched with witness floors only; ``alpha = 1`` coincides
-    with the plain rule.
+    so far.  The floors start at the row maxima of ``pair_floor``, the
+    two-cluster ratio and the b-star simplex G(a, b), and each solved LP's
+    witness raises them; every pair where ``pair_floor`` meets
+    ``ratio_bound`` takes the floor as its value with no LP.  The result
+    equals the winner and its entries in ``distortion_table``.  With
+    ``alpha`` set this is the alpha-decisive variant, searched with
+    witness floors only; ``alpha = 1`` coincides with the plain rule.
     """
     if e.m < 1:
         raise ConfigError("minimax needs at least one candidate")

@@ -86,6 +86,9 @@ class TestRun:
             ("swap", "euc.json: witness contradicts a preference the election states"),
             ("drop", "metric dimensions do not match the election"),
             ("not-metric", "euc.json: witness is not a metric: asymmetric or negative entries"),
+            ("truncated", "euc.json: not valid JSON: Expecting value: line 1 column 13 (char 12)"),
+            ("array", "euc.json: not a JSON object"),
+            ("no-n", "euc.json: witness lacks the field 'n'"),
         ],
     )
     def test_sidecar_witness_must_fit_the_election(self, tmp_path, capsys, tamper, message):
@@ -100,10 +103,14 @@ class TestRun:
             dist[6][0], dist[7][0] = dist[7][0], dist[6][0]
         elif tamper == "drop":  # voter 0 dropped
             doc["witness"].update(n=5, dist=[row[1:] for row in dist[1:]])
-        else:  # a negative voter-voter entry, and candidates 0 and 1 far apart: consistent, not a metric
+        elif tamper == "not-metric":  # a negative voter-voter entry, and candidates 0 and 1 far apart
             dist[1][2] = dist[2][1] = -1.0
             dist[6][7] = dist[7][6] = 1000.0
-        base.with_suffix(".json").write_text(json.dumps(doc))
+        elif tamper == "no-n":
+            del doc["witness"]["n"]
+        elif tamper == "array":
+            doc = [doc]
+        base.with_suffix(".json").write_text('{"witness": ' if tamper == "truncated" else json.dumps(doc))
         assert run(args) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.rstrip().endswith(message)

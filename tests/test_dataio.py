@@ -92,6 +92,19 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match=":2"):
             load_csv(bad, Schema(voter="voter", candidate="cand", score="score"))
 
+    @pytest.mark.parametrize("rank", ["0", "-3"])
+    def test_rank_below_one_reports_line(self, tmp_path, rank):
+        # read as a place, it would rank b above the winner
+        race = tmp_path / "race.csv"
+        race.write_text(f"raceId,driverId,positionText\nr,a,1\nr,b,{rank}\nr,c,2\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=rf"race\.csv:3: rank {rank} below 1"):
+            load_csv(race, parse_schema("f1"))
+
+    def test_non_finishers_stay_unscored(self, tmp_path):
+        race = tmp_path / "race.csv"
+        race.write_text("raceId,driverId,positionText\nr,a,2\nr,b,R\nr,c,1\n", encoding="utf-8")
+        assert load_csv(race, parse_schema("f1")).rows == (("r", "a", 1), ("r", "c", 2))
+
     def test_eurovision_shaped_file(self, tmp_path):
         # 36 jury countries score 10 of 24 finalists each
         path = tmp_path / "esc.csv"

@@ -11,14 +11,14 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from conftest import ballot_elections, election_of, ktop_elections, top_of, vc
+from conftest import ballot_elections, election_of, ktop_elections, prefers, relation, top_of, vc
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_lp import build_full, extract_pseudometric, from_rows, solve_full
 
 from metricvote import instances as inst
 from metricvote import lp
-from metricvote.core import Election, check_consistent, mask_voters, social_cost, truncate_to_ktop
+from metricvote.core import Election, MetricWitness, check_consistent, mask_voters, social_cost, truncate_to_ktop
 from metricvote.errors import ConfigError, DataFormatError, SolverFailureError
 from metricvote.lp import (
     INFEASIBLE,
@@ -661,6 +661,96 @@ class TestValueFloor:
         assert sum(c for _, c in with_floor) < sum(c for _, c in without)
 
 
+def _b_star_witness(e, b) -> MetricWitness:
+    """G's witness against b, in exact integers: the candidates pairwise 2 apart;
+    a voter stating nothing above b on b, 0 from it and 2 from the rest; every
+    other voter 1 from b and from each candidate it states above b, and 3 from
+    the rest; two voters at their shortest path through a candidate."""
+    stated = relation(e)[e.ballot_of]
+    on_b = ~stated[:, :, b].any(axis=1)
+    is_b = np.arange(e.m) == b
+    d = np.where(on_b[:, None], np.where(is_b, 0, 2), np.where(stated[:, :, b] | is_b, 1, 3))
+    vv = (d[:, None, :] + d[None, :, :]).min(axis=2)
+    np.fill_diagonal(vv, 0)
+    table = np.block([[vv, d], [d.T, 2 - 2 * np.eye(e.m, dtype=int)]])
+    return MetricWitness(e.n, e.m, table.tolist())
+
+
+class TestBStarFloor:
+    """G(a, b) = 1 + 2(n - c)/(n - t_b), the b-star simplex of ``pair_floor``: its
+    witness is a consistent metric with SC(a)/SC(b) = G, so G is at most every
+    pair value, and where it meets ``ratio_bound`` the pair needs no LP."""
+
+    @staticmethod
+    def _assert_witness(e) -> None:
+        floor = pair_floor(e)
+        for b in range(e.m):
+            w = _b_star_witness(e, b)
+            assert w.exact
+            w.validate_metric()
+            assert check_consistent(w, e)
+            t = sum(not any(prefers(e, i, c, b) for c in range(e.m)) for i in range(e.n))
+            for a in range(e.m):
+                if a == b:
+                    continue
+                if t == e.n:  # every voter on b
+                    assert social_cost(w, b) == 0 < social_cost(w, a) and floor[a, b] == math.inf
+                    continue
+                c = sum(prefers(e, i, a, b) for i in range(e.n))
+                ratio = Fraction(social_cost(w, a), social_cost(w, b))
+                assert ratio == 1 + Fraction(2 * (e.n - c), e.n - t)
+                assert floor[a, b] >= float(ratio) * (1 - 1e-15)
+
+    @pytest.mark.parametrize(
+        "e",
+        [
+            truncate_to_ktop(inst.impartial_culture(9, 5, seed=1).election, 2),
+            mask_voters(truncate_to_ktop(inst.impartial_culture(8, 4, seed=2).election, 3), [0, 3, 5]),
+            election_of(4, ["0 = 2 > 1 > 3", "1 > 0 = 3", "3 > 2", "", "2 = 1 = 0 > 3", "1 = 3 > 0 = 2"]),
+            election_of(3, ["", "", "0 > 1 > 2"]),
+        ],
+        ids=["ktop", "masked", "tied", "silent"],
+    )
+    def test_witness_attains_g(self, e):
+        self._assert_witness(e)
+
+    @given(ballot_elections())
+    @settings(max_examples=60, deadline=None)
+    def test_witness_on_ballot_elections(self, e):
+        self._assert_witness(e)
+
+    def test_at_most_the_reference_on_small_lp_corpus(self, small_lp_variants):
+        tight = 0
+        for e, alpha, ref in small_lp_variants:
+            if alpha is None:
+                floor = pair_floor(e)
+                for (a, b), out in ref.items():
+                    assert floor[a, b] <= out.value * (1 + TAU_LP)
+                    tight += close(floor[a, b], out.value, TAU_LP)
+        assert tight >= 1000
+
+    @given(ballot_elections())
+    @settings(max_examples=40, deadline=None)
+    def test_at_most_the_reference_on_ballot_elections(self, e):
+        floor = pair_floor(e)
+        for a in range(e.m):
+            for b in range(e.m):
+                if a != b:
+                    assert floor[a, b] <= solve_full(e, a, b).value * (1 + TAU_LP)
+
+    def test_gate_instances(self, monkeypatch):
+        # IC 40 x 7, instances 16-25, k = 1..7: 333 pair LPs with the two-cluster floors alone
+        tops = [truncate_to_ktop(inst.impartial_culture(40, 7, seed=s).election, k) for s in range(16, 26) for k in range(1, 8)]
+        reports = [distortion_table(t) for t in tops]
+        programs = _record_programs(monkeypatch)
+        got = [minimax(t) for t in tops]
+        assert len(programs) == 174
+        for result, rep in zip(got, reports):
+            assert (result.winner, result.value, result.worst_opponent) == (
+                rep.winner, rep.per_candidate[rep.winner], rep.worst_opponent[rep.winner]
+            )
+
+
 @pytest.fixture(scope="module")
 def small_lp_variants(small_lp_corpus):
     """(election, alpha, reference outcome per ordered pair) for each
@@ -928,9 +1018,10 @@ class TestWitnessFloors:
         assert (floor <= _reference_values(e, ref) * (1 + TAU_LP)).all() and (floor > 1).any()
 
     def test_drops_a_candidate_the_value_floor_would_scan(self):
-        # pair_floor's row maxima keep candidates 1 and 2 in the search; the witnesses of
-        # the first LPs lift their floors above the incumbent, so they get no LP
-        e = inst.impartial_culture(8, 4, seed=5).election
+        # with alpha set the floors start at 1, so candidates 1 and 3 are scanned; the
+        # witnesses of the first LPs lift their floors above the incumbent, so they get no LP
+        # (without alpha, pair_floor's G leaves the witness floors nothing to drop on small IC instances)
+        e = inst.impartial_culture(8, 4, seed=0).election
 
         def scanned(witness):
             calls = []
@@ -940,11 +1031,11 @@ class TestWitnessFloors:
                 return distortion_pair(e, a, b, alpha=alpha, floor=floor if witness else None)
 
             with patch.object(lp, "distortion_pair", counted):
-                return minimax(e), {a for a, _ in calls}, len(calls)
+                return minimax(e, alpha=0.5), {a for a, _ in calls}, len(calls)
 
         with_witness, without = scanned(True), scanned(False)
         assert with_witness[0] == without[0]
-        assert {1, 2} <= without[1] and not {1, 2} & with_witness[1]
+        assert {1, 3} <= without[1] and not {1, 3} & with_witness[1]
         assert with_witness[2] < without[2]
 
 
